@@ -21,6 +21,7 @@ __all__ = [
     "GroupPoint",
     "FiniteVector",
     "pairing",
+    "pairing_many",
     "fourier",
     "inverse_fourier",
 ]
@@ -222,18 +223,24 @@ def pairing(ctx: GroupContext, u: GroupPoint, xi) -> complex:
     """
     if u.context != ctx:
         raise ValueError("first argument does not belong to the context")
+    return complex(pairing_many(ctx, (u.coords,), xi)[0])
+
+
+def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
+    """:func:`pairing` of every row of an int coordinate array with one xi."""
+    coords = np.asarray(coords)
     if ctx.is_finite:
         if not isinstance(xi, GroupPoint) or xi.context != ctx:
             raise ValueError("second argument does not belong to the context")
-        angle = sum(a * b / m for a, b, m in zip(u.coords, xi.coords, ctx.moduli))
+        angle = (coords * xi.vector() / np.array(ctx.moduli)).sum(axis=1)
     else:
         t = np.asarray(xi, dtype=np.float64)
         if t.shape != (ctx.rank,):
             raise ValueError(
                 f"torus point of shape {t.shape} in rank-{ctx.rank} context"
             )
-        angle = float(np.dot(u.coords, t))
-    return complex(np.exp(2j * np.pi * angle))
+        angle = (coords * t).sum(axis=1)
+    return np.exp(2j * np.pi * angle)
 
 
 def fourier(f: FiniteVector) -> FiniteVector:

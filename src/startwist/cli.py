@@ -77,7 +77,7 @@ def context_from_doc(doc: Any, path: str = "context") -> GroupContext:
 def element_to_doc(a: FourierElement) -> dict:
     coefficients = [
         {"coords": list(p.coords), "re": repr(v.real), "im": repr(v.imag)}
-        for p, v in deform.sorted_items(a)
+        for p, v in a.coeffs.items()
     ]
     return {"context": context_to_doc(a.context), "coefficients": coefficients}
 

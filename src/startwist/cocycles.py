@@ -39,6 +39,16 @@ __all__ = [
 _DEGENERACY_TOL = 1e-12
 
 
+def _quadratic(xs, matrix: np.ndarray, ys) -> np.ndarray:
+    """Row-wise x . M y for coordinate arrays of shape (k, rank).
+
+    einsum, not ``xs @ M``: the BLAS product of one row and of many rows can
+    differ in the last bit, while this sum is taken in the same order for
+    every batch size.
+    """
+    return np.einsum("ki,ij,kj->k", xs, matrix, ys)
+
+
 @dataclass(frozen=True, eq=False)
 class SkewForm:
     """An exactly skew-symmetric matrix; the infinitesimal datum of a twist."""
@@ -69,7 +79,11 @@ class SkewForm:
         return self.matrix.shape[0]
 
     def __call__(self, p: GroupPoint, q: GroupPoint) -> float:
-        return float(p.vector() @ self.matrix @ q.vector())
+        return float(self.eval_many((p.coords,), (q.coords,))[0])
+
+    def eval_many(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on coordinate arrays of shape (k, rank)."""
+        return _quadratic(ps, self.matrix, qs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SkewForm) and np.array_equal(self.matrix, other.matrix)
@@ -89,7 +103,7 @@ class Bicharacter:
     multiplicative in each slot, so the cocycle identity holds by construction.
     """
 
-    __slots__ = ("context", "matrix", "hbar")
+    __slots__ = ("context", "matrix", "hbar", "_roots")
 
     def __init__(self, context: GroupContext, matrix, hbar: float | None = None) -> None:
         self.context = context
@@ -99,6 +113,8 @@ class Bicharacter:
             n = context.uniform_modulus
             m = np.asarray(matrix, dtype=np.int64) % n
             self.hbar = None
+            # every finite phase is an N-th root of unity; look them up by exponent
+            self._roots = np.exp(2j * np.pi * np.arange(n) / n)
         else:
             if hbar is None:
                 raise ValueError("lattice-mode bicharacter needs hbar")
@@ -129,21 +145,17 @@ class Bicharacter:
     def __call__(self, xi: GroupPoint, eta: GroupPoint) -> complex:
         if xi.context != self.context or eta.context != self.context:
             raise ValueError("arguments do not belong to the bicharacter's context")
-        if self.context.is_finite:
-            n = self.context.uniform_modulus
-            expo = int(xi.vector() @ self.matrix @ eta.vector()) % n
-            return complex(np.exp(2j * np.pi * expo / n))
-        angle = float(xi.vector() @ self.matrix @ eta.vector())
-        return complex(np.exp(-1j * np.pi * self.hbar * angle))
+        return complex(self.eval_many((xi.coords,), (eta.coords,))[0])
 
     def eval_many(self, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on coordinate arrays of shape (k, rank)."""
-        xis = np.asarray(xis)
-        etas = np.asarray(etas)
-        quad = np.einsum("ki,ij,kj->k", xis, self.matrix, etas)
-        if self.context.is_finite:
-            n = self.context.uniform_modulus
-            return np.exp(2j * np.pi * (quad % n) / n)
+        """Vectorized evaluation on coordinate arrays of shape (k, rank).
+
+        The scalar call goes through here too, so a phase never depends on
+        whether it was evaluated alone or in a batch.
+        """
+        quad = _quadratic(xis, self.matrix, etas)
+        if self.hbar is None:
+            return self._roots[quad % len(self._roots)]
         return np.exp(-1j * np.pi * self.hbar * quad)
 
     @property

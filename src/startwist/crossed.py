@@ -7,9 +7,10 @@ element is a full table v -> fiber, each fiber a function on the dual.  In
 this model every construction below is a finite sum, so the averaging map I
 can be checked exactly against the double-sum deformed product.
 
-Measure constants: fiber convolution uses plain sums, I carries the context's
-|V|^{-1/2}, and the matched double-sum product carries |V|^{-1}; the
-homomorphism property of I at invertible T validates the triple.
+Measure constants: fiber convolution uses plain sums, and both I and the
+matched double-sum product (``deform.rieffel_product_finite``) carry the
+context's |V|^{-1/2}; the homomorphism property of I at invertible T
+validates the triple.
 """
 
 from __future__ import annotations

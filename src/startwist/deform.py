@@ -16,23 +16,22 @@ linearly in hbar; for a single pair of deltas it equals
 |(exp(-i pi hbar g) - 1) / (i hbar) + pi g| with g = G(p, q).
 
 Products are exact finite sums; nothing inside the algebra is truncated.
-Coefficients below ``COEFF_DROP_EPS`` in magnitude are dropped after
-arithmetic so supports stay finite under repeated products; the threshold is
-three orders below every tolerance asserted in the test suite.
+Only coefficients that are exactly zero are dropped, so scaling an element by
+any nonzero scalar keeps its support.
 """
 
 from __future__ import annotations
 
+import numbers
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, pairing
+from .abelian import FiniteVector, GroupContext, GroupPoint, pairing_many
 from .cocycles import Bicharacter, LinearMap, SkewForm, is_nondegenerate
 
 __all__ = [
-    "COEFF_DROP_EPS",
     "SEMICLASSICAL_SCALE",
     "FourierElement",
     "star",
@@ -46,31 +45,76 @@ __all__ = [
     "rieffel_product_finite",
 ]
 
-COEFF_DROP_EPS = 1e-15
 SEMICLASSICAL_SCALE = 1.0 / (4.0 * np.pi)
+# Lattice coordinates stay below this in magnitude, so the sum of two never
+# overflows int64 and an out-of-range product is reported, not wrapped.
+_COORD_LIMIT = 2**31
+_RANGE_MESSAGE = "lattice coordinates must stay below 2**31 in magnitude"
 
 
 class FourierElement:
     """Finitely supported map from a (dual) group into the complex numbers.
 
-    Stored in canonical form: zero and sub-threshold coefficients are dropped,
-    every support point lives in the element's context.
+    Stored as two read-only arrays: ``coords``, the support points as int64
+    rows of shape (k, rank), reduced mod the moduli in finite contexts and
+    sorted lexicographically, and ``values``, their nonzero complex128
+    coefficients.  ``coeffs`` is the same data as a read-only mapping from
+    :class:`GroupPoint`, in the same order, built on first access.
     """
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ("context", "coords", "values", "_coeffs")
 
     def __init__(
         self, context: GroupContext, coeffs: Mapping[GroupPoint, complex]
     ) -> None:
-        clean: dict[GroupPoint, complex] = {}
-        for point, value in coeffs.items():
-            if point.context != context:
-                raise ValueError("support point from a different context")
-            value = complex(value)
-            if abs(value) >= COEFF_DROP_EPS:
-                clean[point] = value
+        points = list(coeffs)
+        if any(point.context != context for point in points):
+            raise ValueError("support point from a different context")
+        try:
+            coords = np.array([point.coords for point in points], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(_RANGE_MESSAGE) from None
+        coords = coords.reshape(len(points), context.rank)
+        values = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
+        self._assign(context, *_collect(context, coords, values))
+
+    def _assign(
+        self, context: GroupContext, coords: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Set the fields from sorted distinct coords, dropping exact zeros."""
+        if not values.all():
+            keep = values != 0
+            coords, values = coords[keep], values[keep]
+        coords.flags.writeable = False
+        values.flags.writeable = False
         self.context = context
-        self.coeffs = MappingProxyType(clean)
+        self.coords = coords
+        self.values = values
+        self._coeffs = None
+
+    @classmethod
+    def _wrap(
+        cls, context: GroupContext, coords: np.ndarray, values: np.ndarray
+    ) -> "FourierElement":
+        out = cls.__new__(cls)
+        out._assign(context, coords, values)
+        return out
+
+    @classmethod
+    def from_arrays(cls, context: GroupContext, coords, values) -> "FourierElement":
+        """Element from int coordinate rows of shape (k, rank) and k values.
+
+        Values at repeated points are added in row order; finite coordinates
+        are reduced mod the moduli.
+        """
+        coords = np.array(coords, dtype=np.int64)
+        values = np.array(values, dtype=np.complex128)
+        if values.ndim != 1 or coords.shape != (len(values), context.rank):
+            raise ValueError(
+                f"need coords of shape ({len(values)}, {context.rank}) for "
+                f"{len(values)} values, got {coords.shape}"
+            )
+        return cls._wrap(context, *_collect(context, coords, values))
 
     @classmethod
     def zero(cls, context: GroupContext) -> "FourierElement":
@@ -81,6 +125,16 @@ class FourierElement:
         return cls(point.context, {point: value})
 
     @property
+    def coeffs(self) -> Mapping[GroupPoint, complex]:
+        if self._coeffs is None:
+            ctx = self.context
+            self._coeffs = MappingProxyType({
+                GroupPoint(ctx, tuple(c)): v
+                for c, v in zip(self.coords.tolist(), self.values.tolist())
+            })
+        return self._coeffs
+
+    @property
     def support(self) -> list[GroupPoint]:
         return list(self.coeffs)
 
@@ -89,10 +143,7 @@ class FourierElement:
 
     def support_radius(self) -> int:
         """Largest coordinate magnitude over the support (0 for the zero element)."""
-        return max(
-            (abs(c) for p in self.coeffs for c in p.coords),
-            default=0,
-        )
+        return int(np.abs(self.coords).max(initial=0))
 
     def _check_same(self, other: "FourierElement") -> None:
         if self.context != other.context:
@@ -100,97 +151,128 @@ class FourierElement:
 
     def __add__(self, other: "FourierElement") -> "FourierElement":
         self._check_same(other)
-        out = dict(self.coeffs)
-        for p, v in other.coeffs.items():
-            out[p] = out.get(p, 0j) + v
-        return FourierElement(self.context, out)
+        return FourierElement.from_arrays(
+            self.context,
+            np.concatenate([self.coords, other.coords]),
+            np.concatenate([self.values, other.values]),
+        )
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FourierElement":
-        return FourierElement(
-            self.context, {p: v * scalar for p, v in self.coeffs.items()}
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return FourierElement._wrap(
+            self.context, self.coords, self.values * complex(scalar)
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "FourierElement":
-        return FourierElement(
-            self.context, {p: v / scalar for p, v in self.coeffs.items()}
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        if scalar == 0:
+            raise ZeroDivisionError("division of an element by zero")
+        return FourierElement._wrap(
+            self.context, self.coords, self.values / complex(scalar)
         )
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FourierElement)
             and self.context == other.context
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.coords, other.coords)
+            and np.array_equal(self.values, other.values)
         )
 
     def l1_norm(self) -> float:
-        return sum(abs(v) for v in self.coeffs.values())
+        return float(np.abs(self.values).sum())
 
     def l1_distance(self, other: "FourierElement") -> float:
         return (self - other).l1_norm()
 
     def linf_distance(self, other: "FourierElement") -> float:
-        diff = self - other
-        return max((abs(v) for v in diff.coeffs.values()), default=0.0)
+        return float(np.abs((self - other).values).max(initial=0.0))
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{p.coords}: {v}" for p, v in sorted_items(self))
+        items = ", ".join(
+            f"{tuple(c)}: {v}"
+            for c, v in zip(self.coords.tolist(), self.values.tolist())
+        )
         return f"FourierElement({{{items}}})"
 
 
-def sorted_items(a: FourierElement):
-    return sorted(a.coeffs.items(), key=lambda kv: kv[0].coords)
+def _collect(
+    ctx: GroupContext, coords: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values at each distinct point and sort the points lexicographically.
+
+    ``bincount`` adds its weights in index order, so every output coefficient
+    is accumulated in the order its terms appear in ``values``.
+    """
+    if ctx.is_finite:
+        coords = coords % np.array(ctx.moduli)
+    elif len(values) and not (
+        -_COORD_LIMIT < coords.min() and coords.max() < _COORD_LIMIT
+    ):
+        raise ValueError(_RANGE_MESSAGE)
+    if len(values) < 2:
+        return coords, values
+    order = np.lexsort(coords.T[::-1])
+    coords = coords[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    np.any(coords[1:] != coords[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    n = int(inverse.max()) + 1
+    summed = np.empty(n, dtype=np.complex128)
+    summed.real = np.bincount(inverse, values.real, n)
+    summed.imag = np.bincount(inverse, values.imag, n)
+    return coords[starts], summed
 
 
-def _check_context(a: FourierElement, b: FourierElement) -> None:
-    if a.context != b.context:
-        raise ValueError("elements from different contexts")
+def _convolve(
+    a: FourierElement,
+    b: FourierElement,
+    weight: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> FourierElement:
+    """sum_{p1+p2=p} a(p1) b(p2) weight(p1, p2), over every pair of support points."""
+    a._check_same(b)
+    i, j = np.divmod(np.arange(len(a.values) * len(b.values)), len(b.values))
+    x, y = a.coords[i], b.coords[j]
+    terms = a.values[i] * b.values[j] * weight(x, y)
+    return FourierElement.from_arrays(a.context, x + y, terms)
 
 
 def star(a: FourierElement, b: FourierElement, sigma: Bicharacter) -> FourierElement:
     """Twisted convolution (a * b)(p) = sum_{p1+p2=p} a(p1) b(p2) sigma(p1, p2)."""
-    _check_context(a, b)
     if sigma.context != a.context:
         raise ValueError("cocycle from a different context")
-    out: dict[GroupPoint, complex] = {}
-    for p1, c1 in a.coeffs.items():
-        for p2, c2 in b.coeffs.items():
-            p = p1 + p2
-            out[p] = out.get(p, 0j) + c1 * c2 * sigma(p1, p2)
-    return FourierElement(a.context, out)
+    return _convolve(a, b, sigma.eval_many)
 
 
 def involution(a: FourierElement, sigma: Bicharacter) -> FourierElement:
     """a*(p) = sigma(p, p) conj(a(-p)); involutive for any unimodular cocycle."""
     if sigma.context != a.context:
         raise ValueError("cocycle from a different context")
-    out: dict[GroupPoint, complex] = {}
-    for p, c in a.coeffs.items():
-        q = -p
-        out[q] = sigma(q, q) * np.conj(c)
-    return FourierElement(a.context, out)
+    q = -a.coords
+    values = sigma.eval_many(q, q) * np.conj(a.values)
+    return FourierElement.from_arrays(a.context, q, values)
 
 
 def poisson_bracket(
     a: FourierElement, b: FourierElement, gamma: SkewForm
 ) -> FourierElement:
     """{a, b}(p) = -4 pi^2 sum_{p1+p2=p} a(p1) b(p2) gamma(p1, p2); lattice only."""
-    _check_context(a, b)
+    a._check_same(b)
     if a.context.is_finite:
         raise ValueError("the bracket is defined on lattice contexts only")
     if gamma.rank != a.context.rank:
         raise ValueError("skew form rank does not match context")
-    out: dict[GroupPoint, complex] = {}
     factor = -4.0 * np.pi**2
-    for p1, c1 in a.coeffs.items():
-        for p2, c2 in b.coeffs.items():
-            p = p1 + p2
-            out[p] = out.get(p, 0j) + factor * c1 * c2 * gamma(p1, p2)
-    return FourierElement(a.context, out)
+    return _convolve(a, b, lambda x, y: factor * gamma.eval_many(x, y))
 
 
 def semiclassical_defect(
@@ -252,9 +334,8 @@ def iterated_star_check(
 
 def translate(a: FourierElement, v) -> FourierElement:
     """Translation automorphism: coefficient at p is multiplied by pairing(p, v)."""
-    return FourierElement(
-        a.context,
-        {p: c * pairing(a.context, p, v) for p, c in a.coeffs.items()},
+    return FourierElement._wrap(
+        a.context, a.coords, a.values * pairing_many(a.context, a.coords, v)
     )
 
 

@@ -101,8 +101,7 @@ def left_mult_matrix(
     cols = _window_index(grid, w)
     dim = window.dim(ctx.rank)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for p, c in a.coeffs.items():
-        pv = p.vector()
+    for pv, c in zip(a.coords, a.values):
         shifted = grid + pv
         mask = np.all(np.abs(shifted) <= w, axis=1)
         rows = _window_index(shifted[mask], w)
@@ -122,8 +121,7 @@ def _power_iteration_norm(a: FourierElement, sigma: Bicharacter, w: int) -> floa
     shape = (side,) * rank
     grid = _window_grid(rank, w)
     terms = []
-    for p, c in a.coeffs.items():
-        pv = p.vector()
+    for pv, c in zip(a.coords, a.values):
         phase = _phase_on_grid(sigma, pv, grid).reshape(shape)
         src = tuple(
             slice(max(-int(s), 0), side + min(-int(s), 0)) for s in pv
@@ -165,7 +163,7 @@ def _power_iteration_norm(a: FourierElement, sigma: Bicharacter, w: int) -> floa
 def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b."""
     window = _as_window(window)
-    if not a.coeffs:
+    if not a.values.size:
         return 0.0
     dim = window.dim(a.context.rank)
     if dim <= _DENSE_DIM_LIMIT:

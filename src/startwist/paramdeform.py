@@ -265,12 +265,8 @@ def monodromy_transport(a: FourierElement, rho: MonodromyData) -> FourierElement
     """Relabel coefficients through the dual action: out(p) = a(rho^{-T} p)."""
     if not monodromy_check(rho):
         raise ValueError("matrix is not symplectic")
-    ctx = a.context
-    rho_t = rho.matrix.T
-    return FourierElement(
-        ctx,
-        {ctx.point(tuple(rho_t @ p.vector())): c for p, c in a.coeffs.items()},
-    )
+    # row form of p -> rho^T p
+    return FourierElement.from_arrays(a.context, a.coords @ rho.matrix, a.values)
 
 
 def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:

@@ -90,6 +90,34 @@ class TestEval:
         with pytest.raises(ValueError):
             Bicharacter(GroupContext.finite([2, 3]), [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [GroupContext.lattice(1), LATTICE2, GroupContext.lattice(4), Z7,
+         GroupContext.finite([5, 5])],
+        ids=["Z", "Z2", "Z4", "Z7", "Z5xZ5"],
+    )
+    def test_scalar_and_batched_phases_agree_bitwise(self, ctx):
+        # the delta relation compares a product phase with a scalar phase
+        # exactly, so the two evaluations must not differ even in the last bit
+        rng = np.random.default_rng(31)
+        n = ctx.rank
+        pts = [
+            (ctx.point(x), ctx.point(y))
+            for x, y in rng.integers(-9, 10, (1000, 2, n))
+        ]
+        xs = np.array([p.coords for p, _ in pts])
+        ys = np.array([q.coords for _, q in pts])
+        if ctx.is_finite:
+            sigma = Bicharacter(ctx, rng.integers(0, 7, (n, n)))
+        else:
+            sigma = Bicharacter(ctx, rng.uniform(-2, 2, (n, n)), hbar=0.73)
+            u = rng.uniform(-2, 2, (n, n))
+            form = SkewForm(u - u.T)
+            scalar = np.array([form(p, q) for p, q in pts])
+            assert np.array_equal(form.eval_many(xs, ys), scalar)
+        scalar = np.array([sigma(p, q) for p, q in pts])
+        assert np.array_equal(sigma.eval_many(xs, ys), scalar)
+
 
 class TestCocycleCheck:
     def test_trivial_passes_with_zero_deviation(self):

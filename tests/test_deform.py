@@ -43,10 +43,104 @@ def random_skew(rng):
     return SkewForm([[0.0, theta], [-theta, 0.0]])
 
 
+def reference_star(a, b, sigma):
+    """The per-pair dict loop, kept here as the oracle for the array kernel.
+
+    Returns a plain dict without exact zeros, so no part of the kernel's
+    canonical form is shared with the oracle.
+    """
+    out = {}
+    for p1, c1 in a.coeffs.items():
+        for p2, c2 in b.coeffs.items():
+            p = p1 + p2
+            out[p] = out.get(p, 0j) + c1 * c2 * sigma(p1, p2)
+    return {p: v for p, v in out.items() if v != 0}
+
+
+def reference_bracket(a, b, gamma):
+    out = {}
+    factor = -4.0 * np.pi**2
+    for p1, c1 in a.coeffs.items():
+        for p2, c2 in b.coeffs.items():
+            p = p1 + p2
+            out[p] = out.get(p, 0j) + factor * c1 * c2 * gamma(p1, p2)
+    return {p: v for p, v in out.items() if v != 0}
+
+
+TINY_TO_HUGE = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
 class TestFourierElement:
-    def test_canonical_form_drops_tiny(self):
-        a = FourierElement(LATTICE2, {LATTICE2.point(0, 0): 1e-16})
-        assert not a.coeffs
+    def test_tiny_coefficient_is_kept(self):
+        p = LATTICE2.point(0, 0)
+        assert FourierElement.delta(p, 1e-16).support == [p]
+        assert (0.1 * FourierElement.delta(p, 2e-15)).coeff(p) == 0.1 * 2e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+            st.complex_numbers(min_magnitude=1e-20, max_magnitude=1e3),
+            min_size=1,
+            max_size=8,
+        ),
+        TINY_TO_HUGE,
+    )
+    def test_scaling_is_homogeneous(self, raw, c):
+        a = FourierElement(LATTICE2, {LATTICE2.point(p): v for p, v in raw.items()})
+        scaled = c * a
+        assert scaled.support == a.support
+        for p in a.support:
+            assert scaled.coeff(p) == c * a.coeff(p)
+
+    def test_exact_zeros_dropped(self):
+        p, q = LATTICE2.point(1, 0), LATTICE2.point(0, 1)
+        a = FourierElement(LATTICE2, {p: 1.0, q: 0.0})
+        assert a.support == [p]
+        assert (a - a).support == []
+        assert (0 * a).support == []
+
+    def test_arrays_sorted_and_read_only(self):
+        a = FourierElement(
+            LATTICE2, {LATTICE2.point(1, -1): 1.0, LATTICE2.point(-2, 5): 2.0}
+        )
+        assert a.coords.tolist() == [[-2, 5], [1, -1]]
+        assert a.values.tolist() == [2.0, 1.0]
+        assert list(a.coeffs) == [LATTICE2.point(-2, 5), LATTICE2.point(1, -1)]
+        with pytest.raises(ValueError):
+            a.values[0] = 3.0
+        with pytest.raises(TypeError):
+            a.coeffs[LATTICE2.point(0, 0)] = 1.0
+
+    @pytest.mark.parametrize("rank, box", [(1, 5), (2, 3), (4, 10**6), (6, 10**6)])
+    def test_mapping_round_trip(self, rank, box):
+        ctx = GroupContext.lattice(rank)
+        rng = np.random.default_rng(rank)
+        raw = {
+            ctx.point(tuple(rng.integers(-box, box + 1, size=rank))): complex(v, -v)
+            for v in rng.uniform(0.5, 1.0, 40)
+        }
+        a = FourierElement(ctx, raw)
+        assert a.coeffs == raw
+        rows = [p.coords for p in a.support]
+        assert rows == sorted(rows)
+
+    def test_from_arrays_sums_repeats_and_reduces(self):
+        z5 = GroupContext.finite(5)
+        a = FourierElement.from_arrays(z5, [[7], [2], [-1]], [1.0, 0.5, 2j])
+        assert a == FourierElement(z5, {z5.point(2): 1.5, z5.point(4): 2j})
+        with pytest.raises(ValueError):
+            FourierElement.from_arrays(LATTICE2, [[1, 2, 3]], [1.0])
+
+    def test_coordinates_out_of_range_rejected(self):
+        big = 2**31
+        with pytest.raises(ValueError):
+            FourierElement.delta(LATTICE2.point(big, 0))
+        with pytest.raises(ValueError):
+            FourierElement.delta(LATTICE2.point(0, -(2**70)))
+        half = FourierElement.delta(LATTICE2.point(big // 2, 0))
+        with pytest.raises(ValueError):
+            star(half, half, Bicharacter.trivial(LATTICE2))
 
     def test_cross_context_point_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +231,78 @@ class TestStar:
                 delta(LATTICE2, 0, 0),
                 Bicharacter(GroupContext.finite(5), [[1]]),
             )
+
+
+KERNEL_CASES = [
+    # (context, box the support coordinates are drawn from)
+    (GroupContext.lattice(1), 6),
+    (LATTICE2, 3),
+    (GroupContext.lattice(4), 2),
+    (GroupContext.lattice(4), 10**6),
+    # drawn beyond the moduli, so inputs and sums wrap around
+    (GroupContext.finite(7), 9),
+    (GroupContext.finite([5, 5]), 9),
+]
+
+
+def assert_same_coefficients(got, want, tol):
+    assert set(got.support) == set(want)
+    rows = [tuple(r) for r in got.coords.tolist()]
+    assert rows == sorted(set(rows))
+    assert sum(abs(got.coeff(p) - v) for p, v in want.items()) <= tol
+
+
+def assert_kernel_matches(a, b, sigma, gamma=None):
+    """Same support as the reference loops, values within 1e-15 |a|_1 |b|_1."""
+    bound = 1e-15 * a.l1_norm() * b.l1_norm()
+    assert_same_coefficients(star(a, b, sigma), reference_star(a, b, sigma), bound)
+    if gamma is not None:
+        # the bracket weights are not unimodular: scale by their largest size
+        weight = 4 * np.pi**2 * max(
+            (abs(gamma(p, q)) for p in a.support for q in b.support), default=0.0
+        )
+        assert_same_coefficients(
+            poisson_bracket(a, b, gamma), reference_bracket(a, b, gamma), bound * weight
+        )
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize(
+        "ctx, box", KERNEL_CASES, ids=["Z", "Z2", "Z4", "Z4-wide", "Z7", "Z5xZ5"]
+    )
+    def test_random_supports(self, ctx, box):
+        rng = np.random.default_rng(40)
+        n = ctx.rank
+        gamma = None
+        if ctx.is_finite:
+            sigma = Bicharacter(ctx, rng.integers(0, 7, (n, n)))
+        else:
+            sigma = Bicharacter(ctx, rng.uniform(-2, 2, (n, n)), hbar=0.8)
+            u = rng.uniform(-2, 2, (n, n))
+            gamma = SkewForm(u - u.T)
+        for _ in range(20):
+            a = random_element(ctx, rng, box=box)
+            b = random_element(ctx, rng, box=box)
+            assert_kernel_matches(a, b, sigma, gamma)
+
+    def test_empty_and_single_point_operands(self):
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.6)
+        zero = FourierElement.zero(LATTICE2)
+        a = random_element(LATTICE2, np.random.default_rng(41))
+        single = FourierElement.delta(LATTICE2.point(2, -1), 0.5 - 1j)
+        for x, y in ((zero, a), (a, zero), (zero, zero), (single, a), (a, single)):
+            assert_kernel_matches(x, y, sigma, J)
+        assert star(zero, a, sigma).support == []
+
+    def test_cancelling_pair(self):
+        # (d_x + d_y)(d_y - d_x) in the commutative product: the two cross
+        # terms at x + y cancel exactly and the point leaves the support
+        x, y = LATTICE2.point(1, 0), LATTICE2.point(0, 1)
+        a = FourierElement(LATTICE2, {x: 1.0, y: 1.0})
+        b = FourierElement(LATTICE2, {y: 1.0, x: -1.0})
+        trivial = Bicharacter.trivial(LATTICE2)
+        assert_kernel_matches(a, b, trivial)
+        assert set(star(a, b, trivial).support) == {x + x, y + y}
 
 
 class TestInvolution:
