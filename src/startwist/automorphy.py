@@ -47,11 +47,15 @@ class GammaAction:
     def __post_init__(self) -> None:
         mul = np.asarray(self.mul, dtype=np.int64)
         act = np.asarray(self.act, dtype=np.int64)
-        order = mul.shape[0]
-        if mul.shape != (order, order):
+        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
+        order = mul.shape[0]
         if act.ndim != 2 or act.shape[0] != order:
             raise ValueError("action table must have one row per group element")
+        if np.any((mul < 0) | (mul >= order)):
+            raise ValueError("multiplication table leaves the group")
+        if np.any((act < 0) | (act >= act.shape[1])):
+            raise ValueError("action table leaves the point set")
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "identity", self._find_identity())
@@ -59,41 +63,29 @@ class GammaAction:
         self._validate()
 
     def _find_identity(self) -> int:
-        order = self.mul.shape[0]
-        for e in range(order):
-            if np.array_equal(self.mul[e], np.arange(order)) and np.array_equal(
-                self.mul[:, e], np.arange(order)
-            ):
-                return e
-        raise ValueError("multiplication table has no identity")
+        g = np.arange(self.order)
+        two_sided = (self.mul == g).all(axis=1) & (self.mul.T == g).all(axis=1)
+        if not two_sided.any():
+            raise ValueError("multiplication table has no identity")
+        return int(np.argmax(two_sided))
 
     def _find_inverses(self) -> np.ndarray:
-        order = self.mul.shape[0]
-        e = self.identity
-        inv = np.full(order, -1, dtype=np.int64)
-        for g in range(order):
-            hits = np.nonzero(self.mul[g] == e)[0]
-            if hits.size != 1 or self.mul[hits[0], g] != e:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
+        hits = self.mul == self.identity
+        inv = np.argmax(hits, axis=1)
+        bad = (hits.sum(axis=1) != 1) | ~hits[inv, np.arange(self.order)]
+        if bad.any():
+            raise ValueError(f"element {np.flatnonzero(bad)[0]} has no two-sided inverse")
         return inv
 
     def _validate(self) -> None:
-        order = self.order
-        for g in range(order):
-            for h in range(order):
-                for k in range(order):
-                    if self.mul[self.mul[g, h], k] != self.mul[g, self.mul[h, k]]:
-                        raise ValueError("multiplication table is not associative")
-        if not np.array_equal(self.act[self.identity], np.arange(self.n_points)):
+        mul, act = self.mul, self.act
+        # (gh)k = g(hk) and g.(h.x) = (gh).x, indexed [g, h, k] and [g, h, x]
+        if not np.array_equal(mul[mul], mul[:, mul]):
+            raise ValueError("multiplication table is not associative")
+        if not np.array_equal(act[self.identity], np.arange(self.n_points)):
             raise ValueError("identity must act trivially")
-        for g in range(order):
-            for h in range(order):
-                for x in range(self.n_points):
-                    if self.act[g, self.act[h, x]] != self.act[self.mul[g, h], x]:
-                        raise ValueError("action is not compatible with products")
-        if np.any(self.act < 0) or np.any(self.act >= self.n_points):
-            raise ValueError("action table leaves the point set")
+        if not np.array_equal(act[:, act], act[mul]):
+            raise ValueError("action is not compatible with products")
 
     @property
     def order(self) -> int:
@@ -188,13 +180,10 @@ def tau_cocycle_check(
     t = tau.values
     dev = 0.0
     for k1 in range(action.order):
-        for k2 in range(action.order):
-            k12 = action.mul[k1, k2]
-            for k3 in range(action.order):
-                k123 = action.mul[k2, k3]
-                lhs = t[k12, k3] * t[k1, k2, action.act[k3]]
-                rhs = t[k1, k123] * t[k2, k3]
-                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+        # indexed [k2, k3, x]
+        lhs = t[action.mul[k1]] * t[k1][:, action.act]
+        rhs = t[k1][action.mul] * t
+        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return CheckReport(dev <= tol, dev)
 
 
@@ -207,13 +196,9 @@ def automorphy_check(
     """Exhaustive check of j(k1, k2 x) j(k2, x) = tau(k1, k2, x) j(k1 k2, x)."""
     _check_shapes(action, tau, jhat)
     j = jhat.values
-    dev = 0.0
-    for k1 in range(action.order):
-        for k2 in range(action.order):
-            k12 = action.mul[k1, k2]
-            lhs = j[k1, action.act[k2]] * j[k2]
-            rhs = tau.values[k1, k2] * j[k12]
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    # indexed [k1, k2, x]
+    residual = j[:, action.act] * j - tau.values * j[action.mul]
+    dev = float(np.max(np.abs(residual)))
     return CheckReport(dev <= tol, dev)
 
 
@@ -221,14 +206,7 @@ def coboundary(action: GammaAction, jhat: AutomorphyFactor) -> TauCocycle:
     """The cocycle trivialized by j-hat: tau(k1,k2,x) = j(k1,k2 x) j(k2,x) / j(k1 k2,x)."""
     _check_shapes(action, None, jhat)
     j = jhat.values
-    out = np.empty(
-        (action.order, action.order, action.n_points), dtype=np.complex128
-    )
-    for k1 in range(action.order):
-        for k2 in range(action.order):
-            k12 = action.mul[k1, k2]
-            out[k1, k2] = j[k1, action.act[k2]] * j[k2] / j[k12]
-    return TauCocycle(out)
+    return TauCocycle(j[:, action.act] * j / j[action.mul])
 
 
 def _roots_to_exponents(values: np.ndarray, m: int) -> np.ndarray:
@@ -286,11 +264,7 @@ def solve_automorphy(
 def u_transform(action: GammaAction, jhat: AutomorphyFactor) -> np.ndarray:
     """The family U(k): x -> j-hat(k, k^{-1} x), one row per group element."""
     _check_shapes(action, None, jhat)
-    out = np.empty_like(jhat.values)
-    for k in range(action.order):
-        k_inv = action.inv[k]
-        out[k] = jhat.values[k, action.act[k_inv]]
-    return out
+    return np.take_along_axis(jhat.values, action.act[action.inv], axis=1)
 
 
 def u_cocycle_check(
@@ -305,13 +279,10 @@ def u_cocycle_check(
     convention in which the group also moves the base argument of tau.
     """
     _check_shapes(action, tau)
-    dev = 0.0
-    for k1 in range(action.order):
-        k1_inv = action.inv[k1]
-        for k2 in range(action.order):
-            k12 = action.mul[k1, k2]
-            k12_inv = action.inv[k12]
-            lhs = u[k1] * u[k2, action.act[k1_inv]]
-            rhs = tau.values[k1, k2, action.act[k12_inv]] * u[k12]
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    k1, k2 = np.ogrid[: action.order, : action.order]
+    act_inv = action.act[action.inv]
+    # indexed [k1, k2, x]
+    lhs = u[:, None] * u[k2[..., None], act_inv[:, None]]
+    rhs = tau.values[k1[..., None], k2[..., None], act_inv[action.mul]] * u[action.mul]
+    dev = float(np.max(np.abs(lhs - rhs)))
     return CheckReport(dev <= tol, dev)

@@ -329,7 +329,7 @@ def cmd_automorphy_solve(args) -> int:
     act = _require(cfg, "action")
     try:
         action = GammaAction(np.asarray(mul), np.asarray(act))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError("input.group_table", str(exc)) from None
     modulus = _require(cfg, "modulus")
     if not isinstance(modulus, int) or modulus < 1:

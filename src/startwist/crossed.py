@@ -7,6 +7,12 @@ element is a full table v -> fiber, each fiber a function on the dual.  In
 this model every construction below is a finite sum, so the averaging map I
 can be checked exactly against the double-sum deformed product.
 
+Translation by x multiplies the k-th Fourier coefficient of a fiber by
+exp(2 pi i k.x / N), so the spectral projection is a 0/1 character mask
+between FFTs along the fiber axes and the fixed-point dimension counts the
+mask.  ``fixed_point_test`` evaluates the defining condition instead, one
+translate at a time, so it checks the mask rather than restating it.
+
 Measure constants: fiber convolution uses plain sums, and both I and the
 matched double-sum product (``deform.rieffel_product_finite``) carry the
 context's |V|^{-1/2}; the homomorphism property of I at invertible T
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, pairing
+from .abelian import FiniteVector, GroupContext, GroupPoint, pairing_many
 from .checks import CheckReport
-from .cocycles import Bicharacter, LinearMap, T_map, is_nondegenerate
+from .cocycles import Bicharacter, LinearMap, T_map, is_nondegenerate, sigma_one
 from .deform import rieffel_product_finite
 
 __all__ = [
@@ -137,9 +143,14 @@ class DeformedActionData:
         return self.sigma.context
 
 
-def _alpha(fiber: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
-    """Translation action on a fiber: (alpha_x f)(xi) = f(xi + x)."""
-    return np.roll(fiber, shift=tuple(-np.asarray(x)), axis=tuple(range(rank)))
+def _points(ctx: GroupContext) -> np.ndarray:
+    """All group points as int64 rows of shape (|V|, rank), in ``points()`` order."""
+    return np.indices(ctx.moduli, dtype=np.int64).reshape(ctx.rank, -1).T
+
+
+def _per_base(values: np.ndarray, ctx: GroupContext) -> np.ndarray:
+    """One value per point v, shaped to scale the fiber at v of a crossed table."""
+    return values.reshape(tuple(ctx.moduli) + (1,) * ctx.rank)
 
 
 def lambda_element(v: GroupPoint) -> CrossedElement:
@@ -151,49 +162,30 @@ def lambda_element(v: GroupPoint) -> CrossedElement:
 
 
 def crossed_conv(a: CrossedElement, b: CrossedElement) -> CrossedElement:
-    """(a * b)(v) = sum_u a(u) . alpha_u[b(v - u)], fibers multiplied pointwise."""
-    a._check_same(b)
+    """(a * b)(v) = sum_u a(u) . alpha_u[b(v - u)]: the untwisted convolution."""
+    return twisted_crossed_dual(a, b, Bicharacter.trivial(a.context))
+
+
+def _dual(xi: GroupPoint, a: CrossedElement, shift) -> CrossedElement:
+    """Fiber at v becomes pairing(v, xi) alpha_{-shift}[fiber(v)]."""
     ctx = a.context
-    rank = ctx.rank
-    out = np.zeros_like(a.table)
-    for u in ctx.points():
-        uv = u.vector()
-        fiber_a = a.fiber(u)
-        if not fiber_a.any():
-            continue
-        for v in ctx.points():
-            fiber_b = b.fiber(v - u)
-            out[v.coords] += fiber_a * _alpha(fiber_b, uv, rank)
-    return CrossedElement(ctx, out)
+    if xi.context != ctx:
+        raise ValueError("character point from a different context")
+    phases = pairing_many(ctx, _points(ctx), xi)
+    shifted = np.roll(a.table, tuple(shift), axis=tuple(range(ctx.rank, 2 * ctx.rank)))
+    return CrossedElement(ctx, _per_base(phases, ctx) * shifted)
 
 
 def dual_action(xi: GroupPoint, a: CrossedElement) -> CrossedElement:
     """Multiply the fiber at v by pairing(v, xi); fixes exactly the v = 0 slice."""
-    ctx = a.context
-    if xi.context != ctx:
-        raise ValueError("character point from a different context")
-    out = a.table.copy()
-    for v in ctx.points():
-        out[v.coords] = pairing(ctx, v, xi) * a.fiber(v)
-    return CrossedElement(ctx, out)
+    return _dual(xi, a, (0,) * a.context.rank)
 
 
 def deformed_dual_action(
     data: DeformedActionData, xi: GroupPoint, a: CrossedElement
 ) -> CrossedElement:
     """Twisted dual action: fiber at v becomes pairing(v, xi) alpha_{sigma^1 xi}^{-1}[fiber]."""
-    ctx = a.context
-    if xi.context != ctx:
-        raise ValueError("character point from a different context")
-    n = ctx.uniform_modulus
-    sigma1_xi = (data.sigma.matrix.T @ xi.vector()) % n
-    rank = ctx.rank
-    out = a.table.copy()
-    for v in ctx.points():
-        out[v.coords] = pairing(ctx, v, xi) * _alpha(
-            a.fiber(v), -sigma1_xi, rank
-        )
-    return CrossedElement(ctx, out)
+    return _dual(xi, a, sigma_one(data.sigma).apply_vec(xi.vector()))
 
 
 def fixed_point_test(
@@ -201,36 +193,42 @@ def fixed_point_test(
 ) -> CheckReport:
     """Spectral condition alpha_{Tu}[a(v)] = e(u, v) a(v) for all u, v."""
     ctx = a.context
-    rank = ctx.rank
+    points, axes = _points(ctx), tuple(range(ctx.rank, 2 * ctx.rank))
     dev = 0.0
-    for v in ctx.points():
-        fiber = a.fiber(v)
-        for u in ctx.points():
-            tu = data.t.apply_vec(u.vector())
-            shifted = _alpha(fiber, tu, rank)
-            dev = max(dev, float(np.max(np.abs(shifted - data.e(u, v) * fiber))))
+    for u in points:
+        shifted = np.roll(a.table, tuple(-data.t.apply_vec(u)), axis=axes)
+        phases = data.e.eval_many(np.broadcast_to(u, points.shape), points)
+        residual = shifted - _per_base(phases, ctx) * a.table
+        dev = max(dev, float(np.max(np.abs(residual))))
     return CheckReport(dev <= tol, dev)
+
+
+def _spectral_mask(data: DeformedActionData) -> np.ndarray:
+    """Boolean crossed table: True where character k of the fiber at v survives.
+
+    Averaging conj(e(u, v)) alpha_{Tu} over u multiplies the k-th Fourier
+    coefficient by |V|^{-1} sum_u exp(2 pi i u.(T^T k - E v) / N), which is
+    1 if T^T k = E v (mod N) and 0 otherwise.
+    """
+    ctx = data.context
+    n = ctx.uniform_modulus
+    points = _points(ctx)
+    t_k = (points @ data.t.matrix) % n
+    e_v = (points @ data.e.matrix.T) % n
+    mask = (e_v[:, None, :] == t_k[None, :, :]).all(axis=2)
+    return mask.reshape(tuple(ctx.moduli) * 2)
 
 
 def spectral_project(a: CrossedElement, data: DeformedActionData) -> CrossedElement:
     """Fiberwise character average onto the spectral subspaces; idempotent.
 
-    fiber(v) -> |V|^{-1} sum_u conj(e(u, v)) alpha_{Tu}[fiber(v)].  Averaging
-    over the translation subgroup is exact and basis-free, and reindexing the
-    sum shows the output satisfies the spectral condition identically.
+    fiber(v) -> |V|^{-1} sum_u conj(e(u, v)) alpha_{Tu}[fiber(v)], computed
+    as the 0/1 spectral mask applied between an FFT and its inverse along
+    the fiber axes.
     """
-    ctx = a.context
-    rank = ctx.rank
-    size = ctx.size
-    out = np.zeros_like(a.table)
-    for v in ctx.points():
-        fiber = a.fiber(v)
-        acc = np.zeros_like(fiber)
-        for u in ctx.points():
-            tu = data.t.apply_vec(u.vector())
-            acc += np.conj(data.e(u, v)) * _alpha(fiber, tu, rank)
-        out[v.coords] = acc / size
-    return CrossedElement(ctx, out)
+    axes = tuple(range(a.context.rank, 2 * a.context.rank))
+    spectrum = np.fft.fftn(a.table, axes=axes) * _spectral_mask(data)
+    return CrossedElement(a.context, np.fft.ifftn(spectrum, axes=axes))
 
 
 def I_map(a: CrossedElement) -> FiniteVector:
@@ -269,16 +267,17 @@ def twisted_crossed_dual(
     ctx = a.context
     if sigma_hat.context != ctx:
         raise ValueError("cocycle from a different context")
-    rank = ctx.rank
+    points = _points(ctx)
+    moduli, shape = np.array(ctx.moduli), points.shape
     out = np.zeros_like(a.table)
-    for u in ctx.points():
-        uv = u.vector()
-        fiber_a = a.fiber(u)
+    for u in points:
+        fiber_a = a.table[tuple(u)]
         if not fiber_a.any():
             continue
-        for v in ctx.points():
-            phase = sigma_hat(u - v, u)
-            out[v.coords] += phase * fiber_a * _alpha(b.fiber(v - u), uv, rank)
+        phases = sigma_hat.eval_many((u - points) % moduli, np.broadcast_to(u, shape))
+        # slot v holds alpha_u[b(v - u)]
+        shifted = np.roll(b.table, (*u, *-u), axis=tuple(range(2 * ctx.rank)))
+        out += _per_base(phases, ctx) * fiber_a * shifted
     return CrossedElement(ctx, out)
 
 
@@ -302,23 +301,8 @@ def lift_to_fixed_point(x: FiniteVector, data: DeformedActionData) -> CrossedEle
 def fixed_point_dimension(data: DeformedActionData) -> int:
     """Exact dimension of the spectral fixed-point subspace.
 
-    Builds the fiberwise projector matrices and sums their ranks; for
-    invertible T each fiber contributes one dimension.
+    Each surviving character of the spectral mask spans one dimension, so
+    this counts the solutions (v, k) of T^T k = E v (mod N); for invertible
+    T every fiber contributes exactly one.
     """
-    ctx = data.context
-    rank = ctx.rank
-    size = ctx.size
-    total = 0
-    coords = [p for p in ctx.points()]
-    index = {p.coords: i for i, p in enumerate(coords)}
-    for v in coords:
-        proj = np.zeros((size, size), dtype=np.complex128)
-        for u in coords:
-            tu = data.t.apply_vec(u.vector())
-            weight = np.conj(data.e(u, v)) / size
-            # alpha_{Tu} permutes dual points: basis delta_xi -> delta_{xi - Tu}.
-            for xi in coords:
-                shifted = index[(xi - ctx.point(tuple(tu))).coords]
-                proj[shifted, index[xi.coords]] += weight
-        total += int(np.linalg.matrix_rank(proj, tol=1e-8))
-    return total
+    return int(_spectral_mask(data).sum())

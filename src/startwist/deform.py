@@ -373,15 +373,16 @@ def rieffel_product_finite(
         raise ValueError("translation map does not match the context")
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
-    axes = tuple(range(ctx.rank))
-    out = np.zeros(tuple(ctx.moduli), dtype=np.complex128)
     coords = np.array([p.coords for p in ctx.points()])
-    for u in coords:
-        tu = t.apply_vec(u)
-        a_shift = np.roll(a.values, shift=tuple(tu), axis=axes)
-        phases = e.eval_many(np.broadcast_to(u, coords.shape), coords)
-        acc = np.zeros_like(out)
-        for w, phase in zip(coords, phases):
-            acc += phase * np.roll(b.values, shift=tuple(-w), axis=axes)
-        out += a_shift * acc
-    return FiniteVector(ctx, out * ctx.norm_const)
+    size, moduli = len(coords), np.array(ctx.moduli)
+
+    def gather(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Row i, column v holds values(v + offsets[i])."""
+        index = (coords[None, :, :] + offsets[:, None, :]) % moduli
+        return values[tuple(np.moveaxis(index, -1, 0))]
+
+    phases = e.eval_many(np.repeat(coords, size, axis=0), np.tile(coords, (size, 1)))
+    b_shift = gather(b.values, coords)  # (w, v): b(v + w)
+    a_shift = gather(a.values, -(coords @ t.matrix.T))  # (u, v): a(v - T u)
+    out = (a_shift * (phases.reshape(size, size) @ b_shift)).sum(axis=0)
+    return FiniteVector(ctx, out.reshape(tuple(ctx.moduli)) * ctx.norm_const)

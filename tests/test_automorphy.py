@@ -68,6 +68,43 @@ class TestGammaAction:
         act = s3_action()
         assert act.order == 6 and act.n_points == 3
 
+    def test_out_of_range_tables_rejected(self):
+        z2 = GammaAction.cyclic(2).mul
+        z3 = GammaAction.cyclic(3).mul
+        bad_mul = z3.copy()
+        bad_mul[2, 2] = 7
+        cases = [
+            (z2, np.array([[0], [5]]), "action table"),
+            (z2, np.array([[0, 1], [-1, 0]]), "action table"),
+            (bad_mul, np.zeros((3, 1), dtype=int), "multiplication table"),
+            (-z3, np.zeros((3, 1), dtype=int), "multiplication table"),
+        ]
+        for mul, act, table in cases:
+            with pytest.raises(ValueError, match=table):
+                GammaAction(mul, act)
+
+    def test_action_axioms_match_reference_loops(self):
+        # every single-entry change of a non-identity row of the S3 action
+        base = s3_action()
+        for g in range(1, base.order):
+            for x in range(base.n_points):
+                for y in range(base.n_points):
+                    act = base.act.copy()
+                    act[g, x] = y
+                    expected = all(
+                        act[a, act[b, z]] == act[base.mul[a, b], z]
+                        for a in range(base.order)
+                        for b in range(base.order)
+                        for z in range(base.n_points)
+                    )
+                    try:
+                        GammaAction(base.mul, act)
+                        accepted = True
+                    except ValueError as exc:
+                        assert "compatible" in str(exc)
+                        accepted = False
+                    assert accepted == expected
+
 
 class TestTauCocycleCheck:
     def test_trivial_passes(self):
@@ -262,3 +299,88 @@ class TestModularSolver:
                         assert (
                             sum(r * xi for r, xi in zip(row, solved)) - b
                         ) % modulus == 0
+
+
+# ----------------------------------------------------------------------
+# the exhaustive loops the indexed checks replaced, kept as oracles
+
+
+def reference_tau_deviation(action, t):
+    dev = 0.0
+    for k1 in range(action.order):
+        for k2 in range(action.order):
+            k12 = action.mul[k1, k2]
+            for k3 in range(action.order):
+                lhs = t[k12, k3] * t[k1, k2, action.act[k3]]
+                rhs = t[k1, action.mul[k2, k3]] * t[k2, k3]
+                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    return dev
+
+
+def reference_automorphy_deviation(action, t, j):
+    dev = 0.0
+    for k1 in range(action.order):
+        for k2 in range(action.order):
+            lhs = j[k1, action.act[k2]] * j[k2]
+            rhs = t[k1, k2] * j[action.mul[k1, k2]]
+            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    return dev
+
+
+def reference_coboundary(action, j):
+    out = np.empty((action.order, action.order, action.n_points), dtype=np.complex128)
+    for k1 in range(action.order):
+        for k2 in range(action.order):
+            out[k1, k2] = j[k1, action.act[k2]] * j[k2] / j[action.mul[k1, k2]]
+    return out
+
+
+def reference_u_transform(action, j):
+    out = np.empty_like(j)
+    for k in range(action.order):
+        out[k] = j[k, action.act[action.inv[k]]]
+    return out
+
+
+def reference_u_deviation(action, t, u):
+    dev = 0.0
+    for k1 in range(action.order):
+        for k2 in range(action.order):
+            k12 = action.mul[k1, k2]
+            lhs = u[k1] * u[k2, action.act[action.inv[k1]]]
+            rhs = t[k1, k2, action.act[action.inv[k12]]] * u[k12]
+            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    return dev
+
+
+REFERENCE_ACTIONS = {
+    "cyclic6x8": lambda: GammaAction.cyclic(6, 8),
+    "translation10": lambda: GammaAction.cyclic_translation(10),
+    "cyclic24x4": lambda: GammaAction.cyclic(24, 4),
+    "S3": s3_action,
+}
+
+
+class TestChecksAgainstReference:
+    @pytest.mark.parametrize("name", list(REFERENCE_ACTIONS))
+    def test_random_non_cocycle_tables(self, name):
+        action = REFERENCE_ACTIONS[name]()
+        rng = np.random.default_rng(50)
+        shape = (action.order, action.order, action.n_points)
+        tau = TauCocycle(np.exp(2j * np.pi * rng.random(shape)))
+        jhat = random_factor(action, rng)
+        u = random_factor(action, rng).values
+        t, j = tau.values, jhat.values
+        assert tau_cocycle_check(action, tau).max_deviation == reference_tau_deviation(
+            action, t
+        )
+        assert automorphy_check(
+            action, tau, jhat
+        ).max_deviation == reference_automorphy_deviation(action, t, j)
+        assert np.array_equal(coboundary(action, jhat).values, reference_coboundary(action, j))
+        assert np.array_equal(u_transform(action, jhat), reference_u_transform(action, j))
+        assert u_cocycle_check(action, tau, u).max_deviation == reference_u_deviation(
+            action, t, u
+        )
+        # the deviations are far from zero, so the comparison is not vacuous
+        assert reference_tau_deviation(action, t) > 0.1

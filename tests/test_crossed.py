@@ -342,3 +342,126 @@ class TestTwistedCrossedDual:
             lhs = twisted_crossed_dual(twisted_crossed_dual(a, b, sigma_hat), c, sigma_hat)
             rhs = twisted_crossed_dual(a, twisted_crossed_dual(b, c, sigma_hat), sigma_hat)
             assert lhs.linf_distance(rhs) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# the fiber-by-fiber loops the array kernels replaced, kept as oracles
+
+
+def _alpha(fiber, x, rank):
+    return np.roll(fiber, shift=tuple(-np.asarray(x)), axis=tuple(range(rank)))
+
+
+def reference_project(a, data):
+    """|V|^{-1} sum_u conj(e(u, v)) alpha_{Tu}[fiber(v)], one (u, v) pair at a time."""
+    ctx = a.context
+    out = np.zeros_like(a.table)
+    for v in ctx.points():
+        acc = np.zeros_like(a.fiber(v))
+        for u in ctx.points():
+            tu = data.t.apply_vec(u.vector())
+            acc += np.conj(data.e(u, v)) * _alpha(a.fiber(v), tu, ctx.rank)
+        out[v.coords] = acc / ctx.size
+    return out
+
+
+def reference_dimension(data):
+    """Sum of the ranks of the fiberwise projector matrices."""
+    ctx = data.context
+    points = list(ctx.points())
+    index = {p.coords: i for i, p in enumerate(points)}
+    total = 0
+    for v in points:
+        proj = np.zeros((ctx.size, ctx.size), dtype=np.complex128)
+        for u in points:
+            tu = ctx.point(tuple(data.t.apply_vec(u.vector())))
+            weight = np.conj(data.e(u, v)) / ctx.size
+            # alpha_{Tu} sends the basis function at xi to the one at xi - Tu
+            for xi in points:
+                proj[index[(xi - tu).coords], index[xi.coords]] += weight
+        total += int(np.linalg.matrix_rank(proj, tol=1e-8))
+    return total
+
+
+def reference_twisted(a, b, sigma_hat):
+    """sum_u sigma_hat(u - v, u) a(u) alpha_u[b(v - u)], one (u, v) pair at a time."""
+    ctx = a.context
+    out = np.zeros_like(a.table)
+    for u in ctx.points():
+        fiber_a = a.fiber(u)
+        if not fiber_a.any():
+            continue
+        for v in ctx.points():
+            shifted = _alpha(b.fiber(v - u), u.vector(), ctx.rank)
+            out[v.coords] += sigma_hat(u - v, u) * fiber_a * shifted
+    return out
+
+
+def reference_conv(a, b):
+    ctx = a.context
+    out = np.zeros_like(a.table)
+    for u in ctx.points():
+        for v in ctx.points():
+            out[v.coords] += a.fiber(u) * _alpha(b.fiber(v - u), u.vector(), ctx.rank)
+    return out
+
+
+def finite_data(moduli, sigma, e):
+    ctx = GroupContext.finite(moduli)
+    return DeformedActionData.from_cocycles(Bicharacter(ctx, sigma), Bicharacter(ctx, e))
+
+
+def singular_data(moduli, sigma):
+    ctx = GroupContext.finite(moduli)
+    s = Bicharacter(ctx, sigma)
+    e = Bicharacter(ctx, np.eye(ctx.rank, dtype=np.int64))
+    return DeformedActionData(s, e, *T_map(s, e))
+
+
+REFERENCE_CASES = {
+    "Z5": lambda: finite_data(5, [[1]], [[1]]),
+    "Z7": lambda: finite_data(7, [[3]], [[1]]),
+    "Z17": lambda: finite_data(17, [[5]], [[1]]),
+    "Z31": lambda: finite_data(31, [[7]], [[1]]),
+    "Z5xZ5-S1": lambda: finite_data([5, 5], [[2, 1], [0, 3]], np.eye(2, dtype=int)),
+    "Z5xZ5-S2": lambda: finite_data([5, 5], [[1, 2], [4, 0]], np.eye(2, dtype=int)),
+    "Z5-singular": lambda: singular_data(5, [[0]]),
+    "Z4xZ4-singular": lambda: singular_data([4, 4], [[2, 0], [0, 0]]),
+    "Z5-e3": lambda: finite_data(5, [[2]], [[3]]),
+    # a non-symmetric e tells E v from E^T v in the mask
+    "Z5xZ5-e-skewed": lambda: finite_data([5, 5], [[2, 1], [0, 3]], [[1, 1], [0, 1]]),
+}
+
+
+class TestKernelsAgainstReference:
+    @pytest.fixture(params=list(REFERENCE_CASES), ids=list(REFERENCE_CASES))
+    def data(self, request):
+        return REFERENCE_CASES[request.param]()
+
+    def test_dimension(self, data):
+        assert fixed_point_dimension(data) == reference_dimension(data)
+
+    def test_projection(self, data):
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            a = random_crossed(data.context, rng)
+            got = spectral_project(a, data).table
+            bound = 1e-13 * np.max(np.abs(a.table))
+            assert np.max(np.abs(got - reference_project(a, data))) <= bound
+
+    def test_projection_is_fixed_and_idempotent(self, data):
+        rng = np.random.default_rng(31)
+        once = spectral_project(random_crossed(data.context, rng), data)
+        assert fixed_point_test(once, data).ok
+        assert spectral_project(once, data).linf_distance(once) <= 1e-13
+
+    def test_convolutions_bitwise(self, data):
+        rng = np.random.default_rng(32)
+        ctx = data.context
+        a, b = random_crossed(ctx, rng), random_crossed(ctx, rng)
+        # a zero fiber exercises the skipped terms
+        a = a.with_fiber(ctx.point((1,) * ctx.rank), np.zeros(tuple(ctx.moduli)))
+        for sigma_hat in (data.sigma, data.e, Bicharacter.trivial(ctx)):
+            got = twisted_crossed_dual(a, b, sigma_hat).table
+            assert np.array_equal(got, reference_twisted(a, b, sigma_hat))
+        assert np.array_equal(crossed_conv(a, b).table, reference_conv(a, b))

@@ -521,6 +521,53 @@ class TestRieffelProduct:
                 rhs = fourier(_vec(star(f, g, sigma)))
                 assert lhs.linf_distance(rhs) <= 1e-10
 
+    @pytest.mark.parametrize("s", [[[2, 1], [0, 3]], [[1, 2], [4, 0]]])
+    def test_rank_two_non_symmetric_matches_transposed_cocycle(self, s):
+        # on (Z/5)^2 the exponent is not symmetric, and the double sum is the
+        # Fourier side of the product with sigma^T, not with sigma
+        ctx = GroupContext.finite([5, 5])
+        sigma = Bicharacter(ctx, s)
+        sigma_t = Bicharacter(ctx, np.transpose(s))
+        e = Bicharacter(ctx, np.eye(2, dtype=np.int64))
+        t, _ = T_map(sigma, e)
+        assert t.is_invertible()
+        rng = np.random.default_rng(19)
+        match = miss = 0.0
+        for _ in range(20):
+            f = random_element(ctx, rng, max_support=25, box=5)
+            g = random_element(ctx, rng, max_support=25, box=5)
+            lhs = rieffel_product_finite(fourier(_vec(f)), fourier(_vec(g)), e, t)
+            match = max(match, lhs.linf_distance(fourier(_vec(star(f, g, sigma_t)))))
+            miss = max(miss, lhs.linf_distance(fourier(_vec(star(f, g, sigma)))))
+        assert match <= 1e-12
+        assert miss > 1.0
+
+    @pytest.mark.parametrize(
+        "moduli, s, e_matrix",
+        [
+            (5, [[1]], [[1]]),
+            (7, [[3]], [[3]]),
+            ([5, 5], [[2, 1], [0, 3]], [[1, 1], [0, 1]]),
+            ([4, 4], [[2, 0], [0, 0]], [[1, 0], [0, 1]]),
+        ],
+    )
+    def test_matches_reference_loop(self, moduli, s, e_matrix):
+        ctx = GroupContext.finite(moduli)
+        e = Bicharacter(ctx, e_matrix)
+        t, _ = T_map(Bicharacter(ctx, s), e)
+        rng = np.random.default_rng(20)
+        shape = tuple(ctx.moduli)
+        for _ in range(3):
+            a, b = (
+                FiniteVector(ctx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for _ in range(2)
+            )
+            got = rieffel_product_finite(a, b, e, t).values
+            # both sides sum |V|^2 terms in different orders
+            l1 = np.abs(a.values).sum() * np.abs(b.values).sum()
+            bound = 2 * ctx.size**2 * np.finfo(float).eps * ctx.norm_const * l1
+            assert np.max(np.abs(got - reference_rieffel(a, b, e, t))) <= bound
+
     def test_round_trip_through_inverse_transform(self):
         ctx, sigma, e, t = self._setup(5, 1)
         rng = np.random.default_rng(18)
@@ -536,6 +583,19 @@ class TestRieffelProduct:
         a = FiniteVector.constant(ctx)
         with pytest.raises(ValueError):
             rieffel_product_finite(a, a, bad_e, t)
+
+
+def reference_rieffel(a, b, e, t):
+    """The double sum one (u, w) pair and one roll at a time."""
+    ctx = a.context
+    axes = tuple(range(ctx.rank))
+    out = np.zeros(tuple(ctx.moduli), dtype=np.complex128)
+    for u in ctx.points():
+        a_shift = np.roll(a.values, shift=tuple(t.apply_vec(u.vector())), axis=axes)
+        for w in ctx.points():
+            b_shift = np.roll(b.values, shift=tuple(-w.vector()), axis=axes)
+            out += e(u, w) * a_shift * b_shift
+    return out * ctx.norm_const
 
 
 def _vec(a: FourierElement) -> FiniteVector:
