@@ -32,6 +32,15 @@ __all__ = [
 _UNIT_TOL = 1e-9
 
 
+def _integer_table(values, what: str) -> np.ndarray:
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        table = raw.astype(np.int64)
+    if not np.array_equal(table, raw):
+        raise ValueError(f"{what} must hold integers")
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class GammaAction:
     """A finite group (multiplication table) acting on a finite set.
@@ -45,8 +54,8 @@ class GammaAction:
     act: np.ndarray
 
     def __post_init__(self) -> None:
-        mul = np.asarray(self.mul, dtype=np.int64)
-        act = np.asarray(self.act, dtype=np.int64)
+        mul = _integer_table(self.mul, "multiplication table")
+        act = _integer_table(self.act, "action table")
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         order = mul.shape[0]
@@ -112,7 +121,8 @@ class GammaAction:
 
 
 def _check_unit(values: np.ndarray, what: str) -> None:
-    if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > _UNIT_TOL:
+    # written as "all within" so that NaN and inf fail it
+    if not np.all(np.abs(np.abs(values) - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} values must have modulus 1")
 
 
@@ -227,8 +237,8 @@ def solve_automorphy(
 
     Passing to exponents turns the coboundary identity into the linear system
     j(k1, k2 x) + j(k2, x) - j(k1 k2, x) = t(k1, k2, x) over Z/M, solved by
-    Smith-style elimination; inconsistency over Z/M is reported as None (the
-    same class may be solvable at a multiple of M).
+    ``solve_mod_system`` (needs M < 2**31); inconsistency over Z/M is reported
+    as None (the same class may be solvable at a multiple of M).
     """
     report = tau_cocycle_check(action, tau)
     if not report.ok:
@@ -237,24 +247,14 @@ def solve_automorphy(
         )
     t = _roots_to_exponents(tau.values, modulus)
     order, n_points = action.order, action.n_points
-    n_unknowns = order * n_points
-
-    def unknown(k: int, x: int) -> int:
-        return k * n_points + x
-
-    rows = []
-    rhs = []
-    for k1 in range(order):
-        for k2 in range(order):
-            k12 = action.mul[k1, k2]
-            for x in range(n_points):
-                row = [0] * n_unknowns
-                row[unknown(k1, action.act[k2, x])] += 1
-                row[unknown(k2, x)] += 1
-                row[unknown(k12, x)] -= 1
-                rows.append(row)
-                rhs.append(int(t[k1, k2, x]))
-    solution = solve_mod_system(rows, rhs, modulus)
+    # one row per (k1, k2, x) in C order; unknown j(k, x) is column k * n_points + x
+    k1, k2, x = np.indices((order, order, n_points))
+    rows = np.arange(t.size).reshape(t.shape)
+    a = np.zeros((t.size, order * n_points), dtype=np.int64)
+    np.add.at(a, (rows, k1 * n_points + action.act[k2, x]), 1)
+    np.add.at(a, (rows, k2 * n_points + x), 1)
+    np.add.at(a, (rows, action.mul[k1, k2] * n_points + x), -1)
+    solution = solve_mod_system(a, t.ravel(), modulus)
     if solution is None:
         return None
     exponents = np.array(solution, dtype=np.int64).reshape(order, n_points)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance, crossed, deform, norms, paramdeform
 from .abelian import GroupContext
-from .automorphy import GammaAction, TauCocycle, solve_automorphy
+from .automorphy import GammaAction, TauCocycle, _integer_table, solve_automorphy
 from .cocycles import Bicharacter, SkewForm
 from .deform import FourierElement
 
@@ -332,11 +332,12 @@ def cmd_automorphy_solve(args) -> int:
     except ValueError as exc:
         raise InputError("input.group_table", str(exc)) from None
     modulus = _require(cfg, "modulus")
-    if not isinstance(modulus, int) or modulus < 1:
-        raise InputError("input.modulus", "expected a positive integer")
+    # the solver eliminates in int64, which needs modulus < 2**31
+    if not isinstance(modulus, int) or not 1 <= modulus < 2**31:
+        raise InputError("input.modulus", "expected an integer in [1, 2**31)")
     exponents = _require(cfg, "tau_exponents")
     try:
-        table = np.asarray(exponents, dtype=np.int64)
+        table = _integer_table(exponents, "tau exponents")
         tau = TauCocycle(np.exp(2j * np.pi * (table % modulus) / modulus))
     except (ValueError, TypeError) as exc:
         raise InputError("input.tau_exponents", str(exc)) from None

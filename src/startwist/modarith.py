@@ -1,7 +1,9 @@
 """Exact integer and modular linear algebra helpers.
 
-Everything here works on Python integers, so determinants, adjugates and
-Smith-style eliminations are exact at any size that occurs in this package.
+``det_int`` works on Python integers, so determinants are exact at any size.
+Linear systems mod M, and with them inverses mod M, go through one elimination
+over Z/q in int64 numpy for each prime-power factor q of M, with every entry
+reduced into [0, q); M must be below 2**31.
 """
 
 from __future__ import annotations
@@ -38,140 +40,97 @@ def det_int(matrix) -> int:
 
 
 def mat_inv_mod(matrix, modulus: int) -> np.ndarray:
-    """Inverse of an integer matrix mod N via the adjugate; needs gcd(det, N) = 1."""
+    """Inverse of an integer matrix mod N, solved column by column; needs gcd(det, N) = 1."""
     a = np.asarray(matrix, dtype=np.int64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("inverse of a non-square matrix")
     det = det_int(a)
-    try:
-        det_inv = pow(det % modulus, -1, modulus)
-    except ValueError:
-        raise ValueError(
-            f"matrix determinant {det} is not invertible mod {modulus}"
-        ) from None
-    if n == 1:
-        return np.array([[det_inv % modulus]], dtype=np.int64)
-    cof = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * det_int(minor)
-    adj = cof.T
-    inv = np.vectorize(lambda x: (int(x) * det_inv) % modulus)(adj)
-    return inv.astype(np.int64)
+    if math.gcd(det, modulus) != 1:
+        raise ValueError(f"matrix determinant {det} is not invertible mod {modulus}")
+    columns = [solve_mod_system(a, e, modulus) for e in np.eye(n, dtype=np.int64)]
+    return np.array(columns, dtype=np.int64).T
 
 
-def _smith_eliminate(rows: list[list[int]], ncols: int):
-    """Diagonalize over Z with elementary ops; returns (diag, transformed rhs map, V).
+def _prime_powers(modulus: int) -> list[int]:
+    """The prime powers p**e whose product is the modulus, by trial division."""
+    out = []
+    p = 2
+    while p * p <= modulus:
+        if modulus % p == 0:
+            q = 1
+            while modulus % p == 0:
+                modulus //= p
+                q *= p
+            out.append(q)
+        p += 1
+    if modulus > 1:
+        out.append(modulus)
+    return out
 
-    The right transform V (ncols x ncols, unimodular) satisfies: solutions x of
-    the original system are x = V y where y solves the diagonal system.  Row
-    operations are applied to the right-hand side lazily via ``apply_rows``.
+
+def _solve_prime_power(a: np.ndarray, b: np.ndarray, q: int) -> list[int] | None:
+    """One solution of A x = b over Z/q, q a prime power p**e, or None.
+
+    Z/q is local, so the entry of least p-valuation, the argmin of gcd(entry, q),
+    divides every entry of the remaining submatrix.  Scaled by a unit it becomes
+    p**v, and one rank-1 update clears its column below it.  The other entries
+    of its row are multiples of p**v, so back-substitution needs no column
+    operations, and a right-hand side it cannot divide means no solution.
     """
-    nrows = len(rows)
-    a = [row[:] for row in rows]
-    row_ops: list[tuple[str, int, int, int]] = []
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        row_ops.append(("swap", i, j, 0))
-
-    def add_row(i, j, c):
-        # row i += c * row j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        row_ops.append(("add", i, j, c))
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, c):
-        # col i += c * col j
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    k = 0
-    limit = min(nrows, ncols)
-    while k < limit:
-        pivot = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+    nrows, ncols = a.shape
+    m = np.concatenate([a, b[:, None]], axis=1) % q  # [A | b]: row operations reach b
+    perm = list(range(ncols))
+    pivots = []
+    for k in range(min(nrows, ncols)):
+        g = np.gcd(m[k:, k:ncols], q)
+        i, j = divmod(int(g.argmin()), ncols - k)
+        pivot = int(g[i, j])
+        if pivot == q:
             break
-        pi, pj = pivot
-        if pi != k:
-            swap_rows(k, pi)
-        if pj != k:
-            swap_cols(k, pj)
-        reduced = True
-        while reduced:
-            reduced = False
-            for i in range(k + 1, nrows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    add_row(i, k, -q)
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
-                        reduced = True
-            for j in range(k + 1, ncols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    add_col(j, k, -q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        reduced = True
-        k += 1
-
-    diag = [a[i][i] if i < ncols else 0 for i in range(min(nrows, ncols))]
-
-    def apply_rows(rhs: list[int]) -> list[int]:
-        out = rhs[:]
-        for op, i, j, c in row_ops:
-            if op == "swap":
-                out[i], out[j] = out[j], out[i]
-            else:
-                out[i] += c * out[j]
-        return out
-
-    return diag, apply_rows, v
+        if i:
+            m[[k, k + i]] = m[[k + i, k]]
+        if j:
+            m[:, [k, k + j]] = m[:, [k + j, k]]
+            perm[k], perm[k + j] = perm[k + j], perm[k]
+        m[k, k:] = m[k, k:] * pow(int(m[k, k]) // pivot, -1, q) % q
+        below = k + 1 + np.flatnonzero(m[k + 1 :, k])
+        m[below, k:] = (m[below, k:] - m[below, k, None] // pivot * m[k, k:]) % q
+        pivots.append(pivot)
+    rank = len(pivots)
+    if m[rank:, ncols].any():
+        return None
+    x = [0] * ncols
+    rows = m[:rank].tolist()
+    for k in reversed(range(rank)):
+        known = sum(c * x[perm[j]] for j, c in enumerate(rows[k][k + 1 : ncols], k + 1))
+        s = (rows[k][ncols] - known) % q
+        if s % pivots[k]:
+            return None
+        x[perm[k]] = s // pivots[k]
+    return x
 
 
 def solve_mod_system(a_rows, rhs, modulus: int):
-    """Solve A x = rhs (mod modulus) over Z/modulus; returns one solution or None.
+    """Solve A x = rhs (mod modulus); returns one solution as ints in [0, modulus), or None.
 
-    ``a_rows`` is a dense integer matrix given as a list of rows.  Elimination
-    is Smith-style over Z, so composite moduli are handled exactly.
+    ``a_rows`` is a dense integer matrix, a list of rows or a 2-d array, and
+    1 <= modulus < 2**31, so that a product of two reduced entries fits in
+    int64.  Each prime-power factor q of the modulus gets one elimination over
+    Z/q; their solutions are combined by the Chinese remainder theorem.
     """
-    nrows = len(a_rows)
-    if nrows == 0:
+    if not 1 <= modulus < 2**31:
+        raise ValueError(f"modulus {modulus} is outside [1, 2**31)")
+    if len(a_rows) == 0:
         return []
-    ncols = len(a_rows[0])
-    diag, apply_rows, v = _smith_eliminate([list(map(int, r)) for r in a_rows], ncols)
-    b = apply_rows([int(x) for x in rhs])
-    y = [0] * ncols
-    for i in range(nrows):
-        d = diag[i] if i < len(diag) else 0
-        bi = b[i] % modulus
-        if d == 0:
-            if bi % modulus != 0:
-                return None
-            continue
-        g = math.gcd(d, modulus)
-        if bi % g != 0:
+    a = np.asarray(a_rows, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64)
+    x = [0] * a.shape[1]
+    for q in _prime_powers(modulus):
+        xq = _solve_prime_power(a, b, q)
+        if xq is None:
             return None
-        m_red = modulus // g
-        y[i] = ((bi // g) * pow((d // g) % m_red, -1, m_red)) % m_red if m_red > 1 else 0
-    x = [0] * ncols
-    for i in range(ncols):
-        x[i] = sum(v[i][j] * y[j] for j in range(ncols)) % modulus
+        rest = modulus // q
+        lift = rest * pow(rest, -1, q)  # 1 mod q, 0 mod the other factors
+        x = [(xi + lift * xqi) % modulus for xi, xqi in zip(x, xq)]
     return x

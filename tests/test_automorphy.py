@@ -83,6 +83,22 @@ class TestGammaAction:
             with pytest.raises(ValueError, match=table):
                 GammaAction(mul, act)
 
+    def test_non_integral_tables_rejected(self):
+        z2 = GammaAction.cyclic(2)
+        cases = [
+            ([[0, 1.7], [1.2, 0]], [[0], [0]], "multiplication table"),
+            (z2.mul, [[0], [0.5]], "action table"),
+            (z2.mul, [[0], [np.nan]], "action table"),
+        ]
+        for mul, act, table in cases:
+            with pytest.raises(ValueError, match=f"{table} must hold integers"):
+                GammaAction(np.asarray(mul), np.asarray(act))
+
+    def test_integer_valued_float_tables_accepted(self):
+        z2 = GammaAction.cyclic(2)
+        action = GammaAction(z2.mul.astype(float), z2.act.astype(float))
+        assert action.mul.dtype == np.int64 and np.array_equal(action.mul, z2.mul)
+
     def test_action_axioms_match_reference_loops(self):
         # every single-entry change of a non-identity row of the S3 action
         base = s3_action()
@@ -132,6 +148,17 @@ class TestTauCocycleCheck:
         action = GammaAction.cyclic(2)
         with pytest.raises(ValueError):
             TauCocycle(np.full((2, 2, 1), 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_values_rejected(self, bad):
+        tau = np.ones((2, 2, 1), dtype=np.complex128)
+        tau[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="modulus 1"):
+            TauCocycle(tau)
+        factor = np.ones((2, 1), dtype=np.complex128)
+        factor[1, 0] = bad
+        with pytest.raises(ValueError, match="modulus 1"):
+            AutomorphyFactor(factor)
 
 
 class TestAutomorphyCheck:
@@ -280,25 +307,39 @@ class TestModularSolver:
 
     def test_random_systems_against_brute_force(self):
         rng = np.random.default_rng(9)
-        for modulus in (2, 3, 4, 6):
-            for _ in range(20):
-                rows = rng.integers(-2, 3, size=(3, 2)).tolist()
-                rhs = rng.integers(0, modulus, size=3).tolist()
-                solved = solve_mod_system(rows, rhs, modulus)
-                brute = None
-                for x in itertools.product(range(modulus), repeat=2):
-                    if all(
-                        (sum(r * xi for r, xi in zip(row, x)) - b) % modulus == 0
-                        for row, b in zip(rows, rhs)
-                    ):
-                        brute = x
-                        break
-                assert (solved is not None) == (brute is not None)
-                if solved is not None:
-                    for row, b in zip(rows, rhs):
-                        assert (
-                            sum(r * xi for r, xi in zip(row, solved)) - b
-                        ) % modulus == 0
+        shapes = [(r, c) for r in range(1, 5) for c in range(4)]
+        for modulus in (1, 2, 3, 4, 6, 8, 9, 12, 30, 36):
+            for nrows, ncols in shapes:
+                for _ in range(3):
+                    a = rng.integers(-9, 10, size=(nrows, ncols))
+                    if ncols:
+                        # a column scaled by a zero divisor of most moduli
+                        a[:, rng.integers(ncols)] *= int(rng.choice([2, 3, 4]))
+                    if rng.random() < 0.5:
+                        rhs = a @ rng.integers(0, modulus, size=ncols) % modulus
+                    else:
+                        rhs = rng.integers(0, modulus, size=nrows)
+                    solved = solve_mod_system(a.tolist(), rhs.tolist(), modulus)
+                    # every x in (Z/M)^ncols, one row each
+                    grid = np.array(
+                        list(itertools.product(range(modulus), repeat=ncols)), dtype=np.int64
+                    ).reshape(modulus**ncols, ncols)
+                    hits = ((grid @ a.T - rhs) % modulus == 0).all(axis=1)
+                    assert (solved is not None) == hits.any(), (a, rhs, modulus)
+                    if solved is not None:
+                        assert len(solved) == ncols
+                        assert all(type(v) is int and 0 <= v < modulus for v in solved)
+                        assert ((a @ np.array(solved, dtype=np.int64) - rhs) % modulus == 0).all()
+
+    def test_translation_twelve_coboundary(self):
+        # 144 unknowns and 1728 rows over Z/6, so both prime factors eliminate
+        action = GammaAction.cyclic_translation(12)
+        rng = np.random.default_rng(12)
+        exponents = rng.integers(0, 6, size=(action.order, action.n_points))
+        tau = coboundary(action, AutomorphyFactor(np.exp(2j * np.pi * exponents / 6)))
+        solved = solve_automorphy(action, tau, 6)
+        assert solved is not None
+        assert automorphy_check(action, tau, solved).ok
 
 
 # ----------------------------------------------------------------------

@@ -254,6 +254,40 @@ class TestAutomorphySolveCommand:
         assert code == EXIT_TOLERANCE
         assert json.loads(text) == {"solvable": False}
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("group_table", [[0, 1.7], [1.2, 0]]),
+            ("action", [[0], [0.5]]),
+            ("tau_exponents", [[[0], [0]], [[0], [0.6]]]),
+            ("modulus", 0),
+            ("modulus", 2**40),
+        ],
+    )
+    def test_bad_input_named(self, tmp_path, capsys, field, value):
+        cfg = {
+            "group_table": [[0, 1], [1, 0]],
+            "action": [[0], [0]],
+            "tau_exponents": [[[0], [0]], [[0], [0]]],
+            "modulus": 2,
+        }
+        cfg[field] = value
+        code, _ = run(["automorphy-solve"], cfg, tmp_path)
+        assert code == EXIT_VALIDATION
+        named = "input.group_table" if field == "action" else f"input.{field}"
+        assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+    def test_integer_valued_floats_accepted(self, tmp_path):
+        cfg = {
+            "group_table": [[0.0, 1.0], [1.0, 0.0]],
+            "action": [[0.0], [0.0]],
+            "tau_exponents": [[[0.0], [0.0]], [[0.0], [2.0]]],
+            "modulus": 4,
+        }
+        code, text = run(["automorphy-solve"], cfg, tmp_path)
+        assert code == EXIT_OK
+        assert json.loads(text)["solvable"] is True
+
 
 class TestSuiteCommand:
     def test_subset_runs_and_passes(self, tmp_path):

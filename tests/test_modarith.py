@@ -1,0 +1,227 @@
+"""The modular solver and inverse against the eliminations they replaced.
+
+The Smith-over-Z solver and the adjugate inverse are kept here as oracles:
+they share no code with ``startwist.modarith`` beyond ``det_int``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from startwist.modarith import det_int, mat_inv_mod, solve_mod_system
+
+
+# ----------------------------------------------------------------------
+# the replaced eliminations, kept as oracles
+
+
+def reference_mat_inv_mod(matrix, modulus: int) -> np.ndarray:
+    """Inverse of an integer matrix mod N via the adjugate; needs gcd(det, N) = 1."""
+    a = np.asarray(matrix, dtype=np.int64)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("inverse of a non-square matrix")
+    det = det_int(a)
+    try:
+        det_inv = pow(det % modulus, -1, modulus)
+    except ValueError:
+        raise ValueError(
+            f"matrix determinant {det} is not invertible mod {modulus}"
+        ) from None
+    if n == 1:
+        return np.array([[det_inv % modulus]], dtype=np.int64)
+    cof = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            cof[i, j] = (-1) ** (i + j) * det_int(minor)
+    adj = cof.T
+    inv = np.vectorize(lambda x: (int(x) * det_inv) % modulus)(adj)
+    return inv.astype(np.int64)
+
+
+
+def reference_smith_eliminate(rows: list[list[int]], ncols: int):
+    """Diagonalize over Z with elementary ops; returns (diag, transformed rhs map, V).
+
+    The right transform V (ncols x ncols, unimodular) satisfies: solutions x of
+    the original system are x = V y where y solves the diagonal system.  Row
+    operations are applied to the right-hand side lazily via ``apply_rows``.
+    """
+    nrows = len(rows)
+    a = [row[:] for row in rows]
+    row_ops: list[tuple[str, int, int, int]] = []
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        row_ops.append(("swap", i, j, 0))
+
+    def add_row(i, j, c):
+        # row i += c * row j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        row_ops.append(("add", i, j, c))
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(i, j, c):
+        # col i += c * col j
+        for row in a:
+            row[i] += c * row[j]
+        for row in v:
+            row[i] += c * row[j]
+
+    k = 0
+    limit = min(nrows, ncols)
+    while k < limit:
+        pivot = None
+        best = None
+        for i in range(k, nrows):
+            for j in range(k, ncols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            swap_rows(k, pi)
+        if pj != k:
+            swap_cols(k, pj)
+        reduced = True
+        while reduced:
+            reduced = False
+            for i in range(k + 1, nrows):
+                if a[i][k] != 0:
+                    q = a[i][k] // a[k][k]
+                    add_row(i, k, -q)
+                    if a[i][k] != 0:
+                        swap_rows(k, i)
+                        reduced = True
+            for j in range(k + 1, ncols):
+                if a[k][j] != 0:
+                    q = a[k][j] // a[k][k]
+                    add_col(j, k, -q)
+                    if a[k][j] != 0:
+                        swap_cols(k, j)
+                        reduced = True
+        k += 1
+
+    diag = [a[i][i] if i < ncols else 0 for i in range(min(nrows, ncols))]
+
+    def apply_rows(rhs: list[int]) -> list[int]:
+        out = rhs[:]
+        for op, i, j, c in row_ops:
+            if op == "swap":
+                out[i], out[j] = out[j], out[i]
+            else:
+                out[i] += c * out[j]
+        return out
+
+    return diag, apply_rows, v
+
+
+
+def reference_solve_mod_system(a_rows, rhs, modulus: int):
+    """Smith-style elimination over Z with unbounded entries; one solution or None."""
+    nrows = len(a_rows)
+    if nrows == 0:
+        return []
+    ncols = len(a_rows[0])
+    diag, apply_rows, v = reference_smith_eliminate([list(map(int, r)) for r in a_rows], ncols)
+    b = apply_rows([int(x) for x in rhs])
+    y = [0] * ncols
+    for i in range(nrows):
+        d = diag[i] if i < len(diag) else 0
+        bi = b[i] % modulus
+        if d == 0:
+            if bi % modulus != 0:
+                return None
+            continue
+        g = math.gcd(d, modulus)
+        if bi % g != 0:
+            return None
+        m_red = modulus // g
+        y[i] = ((bi // g) * pow((d // g) % m_red, -1, m_red)) % m_red if m_red > 1 else 0
+    x = [0] * ncols
+    for i in range(ncols):
+        x[i] = sum(v[i][j] * y[j] for j in range(ncols)) % modulus
+    return x
+
+
+def sparse_system(rng, nrows, ncols, modulus):
+    """Three entries in [-3, 3] per row, like the automorphy rows; consistent half the time.
+
+    The oracle's entries grow without bound over Z: on a dense 20 x 12 system
+    with entries in [-9, 9] they pass 200 000 bits by the sixth pivot, so the
+    oracle only sees sparse systems.
+    """
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for row in a:
+        row[rng.choice(ncols, size=3, replace=False)] = rng.integers(-3, 4, size=3)
+    if rng.random() < 0.5:
+        return a, a @ rng.integers(0, modulus, size=ncols) % modulus
+    return a, rng.integers(0, modulus, size=nrows)
+
+
+class TestSolverAgainstSmith:
+    @pytest.mark.parametrize("modulus", [12, 30])
+    def test_mid_size_verdicts(self, modulus):
+        rng = np.random.default_rng(modulus)
+        verdicts = []
+        for trial in range(60):
+            a, rhs = sparse_system(rng, 20, 12, modulus)
+            solved = solve_mod_system(a.tolist(), rhs.tolist(), modulus)
+            expected = reference_solve_mod_system(a.tolist(), rhs.tolist(), modulus)
+            assert (solved is None) == (expected is None), (trial, a, rhs)
+            if solved is not None:
+                assert all(0 <= v < modulus for v in solved)
+                assert ((a @ np.array(solved, dtype=np.int64) - rhs) % modulus == 0).all()
+            verdicts.append(solved is not None)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("modulus", [0, -3, 2**31, 2**40])
+    def test_modulus_out_of_range_rejected(self, modulus):
+        with pytest.raises(ValueError, match=f"modulus {modulus}"):
+            solve_mod_system([[1]], [0], modulus)
+
+    def test_largest_modulus_stays_exact(self):
+        # 2**31 - 1 is prime: products of reduced entries come close to 2**62
+        modulus = 2**31 - 1
+        a = [[modulus - 1, modulus - 2], [modulus - 3, 5]]
+        x = [modulus - 7, modulus - 11]
+        rhs = [sum(c * v for c, v in zip(row, x)) % modulus for row in a]
+        assert solve_mod_system(a, rhs, modulus) == x
+
+
+class TestMatInvMod:
+    def test_matches_adjugate(self):
+        rng = np.random.default_rng(17)
+        for modulus in (1, 5, 12, 31):
+            for n in range(1, 5):
+                found = 0
+                while found < 5:
+                    a = rng.integers(-6, 7, size=(n, n))
+                    if math.gcd(det_int(a), modulus) != 1:
+                        continue
+                    found += 1
+                    inv = mat_inv_mod(a, modulus)
+                    expected = reference_mat_inv_mod(a, modulus)
+                    assert inv.dtype == expected.dtype == np.int64
+                    assert np.array_equal(inv, expected)
+                    assert np.array_equal(a @ inv % modulus, np.eye(n, dtype=np.int64) % modulus)
+
+    def test_non_invertible_message_unchanged(self):
+        a = np.array([[2, 0], [0, 3]])
+        for modulus in (4, 6):
+            with pytest.raises(ValueError) as new:
+                mat_inv_mod(a, modulus)
+            with pytest.raises(ValueError) as old:
+                reference_mat_inv_mod(a, modulus)
+            message = f"matrix determinant 6 is not invertible mod {modulus}"
+            assert str(new.value) == str(old.value) == message
