@@ -250,12 +250,6 @@ def _kasprzak_context(modulus: int, b: int):
     return ctx, crossed.DeformedActionData.from_cocycles(sigma, e)
 
 
-def _random_crossed(ctx: GroupContext, rng: np.random.Generator):
-    shape = tuple(ctx.moduli) * 2
-    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return crossed.CrossedElement(ctx, table)
-
-
 def check_kasprzak_equivalence() -> CriterionResult:
     """Fiber averaging intertwines the crossed product with the deformed product."""
     rng = _rng()
@@ -266,9 +260,7 @@ def check_kasprzak_equivalence() -> CriterionResult:
     dims_ok = True
     for modulus, b in ((5, 1), (7, 3)):
         ctx, data = _kasprzak_context(modulus, b)
-        for _ in range(50):
-            a = crossed.spectral_project(_random_crossed(ctx, rng), data)
-            bb = crossed.spectral_project(_random_crossed(ctx, rng), data)
+        for a, bb in crossed.random_projected_pairs(data, rng, 50):
             worst = max(worst, crossed.verify_I_homomorphism(a, bb, data))
             again = crossed.spectral_project(a, data)
             worst_idem = max(worst_idem, again.linf_distance(a))
@@ -342,43 +334,21 @@ def check_c0x_linearity() -> CriterionResult:
 
 def check_heisenberg_field() -> CriterionResult:
     """Commutation phase exp(-2 pi i hbar y) per fiber; rational fibers give roots of unity."""
-    ctx = GroupContext.lattice(2)
     grid = paramdeform.BaseGrid.circle(32)
     tol = 1e-12
     worst = 0.0
-    e1 = FourierElement.delta(ctx.point(1, 0))
-    e2 = FourierElement.delta(ctx.point(0, 1))
-    for hbar in (0.5, 1.0):
-        field = paramdeform.heisenberg_field(hbar, grid)
-        u = paramdeform.ParamElement.constant(grid, e1)
-        v = paramdeform.ParamElement.constant(grid, e2)
-        uv = paramdeform.param_star(u, v, field)
-        vu = paramdeform.param_star(v, u, field)
-        for i, y in enumerate(grid.samples):
-            top = uv.fibers[i].coeff(ctx.point(1, 1))
-            bottom = vu.fibers[i].coeff(ctx.point(1, 1))
-            phase = top / bottom
+    phases = {hbar: paramdeform.heisenberg_phases(hbar, grid) for hbar in (0.5, 1.0)}
+    for hbar, row in phases.items():
+        for y, phase in zip(grid.samples, row):
             worst = max(worst, abs(phase - np.exp(-2j * np.pi * hbar * y)))
     roots_ok = True
-    field = paramdeform.heisenberg_field(1.0, grid)
-    uv = paramdeform.param_star(
-        paramdeform.ParamElement.constant(grid, e1),
-        paramdeform.ParamElement.constant(grid, e2),
-        field,
-    )
-    vu = paramdeform.param_star(
-        paramdeform.ParamElement.constant(grid, e2),
-        paramdeform.ParamElement.constant(grid, e1),
-        field,
-    )
-    for i, y in enumerate(grid.samples):
+    for y, phase in zip(grid.samples, phases[1.0]):
         # the dyadic samples are exact floats, so this recovers p/q exactly
         frac = Fraction(y)
         q = frac.denominator
         # symbolic: the phase exponent is -y turns, and q * (-p/q) is an integer
         if (q * -frac).denominator != 1:
             roots_ok = False
-        phase = uv.fibers[i].coeff(ctx.point(1, 1)) / vu.fibers[i].coeff(ctx.point(1, 1))
         if abs(phase**q - 1.0) > tol:
             roots_ok = False
     ok = worst <= tol and roots_ok

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckReport
-from .modarith import solve_mod_system
+from .modarith import check_modulus, solve_mod_system
 
 __all__ = [
     "GammaAction",
@@ -225,7 +225,7 @@ def _roots_to_exponents(values: np.ndarray, m: int) -> np.ndarray:
     exponents = np.round(angles).astype(np.int64) % m
     recon = np.exp(2j * np.pi * exponents / m)
     err = float(np.max(np.abs(recon - values)))
-    if err > 1e-9:
+    if not err <= 1e-9:
         raise ValueError(f"values are not {m}-th roots of unity (error {err:.3e})")
     return exponents
 
@@ -240,6 +240,7 @@ def solve_automorphy(
     ``solve_mod_system`` (needs M < 2**31); inconsistency over Z/M is reported
     as None (the same class may be solvable at a multiple of M).
     """
+    check_modulus(modulus)
     report = tau_cocycle_check(action, tau)
     if not report.ok:
         raise ValueError(

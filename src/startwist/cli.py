@@ -2,11 +2,14 @@
 
 Documents are JSON with integer coordinate vectors and decimal-string
 coefficient parts, so serialized elements round-trip bit-exactly.  CSV output
-uses '.' decimals, '\\n' line endings and a fixed header per subcommand.  All
-randomness flows from a single seed (default 0), so reruns are byte-identical.
+uses '.' decimals, '\\n' line endings and a fixed header per subcommand.  Only
+``kasprzak-verify`` draws random data, from its config's seed (default 0)
+unless ``--seed`` overrides it, so reruns are byte-identical; it alone also
+takes ``--tolerance`` (default 1e-10).  ``suite`` uses the battery's own seed.
 
-Exit codes: 0 success, 1 validation error, 2 assertion or tolerance failure,
-3 internal numeric failure (for instance power-iteration non-convergence).
+Exit codes: 0 success, 1 validation or command-line usage error, 2 assertion
+or tolerance failure, 3 internal numeric failure (for instance
+power-iteration non-convergence).
 """
 
 from __future__ import annotations
@@ -243,27 +246,18 @@ def cmd_kasprzak_verify(args) -> int:
     if not data.t.is_invertible():
         raise InputError("input.cocycle_matrix", "the composed map T is singular")
     trials = cfg.get("trials", 50)
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise InputError("input.trials", "expected a positive integer")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    shape = tuple(ctx.moduli) * 2
-    worst = 0.0
-    for _ in range(trials):
-        a = crossed.spectral_project(
-            crossed.CrossedElement(
-                ctx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ),
-            data,
-        )
-        b = crossed.spectral_project(
-            crossed.CrossedElement(
-                ctx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ),
-            data,
-        )
-        worst = max(worst, crossed.verify_I_homomorphism(a, b, data))
+    seed, seed_path = args.seed, "--seed"
+    if seed is None:
+        seed, seed_path = cfg.get("seed", 0), "input.seed"
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InputError(seed_path, "expected a non-negative integer")
     tolerance = args.tolerance if args.tolerance is not None else 1e-10
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise InputError("--tolerance", "expected a finite non-negative number")
+    pairs = crossed.random_projected_pairs(data, np.random.default_rng(seed), trials)
+    worst = max(crossed.verify_I_homomorphism(a, b, data) for a, b in pairs)
     _write_output(
         args,
         f"trials={trials} max_deviation={worst!r} tolerance={tolerance!r}\n",
@@ -282,22 +276,8 @@ def cmd_heisenberg(args) -> int:
     if not isinstance(hbar, (int, float)):
         raise InputError("input.hbar", "expected a number")
     grid = paramdeform.BaseGrid.circle(grid_size)
-    field = paramdeform.heisenberg_field(float(hbar), grid)
-    ctx = GroupContext.lattice(2)
-    u = paramdeform.ParamElement.constant(
-        grid, FourierElement.delta(ctx.point(1, 0))
-    )
-    v = paramdeform.ParamElement.constant(
-        grid, FourierElement.delta(ctx.point(0, 1))
-    )
-    uv = paramdeform.param_star(u, v, field)
-    vu = paramdeform.param_star(v, u, field)
-    rows = []
-    for i, y in enumerate(grid.samples):
-        phase = uv.fibers[i].coeff(ctx.point(1, 1)) / vu.fibers[i].coeff(
-            ctx.point(1, 1)
-        )
-        rows.append((y, float(phase.real), float(phase.imag)))
+    phases = paramdeform.heisenberg_phases(float(hbar), grid)
+    rows = [(y, phase.real, phase.imag) for y, phase in zip(grid.samples, phases)]
     _write_output(args, _csv("y,phase_re,phase_im", rows))
     return EXIT_OK
 
@@ -380,8 +360,16 @@ def cmd_suite(args) -> int:
 # driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the validation exit code, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="startwist",
         description="Twisted star products, crossed-product models and "
         "window norm estimates at desk scale.",
@@ -392,10 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="JSON config path (default: stdin)")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument(
-            "--tolerance", type=float, default=None, help="tolerance override"
-        )
         p.set_defaults(func=func)
         return p
 
@@ -405,11 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_semiclassical,
         "defect table over an hbar sweep (CSV: hbar,defect)",
     )
-    add(
+    kasprzak = add(
         "kasprzak-verify",
         cmd_kasprzak_verify,
         "averaging-map homomorphism deviation over random projected pairs",
     )
+    kasprzak.add_argument("--seed", type=int, help="seed override")
+    kasprzak.add_argument("--tolerance", type=float, help="tolerance override")
     add(
         "heisenberg",
         cmd_heisenberg,

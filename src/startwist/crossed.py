@@ -22,6 +22,7 @@ validates the triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "deformed_dual_action",
     "fixed_point_test",
     "spectral_project",
+    "random_projected_pairs",
     "I_map",
     "verify_I_homomorphism",
     "twisted_crossed_dual",
@@ -229,6 +231,25 @@ def spectral_project(a: CrossedElement, data: DeformedActionData) -> CrossedElem
     axes = tuple(range(a.context.rank, 2 * a.context.rank))
     spectrum = np.fft.fftn(a.table, axes=axes) * _spectral_mask(data)
     return CrossedElement(a.context, np.fft.ifftn(spectrum, axes=axes))
+
+
+def random_projected_pairs(
+    data: DeformedActionData, rng: np.random.Generator, trials: int
+) -> Iterator[tuple[CrossedElement, CrossedElement]]:
+    """``trials`` pairs of projected crossed elements with standard normal tables.
+
+    Each table draws its real part, then its imaginary part; the first
+    element of a pair is drawn before the second.
+    """
+    ctx = data.context
+    shape = tuple(ctx.moduli) * 2
+
+    def draw() -> CrossedElement:
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return spectral_project(CrossedElement(ctx, table), data)
+
+    for _ in range(trials):
+        yield draw(), draw()
 
 
 def I_map(a: CrossedElement) -> FiniteVector:

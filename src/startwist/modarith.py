@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["det_int", "mat_inv_mod", "solve_mod_system"]
+__all__ = ["check_modulus", "det_int", "mat_inv_mod", "solve_mod_system"]
 
 
 def det_int(matrix) -> int:
@@ -111,6 +111,12 @@ def _solve_prime_power(a: np.ndarray, b: np.ndarray, q: int) -> list[int] | None
     return x
 
 
+def check_modulus(modulus: int) -> None:
+    """Raise unless 1 <= modulus < 2**31, the range the int64 elimination handles."""
+    if not 1 <= modulus < 2**31:
+        raise ValueError(f"modulus {modulus} is outside [1, 2**31)")
+
+
 def solve_mod_system(a_rows, rhs, modulus: int):
     """Solve A x = rhs (mod modulus); returns one solution as ints in [0, modulus), or None.
 
@@ -119,8 +125,7 @@ def solve_mod_system(a_rows, rhs, modulus: int):
     int64.  Each prime-power factor q of the modulus gets one elimination over
     Z/q; their solutions are combined by the Chinese remainder theorem.
     """
-    if not 1 <= modulus < 2**31:
-        raise ValueError(f"modulus {modulus} is outside [1, 2**31)")
+    check_modulus(modulus)
     if len(a_rows) == 0:
         return []
     a = np.asarray(a_rows, dtype=np.int64)

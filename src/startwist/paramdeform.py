@@ -16,7 +16,6 @@ every form in the field is a scalar multiple of the standard symplectic form
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +35,12 @@ __all__ = [
     "linearity_check",
     "torus_action",
     "heisenberg_field",
+    "heisenberg_phases",
     "monodromy_check",
     "monodromy_transport",
     "equivariant_test",
     "equivariant_product_closure",
-    "field_variation",
-    "check_field_variation",
 ]
-
-# Documented stand-in for continuity of a sampled field: adjacent forms may
-# differ entrywise by at most this bound before a warning is raised.
-FIELD_VARIATION_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -246,6 +240,26 @@ def heisenberg_field(hbar: float, grid: BaseGrid) -> CocycleField:
     return CocycleField(grid, forms, hbar)
 
 
+def heisenberg_phases(hbar: float, grid: BaseGrid) -> list[complex]:
+    """Commutation phase of u = delta(1, 0) and v = delta(0, 1) per circle sample.
+
+    Each entry is the coefficient of delta(1, 1) in u * v divided by its
+    coefficient in v * u, both taken in the Heisenberg field; at sample y it
+    is exp(-2 pi i hbar y).
+    """
+    field = heisenberg_field(hbar, grid)
+    ctx = GroupContext.lattice(2)
+    u = ParamElement.constant(grid, FourierElement.delta(ctx.point(1, 0)))
+    v = ParamElement.constant(grid, FourierElement.delta(ctx.point(0, 1)))
+    top = ctx.point(1, 1)
+    return [
+        uv.coeff(top) / vu.coeff(top)
+        for uv, vu in zip(
+            param_star(u, v, field).fibers, param_star(v, u, field).fibers
+        )
+    ]
+
+
 def monodromy_check(rho: MonodromyData) -> bool:
     """True iff rho^T J rho = J exactly over the integers."""
     n = rho.rank // 2
@@ -330,28 +344,3 @@ def equivariant_product_closure(
             raise ValueError("closure requires matching endpoint forms")
     return equivariant_test(param_star(a, b, field), rho)
 
-
-def field_variation(field: CocycleField) -> float:
-    """Largest entrywise step between forms at adjacent samples (wrapping on circles)."""
-    forms = [f.matrix for f in field.forms]
-    pairs = list(zip(forms, forms[1:]))
-    if field.grid.topology == "circle" and len(forms) > 1:
-        pairs.append((forms[-1], forms[0]))
-    return max(
-        (float(np.max(np.abs(g - f))) for f, g in pairs),
-        default=0.0,
-    )
-
-
-def check_field_variation(
-    field: CocycleField, bound: float = FIELD_VARIATION_BOUND
-) -> float:
-    """Warn when the sampled field jumps by more than the documented bound."""
-    variation = field_variation(field)
-    if variation > bound:
-        warnings.warn(
-            f"cocycle field varies by {variation:.3g} between adjacent samples "
-            f"(bound {bound:.3g}); the sampling may be too coarse",
-            stacklevel=2,
-        )
-    return variation

@@ -23,3 +23,12 @@ def test_mutation_control_semiclassical(monkeypatch):
     monkeypatch.setattr(startwist.deform, "SEMICLASSICAL_SCALE", 1.0)
     result = CRITERIA["semiclassical-limit"]()
     assert not result.passed
+
+
+def test_mutation_control_iterated(monkeypatch):
+    # dropping sigma2 from the composed cocycle must show up against the
+    # iterated route, which evaluates sigma1 and sigma2 on its own
+    monkeypatch.setattr(startwist.deform, "compose_cocycles", lambda s1, s2: s1)
+    result = CRITERIA["iterated-deformation"]()
+    assert result.value > 1e-12
+    assert not result.passed

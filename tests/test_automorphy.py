@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,13 @@ class TestSolver:
         values[1, 1, 0] = np.exp(2j * np.pi / 3)
         with pytest.raises(ValueError):
             solve_automorphy(action, TauCocycle(values), 2)
+
+    def test_modulus_zero_rejected_without_warnings(self):
+        action = GammaAction.cyclic(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="modulus 0"):
+                solve_automorphy(action, TauCocycle.trivial(action), 0)
 
     def test_agrees_with_exhaustive_search_on_tiny_instances(self):
         # independent oracle: enumerate all exponent tables over Z/M

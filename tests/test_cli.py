@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,33 @@ from startwist.cli import (
 from startwist.deform import FourierElement
 
 LATTICE2 = GroupContext.lattice(2)
+
+HEISENBERG_7 = """y,phase_re,phase_im
+0.0,1.0,0.0
+0.14285714285714285,0.9453561084395689,-0.32603961145234184
+0.2857142857142857,0.787396343528012,-0.6164470765594701
+0.42857142857142855,0.5433837777948057,-0.8394844072580772
+0.5714285714285714,0.23998600360256592,-0.9707763481229181
+0.7142857142857143,-0.08963930890343359,-0.995974293995239
+0.8571428571428571,-0.4094681400588906,-0.9123244172314543
+"""
+
+SUITE_TEXT = """\
+PASS delta-relation: worst l1 deviation 0.000e+00 (tol 1e-12) over 200 pairs
+PASS associativity: worst l1 deviation 7.879e-13 (tol 1e-10) over 5 x 100 triples
+PASS involution: worst l1 deviation 3.825e-14 (tol 1e-12) over 100 pairs
+PASS semiclassical-limit: ratio(0.01)=0.5036; ratio(0.001)=0.5000; closed-form gap 4.441e-16 (tol 1e-12)
+PASS iterated-deformation: worst deviation 1.862e-14 (tol 1e-12); undeformation exact: True
+PASS translation-automorphisms: worst deviation 5.880e-15 (tol 1e-12) over 100 draws
+PASS kasprzak-equivalence: worst homomorphism deviation 8.951e-16 (tol 1e-10); projection idempotence 3.140e-16 (tol 1e-12); fixed-space dimensions exact: True
+PASS rieffel-duality: worst deviation 1.343e-15 (tol 1e-10) over 2 x 50 pairs
+PASS c0x-linearity: worst deviation 3.433e-16 (tol 1e-12) over 50 triples
+PASS heisenberg-field: worst phase deviation 2.220e-16 (tol 1e-12); rational fibers are exact roots of unity: True
+PASS non-principal-model: shear accepted: True; diag(2,1) rejected: True; closure deviation 0.000e+00 (tol 1e-12); negative control deviation 1.445e+00 (> 1e-3)
+PASS norm-oracle: estimate at W=64 is 1.999416 (gap 5.84e-04, tol 1e-3); monotone in W; delta estimates exactly 1: True
+PASS automorphy: worst coboundary deviation 6.664e-16 (tol 1e-12); obstruction unsolvable at M=2: True; solved at M=4 and verified: True; U identity: True
+{"total": 13, "passed": 13, "failed": 0}
+"""
 
 
 def run(args, config, tmp_path, name="cfg.json"):
@@ -156,6 +184,38 @@ class TestKasprzakCommand:
         assert code == EXIT_VALIDATION
         assert "singular" in capsys.readouterr().err
 
+    def test_golden_line(self, tmp_path):
+        cfg = {"moduli": [7], "cocycle_matrix": [[3]], "trials": 20, "seed": 5}
+        code, text = run(["kasprzak-verify"], cfg, tmp_path)
+        assert code == EXIT_OK
+        assert text == "trials=20 max_deviation=7.021666937153402e-16 tolerance=1e-10\n"
+
+    def test_boolean_trials_rejected(self, tmp_path, capsys):
+        cfg = {"moduli": [5], "cocycle_matrix": [[1]], "trials": True}
+        code, _ = run(["kasprzak-verify"], cfg, tmp_path)
+        assert code == EXIT_VALIDATION
+        assert "error: input.trials:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, seed, field",
+        [
+            (["--tolerance", "nan"], 0, "--tolerance"),
+            (["--tolerance", "inf"], 0, "--tolerance"),
+            (["--tolerance=-0.5"], 0, "--tolerance"),
+            ([], "x", "input.seed"),
+            ([], 1.5, "input.seed"),
+            ([], -1, "input.seed"),
+            ([], True, "input.seed"),
+            (["--seed", "-1"], 0, "--seed"),
+        ],
+    )
+    def test_bad_seed_or_tolerance_named(self, tmp_path, capsys, flags, seed, field):
+        cfg = {"moduli": [5], "cocycle_matrix": [[1]], "trials": 2, "seed": seed}
+        code, text = run(["kasprzak-verify"] + flags, cfg, tmp_path)
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"error: {field}:" in capsys.readouterr().err
+
 
 class TestHeisenbergCommand:
     def test_phase_rows(self, tmp_path):
@@ -173,6 +233,12 @@ class TestHeisenbergCommand:
     def test_zero_grid_rejected(self, tmp_path):
         code, _ = run(["heisenberg"], {"grid_size": 0, "hbar": 1.0}, tmp_path)
         assert code == EXIT_VALIDATION
+
+    def test_golden_bytes(self, tmp_path):
+        _, text = run(["heisenberg"], {"grid_size": 7, "hbar": 0.37}, tmp_path)
+        assert text == HEISENBERG_7
+        _, text = run(["heisenberg"], {"grid_size": 32, "hbar": 1.0}, tmp_path)
+        assert hashlib.md5(text.encode()).hexdigest() == "9400ba5cc0192e6ac88dc00fab17d086"
 
 
 class TestNormCommand:
@@ -307,10 +373,27 @@ class TestSuiteCommand:
         code, _ = run(["suite", "--only", "nonsense"], {}, tmp_path)
         assert code == EXIT_VALIDATION
 
+    def test_full_suite_text(self, tmp_path):
+        code, text = run(["suite"], {}, tmp_path)
+        assert code == EXIT_OK
+        assert text == SUITE_TEXT
+
     def test_deterministic_byte_identical(self, tmp_path):
         _, first = run(["suite", "--only", "involution"], {}, tmp_path, "a.json")
         _, second = run(["suite", "--only", "involution"], {}, tmp_path, "b.json")
         assert first == second
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["suite", "--bogus"], [], ["heisenberg", "--seed", "1"]],
+        ids=["unknown-flag", "no-subcommand", "seed-outside-kasprzak"],
+    )
+    def test_usage_error_exits_1(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
 
 
 class TestDeterminism:

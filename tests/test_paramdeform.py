@@ -13,11 +13,10 @@ from startwist.paramdeform import (
     ParamElement,
     ScalarField,
     c0x_action,
-    check_field_variation,
     equivariant_product_closure,
     equivariant_test,
-    field_variation,
     heisenberg_field,
+    heisenberg_phases,
     linearity_check,
     monodromy_check,
     monodromy_transport,
@@ -229,9 +228,12 @@ class TestHeisenbergField:
             v = ParamElement.constant(grid, FourierElement.delta(ctx.point(0, 1)))
             uv = param_star(u, v, field)
             vu = param_star(v, u, field)
+            phases = []
             for i, y in enumerate(grid.samples):
                 phase = uv.fibers[i].coeff(ctx.point(1, 1)) / vu.fibers[i].coeff(ctx.point(1, 1))
                 assert abs(phase - np.exp(-2j * np.pi * hbar * y)) <= 1e-12
+                phases.append(phase)
+            assert heisenberg_phases(hbar, grid) == phases
 
     def test_rational_samples_give_roots_of_unity(self):
         grid = BaseGrid.circle(32)
@@ -358,36 +360,3 @@ class TestEquivariantClosure:
         with pytest.raises(ValueError):
             equivariant_product_closure(a, a, SHEAR, field)
 
-
-class TestFieldVariation:
-    def test_constant_field_has_zero_variation(self):
-        grid = BaseGrid.interval(4)
-        field = CocycleField.constant(grid, SkewForm(0.3 * J.matrix), 1.0)
-        assert field_variation(field) == 0.0
-
-    def test_circle_wraparound_counts(self):
-        grid = BaseGrid.circle(4)
-        field = CocycleField(
-            grid,
-            tuple(SkewForm(y * J.matrix) for y in grid.samples),
-            1.0,
-        )
-        # the wrap step from y=0.75 back to y=0 dominates
-        assert field_variation(field) == pytest.approx(0.75)
-
-    def test_warning_on_coarse_sampling(self):
-        grid = BaseGrid.interval(2)
-        field = CocycleField(
-            grid, (SkewForm(0.0 * J.matrix), SkewForm(2.0 * J.matrix)), 1.0
-        )
-        with pytest.warns(UserWarning):
-            check_field_variation(field)
-
-    def test_no_warning_within_bound(self):
-        import warnings
-
-        grid = BaseGrid.interval(8)
-        field = heisenberg_field(1.0, BaseGrid.circle(8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            check_field_variation(field, bound=0.9)
