@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,10 +36,11 @@ class GroupContext:
     moduli: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", operator.index(self.rank))
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.moduli is not None:
-            moduli = tuple(int(m) for m in self.moduli)
+            moduli = tuple(operator.index(m) for m in self.moduli)
             object.__setattr__(self, "moduli", moduli)
             if len(moduli) != self.rank:
                 raise ValueError(
@@ -54,9 +56,7 @@ class GroupContext:
     @classmethod
     def finite(cls, moduli: int | Sequence[int]) -> "GroupContext":
         """Finite context; ``finite(5)`` is Z/5, ``finite([4, 4])`` is (Z/4)^2."""
-        if isinstance(moduli, int):
-            moduli = (moduli,)
-        moduli = tuple(int(m) for m in moduli)
+        moduli = (moduli,) if isinstance(moduli, int) else tuple(moduli)
         return cls(len(moduli), moduli)
 
     @property
@@ -87,7 +87,7 @@ class GroupContext:
     def point(self, *coords: int) -> "GroupPoint":
         if len(coords) == 1 and isinstance(coords[0], (tuple, list, np.ndarray)):
             coords = tuple(coords[0])
-        return GroupPoint(self, tuple(int(c) for c in coords))
+        return GroupPoint(self, tuple(coords))
 
     def zero(self) -> "GroupPoint":
         return GroupPoint(self, (0,) * self.rank)
@@ -108,7 +108,7 @@ class GroupPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(operator.index(c) for c in self.coords)
         if len(coords) != self.context.rank:
             raise ValueError(
                 f"point of length {len(coords)} in rank-{self.context.rank} context"

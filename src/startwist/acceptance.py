@@ -415,8 +415,8 @@ def check_non_principal_model() -> CriterionResult:
     )
     a4 = _equivariant_from_base(probe_a, grid, rho4)
     b4 = _equivariant_from_base(probe_b, grid, rho4)
-    negative = paramdeform.equivariant_product_closure(
-        a4, b4, rho4, bad_field, check_field=False
+    negative = paramdeform.equivariant_test(
+        paramdeform.param_star(a4, b4, bad_field), rho4
     )
     ok = accepts and rejects and worst <= tol and negative > 1e-3
     return CriterionResult(

@@ -5,18 +5,27 @@ coefficient parts, so serialized elements round-trip bit-exactly.  CSV output
 uses '.' decimals, '\\n' line endings and a fixed header per subcommand.  Only
 ``kasprzak-verify`` draws random data, from its config's seed (default 0)
 unless ``--seed`` overrides it, so reruns are byte-identical; it alone also
-takes ``--tolerance`` (default 1e-10).  ``suite`` uses the battery's own seed.
+takes ``--tolerance`` (default 1e-10).  ``suite`` uses the battery's own seed
+and reads no config.
 
-Exit codes: 0 success, 1 validation or command-line usage error, 2 assertion
-or tolerance failure, 3 internal numeric failure (for instance
-power-iteration non-convergence).
+Every config field is read by ``_integer`` (a JSON integer, never a boolean),
+``_number`` (a finite number, never a boolean) or ``_list`` (a nonempty list
+read item by item); a rejected field exits 1 with ``error: <path>: ...``, for
+instance ``error: input.windows[0]: ...``.  Windows whose box holds more than
+2**20 points are rejected the same way.  Each subcommand maps its config to
+its output text; ``main`` loads, writes and maps exceptions to exit codes:
+0 success, 1 validation or command-line usage error, 2 assertion or tolerance
+failure, 3 internal numeric failure (for instance power-iteration
+non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -26,6 +35,7 @@ from .abelian import GroupContext
 from .automorphy import GammaAction, TauCocycle, _integer_table, solve_automorphy
 from .cocycles import Bicharacter, SkewForm
 from .deform import FourierElement
+from .modarith import check_modulus
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,7 +51,76 @@ class InputError(ValueError):
 
 
 class ToleranceFailure(RuntimeError):
-    pass
+    """Tolerance failure; ``text`` is still written before exiting 2."""
+
+    def __init__(self, message: str, text: str) -> None:
+        super().__init__(message)
+        self.text = text
+
+
+# ----------------------------------------------------------------------
+# field readers
+
+
+def _at_least(what: str, minimum) -> str:
+    return f"expected {what}" + ("" if minimum is None else f" >= {minimum}")
+
+
+def _integer(value: Any, path: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean), optionally bounded below."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        raise InputError(path, _at_least("an integer", minimum))
+    return value
+
+
+def _number(value: Any, path: str, minimum: float | None = None) -> float:
+    """A finite JSON number (not a boolean) as a float, optionally bounded below."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (minimum is not None and value < minimum)
+    ):
+        raise InputError(path, _at_least("a finite number", minimum))
+    return float(value)
+
+
+def _list(value: Any, path: str, length: int | None = None, item=None, **bounds) -> list:
+    """A nonempty list, of ``length`` items if given, each read by ``item``."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        expected = "a nonempty list" if length is None else f"{length} items"
+        raise InputError(path, f"expected {expected}")
+    if item is None:
+        return value
+    return [item(x, f"{path}[{i}]", **bounds) for i, x in enumerate(value)]
+
+
+def _matrix(value: Any, path: str, rank: int, item) -> list:
+    """A rank x rank matrix as a list of rows, each entry read by ``item``."""
+    return _list(
+        value, path, rank, lambda row, row_path: _list(row, row_path, rank, item)
+    )
+
+
+@contextmanager
+def _field(path: str):
+    """Report a library's rejection of a value in the block as an error on ``path``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(path, str(exc)) from None
+
+
+def _require(cfg: Any, field: str, path: str = "input") -> Any:
+    if not isinstance(cfg, dict):
+        raise InputError(path, "expected an object")
+    if field not in cfg:
+        raise InputError(f"{path}.{field}", "missing required field")
+    return cfg[field]
 
 
 # ----------------------------------------------------------------------
@@ -55,24 +134,12 @@ def context_to_doc(ctx: GroupContext) -> dict:
 
 
 def context_from_doc(doc: Any, path: str = "context") -> GroupContext:
-    if not isinstance(doc, dict):
-        raise InputError(path, "expected an object")
+    rank = _integer(_require(doc, "rank", path), f"{path}.rank", minimum=1)
     mode = doc.get("mode")
-    rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 1:
-        raise InputError(f"{path}.rank", "expected a positive integer")
     if mode == "lattice":
         return GroupContext.lattice(rank)
     if mode == "finite":
-        moduli = doc.get("moduli")
-        if (
-            not isinstance(moduli, list)
-            or len(moduli) != rank
-            or not all(isinstance(m, int) and m >= 2 for m in moduli)
-        ):
-            raise InputError(
-                f"{path}.moduli", f"expected {rank} integers, all >= 2"
-            )
+        moduli = _list(doc.get("moduli"), f"{path}.moduli", rank, _integer, minimum=2)
         return GroupContext.finite(moduli)
     raise InputError(f"{path}.mode", "expected 'lattice' or 'finite'")
 
@@ -86,32 +153,21 @@ def element_to_doc(a: FourierElement) -> dict:
 
 
 def element_from_doc(doc: Any, path: str = "element") -> FourierElement:
-    if not isinstance(doc, dict):
-        raise InputError(path, "expected an object")
-    ctx = context_from_doc(doc.get("context"), f"{path}.context")
+    ctx = context_from_doc(_require(doc, "context", path), f"{path}.context")
     raw = doc.get("coefficients")
     if not isinstance(raw, list):
         raise InputError(f"{path}.coefficients", "expected a list")
     coeffs = {}
     for i, entry in enumerate(raw):
         epath = f"{path}.coefficients[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(epath, "expected an object")
-        coords = entry.get("coords")
-        if (
-            not isinstance(coords, list)
-            or len(coords) != ctx.rank
-            or not all(isinstance(c, int) for c in coords)
-        ):
-            raise InputError(
-                f"{epath}.coords", f"expected {ctx.rank} integers"
-            )
+        coords = _require(entry, "coords", epath)
+        point = ctx.point(_list(coords, f"{epath}.coords", ctx.rank, _integer))
         try:
-            re = float(str(entry.get("re", "0")))
-            im = float(str(entry.get("im", "0")))
+            re, im = (float(str(entry.get(part, "0"))) for part in ("re", "im"))
         except ValueError:
-            raise InputError(epath, "re/im must be decimal strings") from None
-        point = ctx.point(tuple(coords))
+            re = im = math.nan
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise InputError(epath, "re/im must be finite decimal strings")
         coeffs[point] = coeffs.get(point, 0j) + complex(re, im)
     return FourierElement(ctx, coeffs)
 
@@ -120,33 +176,17 @@ def cocycle_from_doc(doc: Any, ctx: GroupContext, path: str = "cocycle") -> Bich
     if not isinstance(doc, dict):
         raise InputError(path, "expected an object")
     matrix = doc.get("matrix", doc.get("exponent"))
-    if not isinstance(matrix, list) or len(matrix) != ctx.rank:
-        raise InputError(f"{path}.matrix", f"expected a {ctx.rank}x{ctx.rank} matrix")
-    for i, row in enumerate(matrix):
-        if not isinstance(row, list) or len(row) != ctx.rank:
-            raise InputError(
-                f"{path}.matrix[{i}]", f"expected a row of {ctx.rank} numbers"
-            )
-    if ctx.is_finite:
-        if not all(isinstance(x, int) for row in matrix for x in row):
-            raise InputError(f"{path}.matrix", "finite-mode entries must be integers")
-        try:
-            return Bicharacter(ctx, matrix)
-        except ValueError as exc:
-            raise InputError(path, str(exc)) from None
-    hbar = doc.get("hbar")
-    if not isinstance(hbar, (int, float)):
-        raise InputError(f"{path}.hbar", "expected a number")
-    return Bicharacter(ctx, np.asarray(matrix, dtype=float), hbar=float(hbar))
+    item = _integer if ctx.is_finite else _number
+    matrix = _matrix(matrix, f"{path}.matrix", ctx.rank, item)
+    hbar = None if ctx.is_finite else _number(doc.get("hbar"), f"{path}.hbar")
+    with _field(path):
+        return Bicharacter(ctx, matrix, hbar)
 
 
 def skew_from_doc(doc: Any, rank: int, path: str = "form") -> SkewForm:
-    if not isinstance(doc, list) or len(doc) != rank:
-        raise InputError(path, f"expected a {rank}x{rank} matrix")
-    try:
-        return SkewForm(np.asarray(doc, dtype=float))
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    matrix = _matrix(doc, path, rank, _number)
+    with _field(path):
+        return SkewForm(np.asarray(matrix))
 
 
 # ----------------------------------------------------------------------
@@ -173,12 +213,6 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require(cfg: dict, field: str, path: str = "input") -> Any:
-    if not isinstance(cfg, dict) or field not in cfg:
-        raise InputError(f"{path}.{field}", "missing required field")
-    return cfg[field]
-
-
 def _csv(header: str, rows) -> str:
     lines = [header]
     for row in rows:
@@ -186,174 +220,124 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------------------------
-# subcommands
-
-
-def cmd_star(args) -> int:
-    cfg = _load_config(args)
+def _pair(cfg: Any) -> tuple[FourierElement, FourierElement]:
     a = element_from_doc(_require(cfg, "a"), "input.a")
     b = element_from_doc(_require(cfg, "b"), "input.b")
     if a.context != b.context:
         raise InputError("input.b.context", "does not match input.a.context")
+    return a, b
+
+
+# ----------------------------------------------------------------------
+# subcommands: each maps a parsed config to its output text
+
+
+def cmd_star(cfg: Any, args) -> str:
+    a, b = _pair(cfg)
     sigma = cocycle_from_doc(_require(cfg, "cocycle"), a.context, "input.cocycle")
-    product = deform.star(a, b, sigma)
-    _write_output(args, json.dumps(element_to_doc(product), indent=2) + "\n")
-    return EXIT_OK
+    return json.dumps(element_to_doc(deform.star(a, b, sigma)), indent=2) + "\n"
 
 
-def cmd_semiclassical(args) -> int:
-    cfg = _load_config(args)
-    a = element_from_doc(_require(cfg, "a"), "input.a")
-    b = element_from_doc(_require(cfg, "b"), "input.b")
+def cmd_semiclassical(cfg: Any, args) -> str:
+    a, b = _pair(cfg)
     if a.context.is_finite:
         raise InputError("input.a.context", "semiclassical scans need a lattice context")
     gamma = skew_from_doc(_require(cfg, "form"), a.context.rank, "input.form")
-    hbars = _require(cfg, "hbar_list")
-    if not isinstance(hbars, list) or not all(
-        isinstance(h, (int, float)) and h != 0 for h in hbars
-    ):
+    hbars = _list(_require(cfg, "hbar_list"), "input.hbar_list", item=_number)
+    if 0.0 in hbars:
         raise InputError("input.hbar_list", "expected nonzero numbers")
-    window = cfg.get("window", 8)
-    if not isinstance(window, int) or window < 1:
-        raise InputError("input.window", "expected a positive integer")
-    rows = []
-    for hbar in sorted((float(h) for h in hbars), reverse=True):
-        rows.append((hbar, deform.semiclassical_defect(a, b, gamma, hbar, window)))
-    _write_output(args, _csv("hbar,defect", rows))
-    return EXIT_OK
+    window = _integer(cfg.get("window", 8), "input.window", minimum=1)
+    with _field("input.window"):
+        rows = [
+            (hbar, deform.semiclassical_defect(a, b, gamma, hbar, window))
+            for hbar in sorted(hbars, reverse=True)
+        ]
+    return _csv("hbar,defect", rows)
 
 
-def cmd_kasprzak_verify(args) -> int:
-    cfg = _load_config(args)
-    moduli = _require(cfg, "moduli")
-    if (
-        not isinstance(moduli, list)
-        or not moduli
-        or not all(isinstance(m, int) and m >= 2 for m in moduli)
-    ):
-        raise InputError("input.moduli", "expected a list of integers >= 2")
+def cmd_kasprzak_verify(cfg: Any, args) -> str:
+    moduli = _list(_require(cfg, "moduli"), "input.moduli", item=_integer, minimum=2)
     ctx = GroupContext.finite(moduli)
-    sigma = cocycle_from_doc(
-        {"matrix": _require(cfg, "cocycle_matrix")}, ctx, "input.cocycle_matrix"
-    )
-    e_matrix = cfg.get("e_matrix", np.eye(ctx.rank, dtype=int).tolist())
-    e = cocycle_from_doc({"matrix": e_matrix}, ctx, "input.e_matrix")
-    try:
-        data = crossed.DeformedActionData.from_cocycles(sigma, e)
-    except ValueError as exc:
-        raise InputError("input.cocycle_matrix", str(exc)) from None
+    sigma = _require(cfg, "cocycle_matrix")
+    sigma = _matrix(sigma, "input.cocycle_matrix", ctx.rank, _integer)
+    e = cfg.get("e_matrix", np.eye(ctx.rank, dtype=int).tolist())
+    e = _matrix(e, "input.e_matrix", ctx.rank, _integer)
+    with _field("input.cocycle_matrix"):
+        data = crossed.DeformedActionData.from_cocycles(
+            Bicharacter(ctx, sigma), Bicharacter(ctx, e)
+        )
     if not data.t.is_invertible():
         raise InputError("input.cocycle_matrix", "the composed map T is singular")
-    trials = cfg.get("trials", 50)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise InputError("input.trials", "expected a positive integer")
-    seed, seed_path = args.seed, "--seed"
-    if seed is None:
-        seed, seed_path = cfg.get("seed", 0), "input.seed"
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InputError(seed_path, "expected a non-negative integer")
-    tolerance = args.tolerance if args.tolerance is not None else 1e-10
-    if not (np.isfinite(tolerance) and tolerance >= 0):
-        raise InputError("--tolerance", "expected a finite non-negative number")
+    trials = _integer(cfg.get("trials", 50), "input.trials", minimum=1)
+    if args.seed is None:
+        seed = _integer(cfg.get("seed", 0), "input.seed", minimum=0)
+    else:
+        seed = _integer(args.seed, "--seed", minimum=0)
+    tolerance = _number(
+        1e-10 if args.tolerance is None else args.tolerance, "--tolerance", minimum=0
+    )
     pairs = crossed.random_projected_pairs(data, np.random.default_rng(seed), trials)
     worst = max(crossed.verify_I_homomorphism(a, b, data) for a, b in pairs)
-    _write_output(
-        args,
-        f"trials={trials} max_deviation={worst!r} tolerance={tolerance!r}\n",
-    )
+    text = f"trials={trials} max_deviation={worst!r} tolerance={tolerance!r}\n"
     if worst > tolerance:
-        raise ToleranceFailure(f"max deviation {worst} exceeds {tolerance}")
-    return EXIT_OK
+        raise ToleranceFailure(f"max deviation {worst} exceeds {tolerance}", text)
+    return text
 
 
-def cmd_heisenberg(args) -> int:
-    cfg = _load_config(args)
-    grid_size = _require(cfg, "grid_size")
-    if not isinstance(grid_size, int) or grid_size < 1:
-        raise InputError("input.grid_size", "expected a positive integer")
-    hbar = _require(cfg, "hbar")
-    if not isinstance(hbar, (int, float)):
-        raise InputError("input.hbar", "expected a number")
+def cmd_heisenberg(cfg: Any, args) -> str:
+    grid_size = _integer(_require(cfg, "grid_size"), "input.grid_size", minimum=1)
+    hbar = _number(_require(cfg, "hbar"), "input.hbar")
     grid = paramdeform.BaseGrid.circle(grid_size)
-    phases = paramdeform.heisenberg_phases(float(hbar), grid)
+    phases = paramdeform.heisenberg_phases(hbar, grid)
     rows = [(y, phase.real, phase.imag) for y, phase in zip(grid.samples, phases)]
-    _write_output(args, _csv("y,phase_re,phase_im", rows))
-    return EXIT_OK
+    return _csv("y,phase_re,phase_im", rows)
 
 
-def cmd_norm(args) -> int:
-    cfg = _load_config(args)
+def cmd_norm(cfg: Any, args) -> str:
     a = element_from_doc(_require(cfg, "element"), "input.element")
     if a.context.is_finite:
         raise InputError("input.element.context", "window norms need a lattice context")
-    form = _require(cfg, "form")
-    gamma = skew_from_doc(form, a.context.rank, "input.form")
-    hbar = cfg.get("hbar", 0.0)
-    if not isinstance(hbar, (int, float)):
-        raise InputError("input.hbar", "expected a number")
-    windows = _require(cfg, "windows")
-    if not isinstance(windows, list) or not all(
-        isinstance(w, int) and w >= 1 for w in windows
-    ):
-        raise InputError("input.windows", "expected positive integers")
-    sigma = Bicharacter.from_skew(a.context, gamma, float(hbar))
-    rows = norms.norm_convergence(a, sigma, windows)
-    _write_output(args, _csv("window,estimate", rows))
-    return EXIT_OK
+    gamma = skew_from_doc(_require(cfg, "form"), a.context.rank, "input.form")
+    hbar = _number(cfg.get("hbar", 0.0), "input.hbar")
+    windows = _list(_require(cfg, "windows"), "input.windows", item=_integer, minimum=1)
+    sigma = Bicharacter.from_skew(a.context, gamma, hbar)
+    with _field("input.windows"):
+        return _csv("window,estimate", norms.norm_convergence(a, sigma, windows))
 
 
-def cmd_automorphy_solve(args) -> int:
-    cfg = _load_config(args)
+def cmd_automorphy_solve(cfg: Any, args) -> str:
     mul = _require(cfg, "group_table")
     act = _require(cfg, "action")
-    try:
+    with _field("input.group_table"):
         action = GammaAction(np.asarray(mul), np.asarray(act))
-    except ValueError as exc:
-        raise InputError("input.group_table", str(exc)) from None
-    modulus = _require(cfg, "modulus")
-    # the solver eliminates in int64, which needs modulus < 2**31
-    if not isinstance(modulus, int) or not 1 <= modulus < 2**31:
-        raise InputError("input.modulus", "expected an integer in [1, 2**31)")
+    modulus = _integer(_require(cfg, "modulus"), "input.modulus")
+    with _field("input.modulus"):
+        check_modulus(modulus)
     exponents = _require(cfg, "tau_exponents")
-    try:
+    with _field("input.tau_exponents"):
         table = _integer_table(exponents, "tau exponents")
         tau = TauCocycle(np.exp(2j * np.pi * (table % modulus) / modulus))
-    except (ValueError, TypeError) as exc:
-        raise InputError("input.tau_exponents", str(exc)) from None
-    try:
         factor = solve_automorphy(action, tau, modulus)
-    except ValueError as exc:
-        raise InputError("input.tau_exponents", str(exc)) from None
     if factor is None:
-        _write_output(args, json.dumps({"solvable": False}) + "\n")
-        raise ToleranceFailure(f"no factor exists over Z/{modulus}")
+        text = json.dumps({"solvable": False}) + "\n"
+        raise ToleranceFailure(f"no factor exists over Z/{modulus}", text)
     doc = {
         "solvable": True,
         "factor_re": [[repr(float(x)) for x in row] for row in factor.values.real],
         "factor_im": [[repr(float(x)) for x in row] for row in factor.values.imag],
     }
-    _write_output(args, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_suite(args) -> int:
-    only = args.only if args.only else None
-    try:
-        results = acceptance.run_suite(only)
-    except ValueError as exc:
-        raise InputError("--only", str(exc)) from None
-    lines = [r.line() for r in results]
-    summary = {
-        "total": len(results),
-        "passed": sum(r.passed for r in results),
-        "failed": sum(not r.passed for r in results),
-    }
-    text = "\n".join(lines) + "\n" + json.dumps(summary) + "\n"
-    _write_output(args, text)
-    if summary["failed"]:
-        raise ToleranceFailure(f"{summary['failed']} criteria failed")
-    return EXIT_OK
+def cmd_suite(cfg: Any, args) -> str:
+    with _field("--only"):
+        results = acceptance.run_suite(args.only)
+    failed = sum(not r.passed for r in results)
+    summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
+    text = "".join(r.line() + "\n" for r in results) + json.dumps(summary) + "\n"
+    if failed:
+        raise ToleranceFailure(f"{failed} criteria failed", text)
+    return text
 
 
 # ----------------------------------------------------------------------
@@ -419,19 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        # suite reads no config, so it must not wait on stdin
+        cfg = None if args.command == "suite" else _load_config(args)
+        text = args.func(cfg, args)
     except ToleranceFailure as exc:
+        _write_output(args, exc.text)
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (norms.PowerIterationDiverged, norms.MonotonicityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write_output(args, text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

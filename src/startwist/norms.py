@@ -9,6 +9,7 @@ norm and is nondecreasing in W; no upper bounds are claimed anywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,8 @@ __all__ = [
 
 # Dense decomposition up to the 2-d W=16 box; the Gram power iteration beyond.
 _DENSE_DIM_LIMIT = 1089
+# Largest box estimated at all: W = 511 in rank 2.
+_WINDOW_DIM_LIMIT = 2**20
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
 
@@ -48,6 +51,7 @@ class Window:
     radius: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "radius", operator.index(self.radius))
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
 
@@ -56,7 +60,7 @@ class Window:
 
 
 def _as_window(window) -> Window:
-    return window if isinstance(window, Window) else Window(int(window))
+    return window if isinstance(window, Window) else Window(window)
 
 
 def _window_grid(rank: int, w: int) -> np.ndarray:
@@ -166,6 +170,11 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     if not a.values.size:
         return 0.0
     dim = window.dim(a.context.rank)
+    if dim > _WINDOW_DIM_LIMIT:
+        raise ValueError(
+            f"window radius {window.radius} in rank {a.context.rank} spans a box of {dim} "
+            f"points, above the limit of {_WINDOW_DIM_LIMIT}"
+        )
     if dim <= _DENSE_DIM_LIMIT:
         mat = left_mult_matrix(a, sigma, window)
         return float(np.linalg.svd(mat, compute_uv=False)[0])

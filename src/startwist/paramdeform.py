@@ -321,20 +321,19 @@ def equivariant_product_closure(
     b: ParamElement,
     rho: MonodromyData,
     field: CocycleField,
-    check_field: bool = True,
 ) -> float:
     """Deviation of the fiberwise product from equivariance under rho.
 
-    Requires equivariant inputs and, unless ``check_field`` is disabled for a
-    negative control, a field of scalar multiples of the standard symplectic
-    form together with matching endpoint forms; those are preserved by the
-    dual symplectic action, which is what closes the product.
+    Requires equivariant inputs and, unless rho is the identity, a field of
+    scalar multiples of the standard symplectic form with matching endpoint
+    forms; those are preserved by the dual symplectic action, which is what
+    closes the product.  A negative control on any other field calls
+    ``equivariant_test(param_star(a, b, field), rho)`` directly.
     """
     for name, elem in (("a", a), ("b", b)):
         if equivariant_test(elem, rho) > 1e-12:
             raise ValueError(f"{name} is not equivariant")
-    identity = np.array_equal(rho.matrix, np.eye(rho.rank, dtype=np.int64))
-    if check_field and not identity:
+    if not np.array_equal(rho.matrix, np.eye(rho.rank, dtype=np.int64)):
         if not all(_is_symplectic_multiple(f) for f in field.forms):
             raise ValueError(
                 "closure requires forms that are scalar multiples of the "

@@ -43,6 +43,22 @@ class TestContext:
         with pytest.raises(ValueError):
             GroupContext.lattice(2).size
 
+    def test_non_integers_rejected_not_truncated(self):
+        with pytest.raises(TypeError):
+            GroupContext.lattice(2).point(1.5, -0.9)
+        with pytest.raises(TypeError):
+            GroupContext.finite([2.7])
+        with pytest.raises(TypeError):
+            GroupContext.lattice(1.5)
+
+    def test_numpy_integers_accepted(self):
+        ctx = GroupContext.finite(np.array([3, 4]))
+        assert ctx == GroupContext.finite([3, 4])
+        assert ctx.moduli == (3, 4) and type(ctx.moduli[0]) is int
+        p = ctx.point(np.int64(5), np.int32(-1))
+        assert p.coords == (2, 3) and type(p.coords[0]) is int
+        assert GroupContext.lattice(2).point(np.arange(2)).coords == (0, 1)
+
     def test_point_reduction(self):
         ctx = GroupContext.finite(5)
         assert ctx.point(7).coords == (2,)

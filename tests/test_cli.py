@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +48,75 @@ PASS norm-oracle: estimate at W=64 is 1.999416 (gap 5.84e-04, tol 1e-3); monoton
 PASS automorphy: worst coboundary deviation 6.664e-16 (tol 1e-12); obstruction unsolvable at M=2: True; solved at M=4 and verified: True; U identity: True
 {"total": 13, "passed": 13, "failed": 0}
 """
+
+
+# Fixed configs whose outputs were captured as bytes before the CLI refactor.
+def lattice2_doc(*terms):
+    return {
+        "context": {"rank": 2, "mode": "lattice"},
+        "coefficients": [{"coords": c, "re": re, "im": im} for c, re, im in terms],
+    }
+
+
+STAR_CONFIG = {
+    "a": lattice2_doc(([1, 0], "0.5", "0.0"), ([0, 1], "0.25", "-1.0")),
+    "b": lattice2_doc(([0, 1], "1.0", "0.0"), ([-1, 2], "0.0", "0.75")),
+    "cocycle": {"exponent": [[0.0, 1.0], [-1.0, 0.0]], "hbar": 0.3},
+}
+FINITE55 = {"rank": 2, "mode": "finite", "moduli": [5, 5]}
+STAR_FINITE_CONFIG = {
+    "a": {
+        "context": FINITE55,
+        "coefficients": [
+            {"coords": [1, 0], "re": "0.5", "im": "0.0"},
+            {"coords": [2, 4], "re": "0.25", "im": "-1.0"},
+        ],
+    },
+    "b": {
+        "context": FINITE55,
+        "coefficients": [
+            {"coords": [0, 1], "re": "1.0", "im": "0.0"},
+            {"coords": [1, 1], "re": "0.0", "im": "0.75"},
+        ],
+    },
+    "cocycle": {"matrix": [[0, 1], [2, 0]]},
+}
+SEMICLASSICAL_CONFIG = {
+    "a": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, -1], "0.5", "0.5")),
+    "b": lattice2_doc(([0, 1], "1.0", "0.0")),
+    "form": [[0.0, 1.0], [-1.0, 0.0]],
+    "hbar_list": [0.1, 0.001, 0.01],
+    "window": 4,
+}
+SEMICLASSICAL_TEXT = """hbar,defect
+0.1,0.4921287989987772
+0.01,0.04934666911623655
+0.001,0.004934800847593776
+"""
+NORM_CONFIG = {
+    "element": lattice2_doc(
+        ([1, 0], "1.0", "0.0"),
+        ([-1, 0], "1.0", "0.0"),
+        ([0, 1], "0.0", "0.5"),
+        ([0, -1], "0.0", "-0.5"),
+    ),
+    "form": [[0.0, 1.0], [-1.0, 0.0]],
+    "hbar": 0.3,
+    "windows": [5, 2, 3],
+}
+NORM_TEXT = """window,estimate
+2,1.9892687906815092
+3,2.0738118235160194
+5,2.1359313226268184
+"""
+AUTOMORPHY_CONFIG = {
+    "group_table": [[0, 1], [1, 0]],
+    "action": [[0], [0]],
+    "tau_exponents": [[[0], [0]], [[0], [2]]],
+    "modulus": 4,
+}
+KASPRZAK_CONFIG = {"moduli": [5], "cocycle_matrix": [[1]], "trials": 2}
+HEISENBERG_CONFIG = {"grid_size": 3, "hbar": 0.5}
 
 
 def run(args, config, tmp_path, name="cfg.json"):
@@ -382,6 +454,127 @@ class TestSuiteCommand:
         _, first = run(["suite", "--only", "involution"], {}, tmp_path, "a.json")
         _, second = run(["suite", "--only", "involution"], {}, tmp_path, "b.json")
         assert first == second
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "command, config, digest",
+        [
+            ("star", STAR_CONFIG, "9d53111b6107f24dea79354352bcef14"),
+            ("star", STAR_FINITE_CONFIG, "5addda7d760465fcbf152056f8ecd45e"),
+            ("automorphy-solve", AUTOMORPHY_CONFIG, "1cc08356289e6c7d381e5863a2cfad63"),
+        ],
+        ids=["star-lattice", "star-finite", "automorphy-solve"],
+    )
+    def test_json_bytes(self, tmp_path, command, config, digest):
+        code, text = run([command], config, tmp_path)
+        assert code == EXIT_OK
+        assert hashlib.md5(text.encode()).hexdigest() == digest
+
+    def test_semiclassical_bytes(self, tmp_path):
+        code, text = run(["semiclassical"], SEMICLASSICAL_CONFIG, tmp_path)
+        assert code == EXIT_OK
+        assert text == SEMICLASSICAL_TEXT
+
+    def test_norm_bytes(self, tmp_path):
+        code, text = run(["norm"], NORM_CONFIG, tmp_path)
+        assert code == EXIT_OK
+        assert text == NORM_TEXT
+
+
+def _set(config, keys, value):
+    config = copy.deepcopy(config)
+    target = config
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return config
+
+
+NAN, INF = float("nan"), float("inf")
+COEFF0 = ("element", "coefficients", 0)
+
+# (command, valid config, keys of the field to replace, bad value, path named)
+BAD_FIELDS = [
+    ("heisenberg", HEISENBERG_CONFIG, ("grid_size",), True, "input.grid_size"),
+    ("heisenberg", HEISENBERG_CONFIG, ("grid_size",), 2.0, "input.grid_size"),
+    ("heisenberg", HEISENBERG_CONFIG, ("hbar",), NAN, "input.hbar"),
+    ("heisenberg", HEISENBERG_CONFIG, ("hbar",), INF, "input.hbar"),
+    ("heisenberg", HEISENBERG_CONFIG, ("hbar",), True, "input.hbar"),
+    ("heisenberg", HEISENBERG_CONFIG, ("hbar",), 10**400, "input.hbar"),
+    ("star", STAR_CONFIG, ("a", "context", "rank"), True, "input.a.context.rank"),
+    ("star", STAR_CONFIG, ("a", "coefficients", 0, "coords"), [True, 0],
+     "input.a.coefficients[0].coords[0]"),
+    ("star", STAR_CONFIG, ("cocycle", "hbar"), NAN, "input.cocycle.hbar"),
+    ("star", STAR_CONFIG, ("cocycle", "exponent", 0), [0.0, True],
+     "input.cocycle.matrix[0][1]"),
+    ("star", STAR_FINITE_CONFIG, ("a", "context", "moduli"), [5, True],
+     "input.a.context.moduli[1]"),
+    ("star", STAR_FINITE_CONFIG, ("cocycle", "matrix", 1), [2, 0.5],
+     "input.cocycle.matrix[1][1]"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("form", 0, 1), True, "input.form[0][1]"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("form", 1, 0), NAN, "input.form[1][0]"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("hbar_list",), [0.1, NAN], "input.hbar_list[1]"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("hbar_list",), [0.1, 0], "input.hbar_list"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("hbar_list",), [], "input.hbar_list"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("window",), True, "input.window"),
+    ("semiclassical", SEMICLASSICAL_CONFIG, ("window",), 100_000, "input.window"),
+    ("norm", NORM_CONFIG, ("windows",), [True], "input.windows[0]"),
+    ("norm", NORM_CONFIG, ("windows",), [2, 100_000], "input.windows"),
+    ("norm", NORM_CONFIG, ("hbar",), True, "input.hbar"),
+    ("norm", NORM_CONFIG, ("form", 0, 1), True, "input.form[0][1]"),
+    ("norm", NORM_CONFIG, COEFF0 + ("re",), "nan", "input.element.coefficients[0]"),
+    ("norm", NORM_CONFIG, COEFF0 + ("im",), "inf", "input.element.coefficients[0]"),
+    ("norm", NORM_CONFIG, COEFF0 + ("re",), "1e999", "input.element.coefficients[0]"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("moduli",), [True], "input.moduli[0]"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("cocycle_matrix",), [[True]],
+     "input.cocycle_matrix[0][0]"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("cocycle_matrix",), [[10**30]],
+     "input.cocycle_matrix"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("e_matrix",), [[1.5]], "input.e_matrix[0][0]"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("trials",), 0, "input.trials"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), True, "input.modulus"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), 4.0, "input.modulus"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), 2**31, "input.modulus"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("tau_exponents", 1, 1), [None],
+     "input.tau_exponents"),
+]
+
+
+class TestBadFields:
+    @pytest.mark.parametrize(
+        "command, config, keys, value, path",
+        BAD_FIELDS,
+        ids=[f"{c[0]}:{c[4]}={c[3]!r}"[:60] for c in BAD_FIELDS],
+    )
+    def test_rejected_by_path(self, tmp_path, capsys, command, config, keys, value, path):
+        code, text = run([command], _set(config, keys, value), tmp_path)
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert not (tmp_path / "out.txt").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert "Traceback" not in err
+
+    def test_base_configs_are_valid(self, tmp_path):
+        for command, config, *_ in BAD_FIELDS:
+            assert run([command], config, tmp_path)[0] == EXIT_OK, command
+
+    def test_huge_window_rejected_fast(self, tmp_path):
+        start = time.perf_counter()
+        code, _ = run(["norm"], _set(NORM_CONFIG, ("windows",), [100_000]), tmp_path)
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+
+    def test_suite_reads_no_config(self, tmp_path, monkeypatch):
+        class NoStdin(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("suite read stdin")
+
+        monkeypatch.setattr("sys.stdin", NoStdin())
+        out = tmp_path / "out.txt"
+        assert main(["suite", "--only", "delta-relation", "--output", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("PASS delta-relation")
 
 
 class TestUsageErrors:

@@ -229,3 +229,22 @@ class TestWindow:
 
     def test_dim(self):
         assert Window(3).dim(2) == 49
+
+    def test_non_integer_radius_rejected(self):
+        with pytest.raises(TypeError):
+            Window(2.5)
+        with pytest.raises(TypeError):
+            op_norm_estimate(cos_element(), TRIVIAL1, 2.5)
+
+    def test_numpy_integer_radius(self):
+        assert Window(np.int64(3)) == Window(3)
+        assert type(Window(np.int64(3)).radius) is int
+
+    def test_box_cap_raises_before_allocating(self):
+        a = FourierElement.delta(LATTICE2.point(1, 0))
+        sigma = Bicharacter.trivial(LATTICE2)
+        assert op_norm_estimate(a, sigma, Window(4)) == 1.0
+        with pytest.raises(ValueError, match=r"radius 512 in rank 2 .* 1050625"):
+            op_norm_estimate(a, sigma, 512)
+        with pytest.raises(ValueError, match="radius 100000"):
+            op_norm_estimate(a, sigma, 100_000)
