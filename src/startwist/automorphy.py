@@ -27,12 +27,14 @@ __all__ = [
     "solve_automorphy",
     "u_transform",
     "u_cocycle_check",
+    "integer_table",
 ]
 
 _UNIT_TOL = 1e-9
 
 
-def _integer_table(values, what: str) -> np.ndarray:
+def integer_table(values, what: str) -> np.ndarray:
+    """The values as an int64 array; raises unless each one is an integer."""
     raw = np.asarray(values)
     with np.errstate(invalid="ignore"):
         table = raw.astype(np.int64)
@@ -54,8 +56,8 @@ class GammaAction:
     act: np.ndarray
 
     def __post_init__(self) -> None:
-        mul = _integer_table(self.mul, "multiplication table")
-        act = _integer_table(self.act, "action table")
+        mul = integer_table(self.mul, "multiplication table")
+        act = integer_table(self.act, "action table")
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         order = mul.shape[0]

@@ -12,11 +12,12 @@ Every config field is read by ``_integer`` (a JSON integer, never a boolean),
 ``_number`` (a finite number, never a boolean) or ``_list`` (a nonempty list
 read item by item); a rejected field exits 1 with ``error: <path>: ...``, for
 instance ``error: input.windows[0]: ...``.  Windows whose box holds more than
-2**20 points are rejected the same way.  Each subcommand maps its config to
-its output text; ``main`` loads, writes and maps exceptions to exit codes:
-0 success, 1 validation or command-line usage error, 2 assertion or tolerance
-failure, 3 internal numeric failure (for instance power-iteration
-non-convergence).
+2**20 points, and crossed-product contexts whose tables would, are rejected
+the same way, as is an unreadable ``--input`` or unwritable ``--output`` file.
+Each subcommand maps its config to its output text; ``main`` loads, writes and
+maps exceptions to exit codes: 0 success, 1 validation or command-line usage
+error, 2 assertion or tolerance failure, 3 internal numeric failure (for
+instance power-iteration non-convergence).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import acceptance, crossed, deform, norms, paramdeform
 from .abelian import GroupContext
-from .automorphy import GammaAction, TauCocycle, _integer_table, solve_automorphy
-from .cocycles import Bicharacter, SkewForm
+from .automorphy import GammaAction, TauCocycle, integer_table, solve_automorphy
+from .cocycles import Bicharacter, SkewForm, is_nondegenerate
 from .deform import FourierElement
 from .modarith import check_modulus
 
@@ -99,19 +100,30 @@ def _list(value: Any, path: str, length: int | None = None, item=None, **bounds)
     return [item(x, f"{path}[{i}]", **bounds) for i, x in enumerate(value)]
 
 
-def _matrix(value: Any, path: str, rank: int, item) -> list:
-    """A rank x rank matrix as a list of rows, each entry read by ``item``."""
-    return _list(
-        value, path, rank, lambda row, row_path: _list(row, row_path, rank, item)
-    )
+def _array(value: Any, path: str, shape: list, item, depth: int = 0) -> list:
+    """A rectangular nested list, entries read by ``item``; a None length in
+    ``shape`` is set by the first list at that level."""
+    if depth == len(shape):
+        return item(value, path)
+    rows = _list(value, path, shape[depth])
+    shape[depth] = len(rows)
+    return [
+        _array(row, f"{path}[{i}]", shape, item, depth + 1) for i, row in enumerate(rows)
+    ]
+
+
+def _table_entry(value: Any, path: str) -> int | float:
+    """A finite JSON number (not a boolean), kept as given; the table checks integrality."""
+    _number(value, path)
+    return value
 
 
 @contextmanager
 def _field(path: str):
-    """Report a library's rejection of a value in the block as an error on ``path``."""
+    """Report a library's or the OS's rejection of a value in the block on ``path``."""
     try:
         yield
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise InputError(path, str(exc)) from None
 
 
@@ -177,14 +189,14 @@ def cocycle_from_doc(doc: Any, ctx: GroupContext, path: str = "cocycle") -> Bich
         raise InputError(path, "expected an object")
     matrix = doc.get("matrix", doc.get("exponent"))
     item = _integer if ctx.is_finite else _number
-    matrix = _matrix(matrix, f"{path}.matrix", ctx.rank, item)
+    matrix = _array(matrix, f"{path}.matrix", [ctx.rank] * 2, item)
     hbar = None if ctx.is_finite else _number(doc.get("hbar"), f"{path}.hbar")
     with _field(path):
         return Bicharacter(ctx, matrix, hbar)
 
 
 def skew_from_doc(doc: Any, rank: int, path: str = "form") -> SkewForm:
-    matrix = _matrix(doc, path, rank, _number)
+    matrix = _array(doc, path, [rank] * 2, _number)
     with _field(path):
         return SkewForm(np.asarray(matrix))
 
@@ -195,7 +207,7 @@ def skew_from_doc(doc: Any, rank: int, path: str = "form") -> SkewForm:
 
 def _load_config(args) -> Any:
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        with _field("--input"), open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
         text = sys.stdin.read()
@@ -207,7 +219,9 @@ def _load_config(args) -> Any:
 
 def _write_output(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        with _field("--output"), open(
+            args.output, "w", encoding="utf-8", newline=""
+        ) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -259,15 +273,17 @@ def cmd_kasprzak_verify(cfg: Any, args) -> str:
     moduli = _list(_require(cfg, "moduli"), "input.moduli", item=_integer, minimum=2)
     ctx = GroupContext.finite(moduli)
     sigma = _require(cfg, "cocycle_matrix")
-    sigma = _matrix(sigma, "input.cocycle_matrix", ctx.rank, _integer)
+    sigma = _array(sigma, "input.cocycle_matrix", [ctx.rank] * 2, _integer)
     e = cfg.get("e_matrix", np.eye(ctx.rank, dtype=int).tolist())
-    e = _matrix(e, "input.e_matrix", ctx.rank, _integer)
+    e = _array(e, "input.e_matrix", [ctx.rank] * 2, _integer)
     with _field("input.cocycle_matrix"):
-        data = crossed.DeformedActionData.from_cocycles(
-            Bicharacter(ctx, sigma), Bicharacter(ctx, e)
-        )
-    if not data.t.is_invertible():
-        raise InputError("input.cocycle_matrix", "the composed map T is singular")
+        sigma, e = Bicharacter(ctx, sigma), Bicharacter(ctx, e)
+    # T = sigma^1 o e^1 is invertible exactly when both factors are
+    for path, cocycle in (("input.cocycle_matrix", sigma), ("input.e_matrix", e)):
+        if not is_nondegenerate(cocycle):
+            raise InputError(path, "degenerate, so the composed map T is singular")
+    with _field("input.moduli"):
+        data = crossed.DeformedActionData(sigma, e)
     trials = _integer(cfg.get("trials", 50), "input.trials", minimum=1)
     if args.seed is None:
         seed = _integer(cfg.get("seed", 0), "input.seed", minimum=0)
@@ -277,9 +293,9 @@ def cmd_kasprzak_verify(cfg: Any, args) -> str:
         1e-10 if args.tolerance is None else args.tolerance, "--tolerance", minimum=0
     )
     pairs = crossed.random_projected_pairs(data, np.random.default_rng(seed), trials)
-    worst = max(crossed.verify_I_homomorphism(a, b, data) for a, b in pairs)
+    worst = float(np.max([crossed.verify_I_homomorphism(a, b, data) for a, b in pairs]))
     text = f"trials={trials} max_deviation={worst!r} tolerance={tolerance!r}\n"
-    if worst > tolerance:
+    if not worst <= tolerance:
         raise ToleranceFailure(f"max deviation {worst} exceeds {tolerance}", text)
     return text
 
@@ -306,16 +322,17 @@ def cmd_norm(cfg: Any, args) -> str:
 
 
 def cmd_automorphy_solve(cfg: Any, args) -> str:
-    mul = _require(cfg, "group_table")
-    act = _require(cfg, "action")
+    mul = _array(_require(cfg, "group_table"), "input.group_table", [None] * 2, _table_entry)
+    act = _array(_require(cfg, "action"), "input.action", [None] * 2, _table_entry)
     with _field("input.group_table"):
         action = GammaAction(np.asarray(mul), np.asarray(act))
     modulus = _integer(_require(cfg, "modulus"), "input.modulus")
     with _field("input.modulus"):
         check_modulus(modulus)
     exponents = _require(cfg, "tau_exponents")
+    exponents = _array(exponents, "input.tau_exponents", [None] * 3, _table_entry)
     with _field("input.tau_exponents"):
-        table = _integer_table(exponents, "tau exponents")
+        table = integer_table(exponents, "tau exponents")
         tau = TauCocycle(np.exp(2j * np.pi * (table % modulus) / modulus))
         factor = solve_automorphy(action, tau, modulus)
     if factor is None:
@@ -403,21 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # suite reads no config, so it must not wait on stdin
-        cfg = None if args.command == "suite" else _load_config(args)
-        text = args.func(cfg, args)
-    except ToleranceFailure as exc:
-        _write_output(args, exc.text)
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        try:
+            # suite reads no config, so it must not wait on stdin
+            cfg = None if args.command == "suite" else _load_config(args)
+            text, code = args.func(cfg, args), EXIT_OK
+        except ToleranceFailure as exc:
+            print(f"failure: {exc}", file=sys.stderr)
+            text, code = exc.text, EXIT_TOLERANCE
+        _write_output(args, text)
+        return code
     except (norms.PowerIterationDiverged, norms.MonotonicityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_output(args, text)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -49,6 +49,15 @@ def _quadratic(xs, matrix: np.ndarray, ys) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", xs, matrix, ys)
 
 
+def _matmul_mod(a, b, n: int) -> np.ndarray:
+    """a @ b mod n, exact for every modulus: with both factors reduced into
+    [0, n), no sum of k products exceeds k (n - 1)^2, kept in int64 below
+    2**63 and in Python integers beyond."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.int64 if a.shape[-1] * (n - 1) ** 2 < 2**63 else object
+    return (a.astype(dtype) % n) @ (b.astype(dtype) % n) % n
+
+
 @dataclass(frozen=True, eq=False)
 class SkewForm:
     """An exactly skew-symmetric matrix; the infinitesimal datum of a twist."""
@@ -99,11 +108,13 @@ class Bicharacter:
 
     Lattice mode: sigma(p, q) = exp(-i pi hbar p.A q) for a real matrix A.
     Finite mode: sigma(xi, eta) = exp(2 pi i xi.B eta / N) for an integer
-    matrix B, with one uniform modulus N.  Both are unimodular and exactly
-    multiplicative in each slot, so the cocycle identity holds by construction.
+    matrix B, with one uniform modulus N; each phase is computed from its
+    exponent, taken exactly mod N, so no table of N-th roots is stored.
+    Both are unimodular and exactly multiplicative in each slot, so the
+    cocycle identity holds by construction.
     """
 
-    __slots__ = ("context", "matrix", "hbar", "_roots")
+    __slots__ = ("context", "matrix", "hbar")
 
     def __init__(self, context: GroupContext, matrix, hbar: float | None = None) -> None:
         self.context = context
@@ -113,8 +124,6 @@ class Bicharacter:
             n = context.uniform_modulus
             m = np.asarray(matrix, dtype=np.int64) % n
             self.hbar = None
-            # every finite phase is an N-th root of unity; look them up by exponent
-            self._roots = np.exp(2j * np.pi * np.arange(n) / n)
         else:
             if hbar is None:
                 raise ValueError("lattice-mode bicharacter needs hbar")
@@ -153,10 +162,12 @@ class Bicharacter:
         The scalar call goes through here too, so a phase never depends on
         whether it was evaluated alone or in a batch.
         """
-        quad = _quadratic(xis, self.matrix, etas)
         if self.hbar is None:
-            return self._roots[quad % len(self._roots)]
-        return np.exp(-1j * np.pi * self.hbar * quad)
+            n = self.context.uniform_modulus
+            xb = _matmul_mod(xis, self.matrix, n)
+            quad = _matmul_mod(xb[:, None, :], np.asarray(etas)[:, :, None], n)
+            return np.exp(2j * np.pi * quad[:, 0, 0].astype(np.float64) / n)
+        return np.exp(-1j * np.pi * self.hbar * _quadratic(xis, self.matrix, etas))
 
     @property
     def effective_exponent(self) -> np.ndarray:
@@ -209,18 +220,12 @@ class LinearMap:
     def apply(self, p: GroupPoint) -> GroupPoint:
         if self.modulus is None:
             raise ValueError("real-valued maps do not act on group points")
-        return p.context.point(tuple(self.matrix @ p.vector()))
+        return p.context.point(tuple(self.apply_vec(p.vector())))
 
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        out = self.matrix @ np.asarray(v)
-        if self.modulus is not None:
-            out = out % self.modulus
-        return out
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if self.modulus != other.modulus:
-            raise ValueError("composing maps over different scalar rings")
-        return LinearMap(self.matrix @ other.matrix, self.modulus)
+        if self.modulus is None:
+            return self.matrix @ np.asarray(v)
+        return _matmul_mod(self.matrix, v, self.modulus)
 
     def is_invertible(self) -> bool:
         if self.modulus is None:
@@ -238,9 +243,6 @@ class LinearMap:
             and self.modulus == other.modulus
             and np.array_equal(self.matrix, other.matrix)
         )
-
-    def __neg__(self) -> "LinearMap":
-        return LinearMap(-self.matrix, self.modulus)
 
 
 def cocycle_check(
@@ -269,7 +271,7 @@ def cocycle_check(
         for x, y, z in triples:
             lhs = sigma(x, y) * sigma(x + y, z)
             rhs = sigma(x, y + z) * sigma(y, z)
-            dev = max(dev, abs(lhs - rhs))
+            dev = float(np.maximum(dev, abs(lhs - rhs)))
     return CheckReport(dev <= tol, dev)
 
 
@@ -333,7 +335,7 @@ def T_map(sigma: Bicharacter, e: Bicharacter) -> tuple[LinearMap, LinearMap]:
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
     n = sigma.context.uniform_modulus
-    t = (sigma.matrix.T @ e.matrix.T) % n
+    t = _matmul_mod(sigma.matrix.T, e.matrix.T, n)
     e_inv_t = mat_inv_mod(e.matrix.T % n, n)
-    t_adj = (e_inv_t @ t.T @ e.matrix.T) % n
+    t_adj = _matmul_mod(_matmul_mod(e_inv_t, t.T, n), e.matrix.T, n)
     return LinearMap(t, n), LinearMap(t_adj, n)

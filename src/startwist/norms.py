@@ -63,6 +63,29 @@ def _as_window(window) -> Window:
     return window if isinstance(window, Window) else Window(window)
 
 
+def _checked_window(a: FourierElement, sigma: Bicharacter, window) -> Window:
+    """The window, checked once for both kernels: lattice a, sigma on a's context,
+    a box that covers a's support and holds at most 2**20 points."""
+    window = _as_window(window)
+    ctx = a.context
+    if ctx.is_finite:
+        raise ValueError("window compressions are defined on lattice contexts")
+    if sigma.context != ctx:
+        raise ValueError("cocycle from a different context")
+    if window.radius < a.support_radius():
+        raise ValueError(
+            f"window radius {window.radius} is smaller than the support radius "
+            f"{a.support_radius()}"
+        )
+    dim = window.dim(ctx.rank)
+    if dim > _WINDOW_DIM_LIMIT:
+        raise ValueError(
+            f"window radius {window.radius} in rank {ctx.rank} spans a box of {dim} "
+            f"points, above the limit of {_WINDOW_DIM_LIMIT}"
+        )
+    return window
+
+
 def _window_grid(rank: int, w: int) -> np.ndarray:
     """All box points in lexicographic order, shape (dim, rank)."""
     axes = [np.arange(-w, w + 1)] * rank
@@ -89,18 +112,9 @@ def left_mult_matrix(
     Entry (p + r, r) holds a(p) sigma(p, r) whenever both r and p + r lie in
     the box; everything else is zero.
     """
-    window = _as_window(window)
+    window = _checked_window(a, sigma, window)
     ctx = a.context
-    if ctx.is_finite:
-        raise ValueError("window compressions are defined on lattice contexts")
-    if sigma.context != ctx:
-        raise ValueError("cocycle from a different context")
     w = window.radius
-    if w < a.support_radius():
-        raise ValueError(
-            f"window radius {w} is smaller than the support radius "
-            f"{a.support_radius()}"
-        )
     grid = _window_grid(ctx.rank, w)
     cols = _window_index(grid, w)
     dim = window.dim(ctx.rank)
@@ -165,24 +179,18 @@ def _power_iteration_norm(a: FourierElement, sigma: Bicharacter, w: int) -> floa
 
 
 def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
-    """Largest singular value of the window compression of b -> a * b."""
+    """Largest singular value of the window compression of b -> a * b.
+
+    A dense SVD of ``left_mult_matrix``, which checks the window, or above
+    the dense limit the same check and then the power iteration.
+    """
     window = _as_window(window)
-    if not a.values.size:
-        return 0.0
-    dim = window.dim(a.context.rank)
-    if dim > _WINDOW_DIM_LIMIT:
-        raise ValueError(
-            f"window radius {window.radius} in rank {a.context.rank} spans a box of {dim} "
-            f"points, above the limit of {_WINDOW_DIM_LIMIT}"
-        )
-    if dim <= _DENSE_DIM_LIMIT:
+    if window.dim(a.context.rank) <= _DENSE_DIM_LIMIT:
         mat = left_mult_matrix(a, sigma, window)
         return float(np.linalg.svd(mat, compute_uv=False)[0])
-    if window.radius < a.support_radius():
-        raise ValueError(
-            f"window radius {window.radius} is smaller than the support radius "
-            f"{a.support_radius()}"
-        )
+    window = _checked_window(a, sigma, window)
+    if not a.values.size:
+        return 0.0
     return _power_iteration_norm(a, sigma, window.radius)
 
 
@@ -190,10 +198,7 @@ def norm_convergence(
     a: FourierElement, sigma: Bicharacter, windows: Sequence
 ) -> list[tuple[int, float]]:
     """Estimates per window, asserted nondecreasing in the radius."""
-    rows = []
-    for window in windows:
-        window = _as_window(window)
-        rows.append((window.radius, op_norm_estimate(a, sigma, window)))
+    rows = [(w.radius, op_norm_estimate(a, sigma, w)) for w in map(_as_window, windows)]
     rows.sort(key=lambda r: r[0])
     for (w1, e1), (w2, e2) in itertools.pairwise(rows):
         if e2 < e1 - 1e-12:
@@ -215,7 +220,6 @@ def field_continuity_scan(
     Evidence for continuity of the field in hbar, not a proof; the returned
     constant bounds adjacent jumps by C * delta-hbar on this sample.
     """
-    window = _as_window(window)
     rows = []
     for hbar in hbar_list:
         sigma = Bicharacter.from_skew(a.context, gamma, hbar)

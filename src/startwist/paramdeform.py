@@ -138,8 +138,8 @@ class ParamElement:
     def linf_distance(self, other: "ParamElement") -> float:
         if self.grid != other.grid:
             raise ValueError("elements on different grids")
-        return max(
-            f.linf_distance(g) for f, g in zip(self.fibers, other.fibers)
+        return float(
+            np.max([f.linf_distance(g) for f, g in zip(self.fibers, other.fibers)])
         )
 
 
@@ -213,11 +213,8 @@ def linearity_check(
     scaled_product = c0x_action(f, param_star(a, b, field))
     left = param_star(c0x_action(f, a), b, field)
     right = param_star(a, c0x_action(f, b), field)
-    return max(
-        scaled_product.linf_distance(left),
-        scaled_product.linf_distance(right),
-        left.linf_distance(right),
-    )
+    pairs = ((scaled_product, left), (scaled_product, right), (left, right))
+    return float(np.max([x.linf_distance(y) for x, y in pairs]))
 
 
 def torus_action(t, a: ParamElement) -> ParamElement:
@@ -305,7 +302,7 @@ def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
         ctx.point(tuple(rho.matrix.T @ q.vector())) for q in first.support
     }:
         pulled = first.coeff(ctx.point(tuple(inv_t @ p.vector())))
-        dev = max(dev, abs(last.coeff(p) - pulled))
+        dev = float(np.maximum(dev, abs(last.coeff(p) - pulled)))
     return dev
 
 

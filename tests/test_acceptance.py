@@ -5,10 +5,14 @@ the acceptance report.  A mutation control at the bottom checks that the
 battery actually has teeth.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import startwist.deform
 from startwist.acceptance import CRITERIA
+from startwist.deform import FourierElement
 
 
 @pytest.mark.parametrize("name", list(CRITERIA))
@@ -32,3 +36,31 @@ def test_mutation_control_iterated(monkeypatch):
     result = CRITERIA["iterated-deformation"]()
     assert result.value > 1e-12
     assert not result.passed
+
+
+NAN_EXPOSED = [
+    "delta-relation",
+    "associativity",
+    "involution",
+    "iterated-deformation",
+    "translation-automorphisms",
+    "c0x-linearity",
+    "heisenberg-field",
+]
+
+
+@pytest.mark.parametrize("name", NAN_EXPOSED)
+def test_mutation_control_nan_products(monkeypatch, name):
+    # a product kernel that returns NaN coefficients must fail every criterion
+    # built on it, rather than drop the NaN while folding the worst deviation
+    convolve = startwist.deform._convolve
+
+    def nan_convolve(a, b, weight):
+        out = convolve(a, b, weight)
+        return FourierElement.from_arrays(out.context, out.coords, out.values * np.nan)
+
+    monkeypatch.setattr(startwist.deform, "_convolve", nan_convolve)
+    result = CRITERIA[name]()
+    assert not result.passed
+    assert math.isnan(result.value)
+    assert type(result.value) is float and type(result.passed) is bool

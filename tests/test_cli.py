@@ -176,6 +176,20 @@ class TestStarCommand:
         out = element_from_doc(doc)
         assert out.coeff(LATTICE2.point(1, 1)) == pytest.approx(-1j)
 
+    def test_huge_finite_modulus(self, tmp_path):
+        # finite phases come from their exponents, taken exactly mod N, not
+        # from a table of N roots; x . B y here is far beyond int64
+        n, x, y, b = 10**12, 10**11 + 7, 10**12 - 3, 123_456_789
+        ctx = GroupContext.finite(n)
+        a_doc = element_to_doc(FourierElement.delta(ctx.point(x)))
+        b_doc = element_to_doc(FourierElement.delta(ctx.point(y)))
+        cfg = {"a": a_doc, "b": b_doc, "cocycle": {"matrix": [[b]]}}
+        code, text = run(["star"], cfg, tmp_path)
+        assert code == EXIT_OK
+        out = element_from_doc(json.loads(text))
+        expected = np.exp(2j * np.pi * (x * b * y % n) / n)
+        assert out.coeff(ctx.point(x + y)) == pytest.approx(expected, abs=1e-12)
+
     def test_hbar_zero_is_convolution(self, tmp_path):
         a, b = self._docs()
         cocycle = {"exponent": [[0.0, 1.0], [-1.0, 0.0]], "hbar": 0.0}
@@ -532,12 +546,22 @@ BAD_FIELDS = [
     ("kasprzak-verify", KASPRZAK_CONFIG, ("cocycle_matrix",), [[10**30]],
      "input.cocycle_matrix"),
     ("kasprzak-verify", KASPRZAK_CONFIG, ("e_matrix",), [[1.5]], "input.e_matrix[0][0]"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("e_matrix",), [[5]], "input.e_matrix"),
     ("kasprzak-verify", KASPRZAK_CONFIG, ("trials",), 0, "input.trials"),
     ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), True, "input.modulus"),
     ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), 4.0, "input.modulus"),
     ("automorphy-solve", AUTOMORPHY_CONFIG, ("modulus",), 2**31, "input.modulus"),
+    ("kasprzak-verify", KASPRZAK_CONFIG, ("moduli",), [100_003], "input.moduli"),
     ("automorphy-solve", AUTOMORPHY_CONFIG, ("tau_exponents", 1, 1), [None],
-     "input.tau_exponents"),
+     "input.tau_exponents[1][1][0]"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("tau_exponents", 1, 1), [True],
+     "input.tau_exponents[1][1][0]"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("tau_exponents", 1), [[0]],
+     "input.tau_exponents[1]"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("group_table",), [[0, True], [True, 0]],
+     "input.group_table[0][1]"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("group_table", 1), [1], "input.group_table[1]"),
+    ("automorphy-solve", AUTOMORPHY_CONFIG, ("action", 1), ["0"], "input.action[1][0]"),
 ]
 
 
@@ -565,6 +589,26 @@ class TestBadFields:
         code, _ = run(["norm"], _set(NORM_CONFIG, ("windows",), [100_000]), tmp_path)
         assert code == EXIT_VALIDATION
         assert time.perf_counter() - start < 1.0
+
+    def test_oversized_crossed_model_rejected_fast(self, tmp_path):
+        start = time.perf_counter()
+        code, _ = run(["kasprzak-verify"], _set(KASPRZAK_CONFIG, ("moduli",), [100_003]), tmp_path)
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+
+    def test_missing_input_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["heisenberg", "--input", str(missing)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input:") and "Traceback" not in err
+
+    def test_unwritable_output_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(HEISENBERG_CONFIG))
+        out = tmp_path / "no-such-dir" / "out.csv"
+        assert main(["heisenberg", "--input", str(cfg), "--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --output:") and "Traceback" not in err
 
     def test_suite_reads_no_config(self, tmp_path, monkeypatch):
         class NoStdin(io.StringIO):

@@ -15,6 +15,7 @@ from startwist.cocycles import (
     is_nondegenerate,
     sigma_one,
 )
+from startwist.modarith import mat_inv_mod
 
 LATTICE2 = GroupContext.lattice(2)
 Z5 = GroupContext.finite(5)
@@ -117,6 +118,40 @@ class TestEval:
             assert np.array_equal(form.eval_many(xs, ys), scalar)
         scalar = np.array([sigma(p, q) for p, q in pts])
         assert np.array_equal(sigma.eval_many(xs, ys), scalar)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 31, 256, 1009, 65537])
+    def test_finite_phases_equal_root_table_bitwise(self, n):
+        # each phase is computed from its exponent; it must equal the entry of
+        # the table of N-th roots of unity that it replaces, to the last bit
+        ctx = GroupContext.finite([n, n])
+        rng = np.random.default_rng(n)
+        sigma = Bicharacter(ctx, rng.integers(-n, n, (2, 2)))
+        xs, ys = rng.integers(0, n, (2, 5000, 2))
+        exponents = np.einsum("ki,ij,kj->k", xs, sigma.matrix, ys) % n
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.array_equal(sigma.eval_many(xs, ys), roots[exponents])
+
+    # moduli on both sides of the largest N with rank (N-1)^2 < 2**63, and far
+    # beyond it, at points and entries near N where int64 products would wrap
+    @pytest.mark.parametrize(
+        "n, rank",
+        [(3_037_000_500, 1), (3_037_000_501, 1), (2**31, 2), (2**31 + 1, 2), (10**12, 1),
+         (10**12, 3)],
+    )
+    def test_large_modulus_phases_are_exact(self, n, rank):
+        ctx = GroupContext.finite([n] * rank)
+        matrix = [[n - 1 - i - 2 * j for j in range(rank)] for i in range(rank)]
+        sigma = Bicharacter(ctx, matrix)
+        x = [n - 1 - i for i in range(rank)]
+        y = [n - 2 - 3 * i for i in range(rank)]
+        exponent = sum(x[i] * matrix[i][j] * y[j] for i in range(rank) for j in range(rank))
+        expected = np.exp(2j * np.pi * (exponent % n) / n)
+        assert sigma(ctx.point(x), ctx.point(y)) == pytest.approx(expected, abs=1e-12)
+
+    def test_huge_modulus_example(self):
+        ctx = GroupContext.finite(10**12)
+        x = ctx.point(10**11)
+        assert Bicharacter(ctx, [[1]])(x, x) == 1.0
 
 
 class TestCocycleCheck:
@@ -289,6 +324,29 @@ class TestTMap:
         e = Bicharacter(Z7, [[2]])
         t, _ = T_map(sigma, e)
         assert t.matrix.tolist() == [[6]]
+
+    def test_large_modulus_products_are_exact(self):
+        # rank 3 near 2**31: int64 products of reduced entries would wrap
+        n = 2**31 - 1
+        ctx = GroupContext.finite([n] * 3)
+        s = [[n - 1, n - 2, n - 3], [n - 5, n - 7, 1], [2, n - 11, n - 13]]
+        m = [[1, n - 1, n - 2], [0, 1, n - 3], [0, 0, 1]]  # unit determinant
+        t, t_adj = T_map(Bicharacter(ctx, s), Bicharacter(ctx, m))
+
+        def product(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(3)) % n for j in range(3)]
+                    for i in range(3)]
+
+        transpose = [list(row) for row in zip(*m)]
+        expected_t = product([list(row) for row in zip(*s)], transpose)
+        assert t.matrix.tolist() == expected_t
+        e_inv_t = mat_inv_mod(np.array(transpose), n).tolist()
+        expected_t_adj = product(product(e_inv_t, [list(r) for r in zip(*expected_t)]), transpose)
+        assert t_adj.matrix.tolist() == expected_t_adj
+        u = [n - 1, n - 2, n - 3]
+        assert t.apply_vec(u).tolist() == [
+            sum(expected_t[i][k] * u[k] for k in range(3)) % n for i in range(3)
+        ]
 
     def test_degenerate_e_rejected(self):
         sigma = Bicharacter(Z5, [[1]])

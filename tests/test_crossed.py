@@ -1,8 +1,11 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
 from startwist.abelian import FiniteVector, GroupContext
-from startwist.cocycles import Bicharacter, T_map
+from startwist.cocycles import Bicharacter, LinearMap, T_map
 from startwist.crossed import (
     CrossedElement,
     DeformedActionData,
@@ -94,6 +97,51 @@ class TestDualAction:
             dual_action(xi, a).linf_distance(a) for xi in Z5.points()
         )
         assert moved > 0.1
+
+
+class TestDeformedActionData:
+    def test_t_is_derived_from_the_cocycles(self):
+        sigma, e = Bicharacter(Z5, [[2]]), Bicharacter(Z5, [[3]])
+        data = DeformedActionData(sigma, e)
+        assert [f.name for f in dataclasses.fields(data)] == ["sigma", "e", "t"]
+        assert data.t == T_map(sigma, e)[0]
+        assert DeformedActionData.from_cocycles(sigma, e).t == data.t
+        # sigma and e give T = 1 here; a stored T = 2 cannot be passed in
+        with pytest.raises(TypeError):
+            DeformedActionData(
+                Bicharacter(Z5, [[1]]), e, LinearMap([[2]], 5), LinearMap([[3]], 5)
+            )
+
+    @pytest.mark.parametrize(
+        "sigma, e",
+        [
+            (Bicharacter.trivial(GroupContext.lattice(1)), Bicharacter(Z5, [[1]])),
+            (Bicharacter(Z7, [[1]]), Bicharacter(Z5, [[1]])),
+            (Bicharacter(Z5, [[1]]), Bicharacter(Z5, [[0]])),
+        ],
+        ids=["lattice", "mismatched-contexts", "degenerate-e"],
+    )
+    def test_rejected_cocycles(self, sigma, e):
+        with pytest.raises(ValueError):
+            DeformedActionData(sigma, e)
+
+    def test_table_size_bound(self):
+        ctx = GroupContext.finite(1024)  # |V|^2 = 2**20 is still accepted
+        DeformedActionData(Bicharacter(ctx, [[1]]), Bicharacter(ctx, [[1]]))
+        start = time.perf_counter()
+        for moduli in (1025, 100_003, [1025, 1025]):
+            ctx = GroupContext.finite(moduli)
+            e = Bicharacter(ctx, np.eye(ctx.rank, dtype=np.int64))
+            with pytest.raises(ValueError, match=r"\|V\| = \d+ .* limit of 1048576"):
+                DeformedActionData(e, e)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_table_rejected(self, bad):
+        table = np.zeros((5, 5), dtype=np.complex128)
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CrossedElement(Z5, table)
 
 
 class TestDeformedDualAction:
@@ -258,8 +306,7 @@ class TestIHomomorphism:
         rng = np.random.default_rng(19)
         sigma = Bicharacter.trivial(Z5)
         e = Bicharacter(Z5, [[1]])
-        t, t_adj = T_map(sigma, e)
-        data = DeformedActionData(sigma, e, t, t_adj)
+        data = DeformedActionData(sigma, e)
         zero = CrossedElement.zero(Z5)
         with pytest.raises(ValueError):
             verify_I_homomorphism(zero, zero, data)
@@ -415,7 +462,7 @@ def singular_data(moduli, sigma):
     ctx = GroupContext.finite(moduli)
     s = Bicharacter(ctx, sigma)
     e = Bicharacter(ctx, np.eye(ctx.rank, dtype=np.int64))
-    return DeformedActionData(s, e, *T_map(s, e))
+    return DeformedActionData(s, e)
 
 
 REFERENCE_CASES = {

@@ -125,6 +125,28 @@ class TestOpNormEstimate:
         est = op_norm_estimate(a, Bicharacter.trivial(LATTICE2), 17)
         assert abs(est - 2.0 * np.cos(np.pi / 36.0)) <= 1e-6
 
+    @pytest.mark.parametrize("kernel", [op_norm_estimate, left_mult_matrix])
+    @pytest.mark.parametrize(
+        "a, sigma, w",
+        [
+            (FourierElement.delta(GroupContext.finite(5).point(1)),
+             Bicharacter(GroupContext.finite(5), [[1]]), 600),
+            (FourierElement.delta(LATTICE2.point(1, 0)), TRIVIAL1, 17),
+            (FourierElement(LATTICE2, {LATTICE2.point(1, 0): 1.0, LATTICE2.point(0, 1): 0.5}),
+             Bicharacter(LATTICE1, [[0.7]], hbar=0.4), 17),
+        ],
+        ids=["finite-context", "trivial-rank-mismatch", "cocycle-rank-mismatch"],
+    )
+    def test_inputs_checked_before_either_kernel(self, monkeypatch, kernel, a, sigma, w):
+        # the same check guards the dense and the iterative kernel, so an
+        # ill-posed window above the dense limit never starts iterating
+        def no_iteration(*args):
+            raise AssertionError("power iteration started")
+
+        monkeypatch.setattr("startwist.norms._power_iteration_norm", no_iteration)
+        with pytest.raises(ValueError):
+            kernel(a, sigma, w)
+
     def test_adjoint_symmetry(self):
         rng = np.random.default_rng(2)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.9)
