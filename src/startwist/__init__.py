@@ -71,7 +71,6 @@ from .paramdeform import (
 )
 from .norms import (
     MonotonicityError,
-    PowerIterationDiverged,
     Window,
     field_continuity_scan,
     left_mult_matrix,

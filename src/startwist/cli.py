@@ -17,7 +17,7 @@ the same way, as is an unreadable ``--input`` or unwritable ``--output`` file.
 Each subcommand maps its config to its output text; ``main`` loads, writes and
 maps exceptions to exit codes: 0 success, 1 validation or command-line usage
 error, 2 assertion or tolerance failure, 3 internal numeric failure (for
-instance power-iteration non-convergence).
+instance an SVD that does not converge, or window estimates that drop).
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def _field(path: str):
     """Report a library's or the OS's rejection of a value in the block on ``path``."""
     try:
         yield
+    except np.linalg.LinAlgError:
+        raise  # a numeric failure, not a rejected value
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise InputError(path, str(exc)) from None
 
@@ -347,8 +349,10 @@ def cmd_automorphy_solve(cfg: Any, args) -> str:
 
 
 def cmd_suite(cfg: Any, args) -> str:
-    with _field("--only"):
-        results = acceptance.run_suite(args.only)
+    unknown = [name for name in args.only or () if name not in acceptance.CRITERIA]
+    if unknown:
+        raise InputError("--only", f"unknown criteria: {', '.join(unknown)}")
+    results = acceptance.run_suite(args.only)
     failed = sum(not r.passed for r in results)
     summary = {"total": len(results), "passed": len(results) - failed, "failed": failed}
     text = "".join(r.line() + "\n" for r in results) + json.dumps(summary) + "\n"
@@ -429,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
             text, code = exc.text, EXIT_TOLERANCE
         _write_output(args, text)
         return code
-    except (norms.PowerIterationDiverged, norms.MonotonicityError) as exc:
+    except (np.linalg.LinAlgError, norms.MonotonicityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # InputError included

@@ -3,7 +3,9 @@
 The left-regular action of an element on square-summable coefficients is
 compressed to the box of indices with max |p_j| <= W.  The largest singular
 value of the compression is a certified lower bound of the deformed operator
-norm and is nondecreasing in W; no upper bounds are claimed anywhere.
+norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Small
+boxes take a dense SVD, larger ones a matrix-free Lanczos estimate: the Rayleigh
+quotient ||A x|| / ||x|| of its Ritz vector x, a lower bound even unconverged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .deform import FourierElement, star
 
 __all__ = [
     "Window",
-    "PowerIterationDiverged",
     "MonotonicityError",
     "left_mult_matrix",
     "op_norm_estimate",
@@ -28,16 +29,14 @@ __all__ = [
     "field_continuity_scan",
 ]
 
-# Dense decomposition up to the 2-d W=16 box; the Gram power iteration beyond.
+# Dense decomposition up to the 2-d W=16 box; Lanczos on the Gram operator beyond.
 _DENSE_DIM_LIMIT = 1089
 # Largest box estimated at all: W = 511 in rank 2.
 _WINDOW_DIM_LIMIT = 2**20
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
-
-
-class PowerIterationDiverged(RuntimeError):
-    """Raised when the Gram power iteration fails to converge."""
+# Lanczos stops once its top Ritz value moves by at most this, relative,
+# between checkpoints, or at the step cap.
+_LANCZOS_TOL = 1e-13
+_LANCZOS_MAX_STEPS = 2000
 
 
 class MonotonicityError(RuntimeError):
@@ -127,62 +126,102 @@ def left_mult_matrix(
     return mat
 
 
-def _power_iteration_norm(a: FourierElement, sigma: Bicharacter, w: int) -> float:
-    """Largest singular value via power iteration on the Gram operator.
+def _pivots(alphas: list, betas: list, mu: float) -> list | None:
+    """Pivots of LDL^T = mu - T for T = tridiag(betas, alphas, betas), or None once
+    one is not positive: by Sturm's count, T then has an eigenvalue >= mu."""
+    pivots = [mu - alphas[0]]
+    for alpha, beta in zip(alphas[1:], betas):
+        if pivots[-1] <= 0.0:
+            return None
+        pivots.append(mu - alpha - beta * beta / pivots[-1])
+    return pivots if pivots[-1] > 0.0 else None
 
-    The compression and its adjoint are applied implicitly (per support
-    point, with clipping at the box boundary) so no dense matrix is built.
+
+def _top_ritz_pair(alphas: list, betas: list, low: float) -> tuple[float, list]:
+    """Top eigenvalue theta >= ``low`` of T from above, by bisection on Sturm counts,
+    and its eigenvector by inverse iteration: one O(k) solve with theta - T."""
+    high = 2.0 * (max(alphas) + 2.0 * max(betas, default=0.0))
+    pivots = _pivots(alphas, betas, high)
+    while high - low > 1e-15 * high:
+        mid = 0.5 * (low + high)
+        if (trial := _pivots(alphas, betas, mid)) is None:
+            low = mid
+        else:
+            high, pivots = mid, trial
+    y = [1.0] * len(pivots)
+    for i in range(1, len(y)):
+        y[i] += betas[i - 1] * y[i - 1] / pivots[i - 1]
+    y[-1] /= pivots[-1]
+    for i in range(len(y) - 2, -1, -1):
+        y[i] = (y[i] + betas[i] * y[i + 1]) / pivots[i]
+    return high, y
+
+
+def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float, int, float]:
+    """Largest singular value by plain Lanczos on the Gram operator A^H A.
+
+    A and its adjoint are applied per support term, clipped at the box boundary.
+    No basis is stored or reorthogonalised: lost orthogonality only repeats
+    converged Ritz values (Paige 1980).  The top Ritz value is checkpointed until
+    it settles or the step cap is hit; a second pass regenerates the vectors from
+    the same start and sums the Ritz vector x.  Returns (s, steps, residual) with
+    s = ||A x|| / ||x||, a Rayleigh quotient and so a lower bound even when
+    unconverged, and residual ||A^H A x - s^2 x|| / ||x||.
     """
-    ctx = a.context
-    rank = ctx.rank
     side = 2 * w + 1
-    shape = (side,) * rank
-    grid = _window_grid(rank, w)
-    terms = []
+    shape = (side,) * a.context.rank
+    grid = _window_grid(a.context.rank, w)
+    forward = []
     for pv, c in zip(a.coords, a.values):
-        phase = _phase_on_grid(sigma, pv, grid).reshape(shape)
-        src = tuple(
-            slice(max(-int(s), 0), side + min(-int(s), 0)) for s in pv
-        )
+        src = tuple(slice(max(-int(s), 0), side + min(-int(s), 0)) for s in pv)
         dst = tuple(slice(max(int(s), 0), side + min(int(s), 0)) for s in pv)
-        terms.append((c, phase, src, dst))
+        forward.append((c * _phase_on_grid(sigma, pv, grid).reshape(shape)[src], src, dst))
+    adjoint = [(np.conj(coef), dst, src) for coef, src, dst in forward]
 
-    def apply(x: np.ndarray) -> np.ndarray:
+    def apply(x: np.ndarray, terms: list) -> np.ndarray:
         out = np.zeros(shape, dtype=np.complex128)
-        for c, phase, src, dst in terms:
-            out[dst] += c * (phase * x)[src]
+        for coef, src, dst in terms:
+            out[dst] += coef * x[src]
         return out
 
-    def apply_adj(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape, dtype=np.complex128)
-        for c, phase, src, dst in terms:
-            out[src] += np.conj(c) * np.conj(phase[src]) * x[dst]
-        return out
+    def lanczos():
+        """(q_j, alpha_j, beta_j) of the three-term recurrence from a seeded start."""
+        rng = np.random.default_rng(20240229)
+        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q /= np.linalg.norm(q)
+        q_prev, beta = q, 0.0
+        while True:
+            v = apply(apply(q, forward), adjoint) - beta * q_prev
+            alpha = float(np.vdot(q, v).real)
+            v -= alpha * q
+            beta = float(np.linalg.norm(v))
+            yield q, alpha, beta
+            q_prev, q = q, v / beta
 
-    rng = np.random.default_rng(20240229)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        y = apply_adj(apply(x))
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        new_estimate = float(np.real(np.vdot(x, y)))
-        x = y / norm_y
-        if abs(new_estimate - estimate) <= _POWER_TOL * max(1.0, new_estimate):
-            return float(np.sqrt(max(new_estimate, 0.0)))
-        estimate = new_estimate
-    raise PowerIterationDiverged(
-        f"no convergence after {_POWER_MAX_ITER} iterations at window {w}"
-    )
+    alphas, betas, theta, checkpoint = [], [], 0.0, 20
+    for _, alpha, beta in lanczos():
+        alphas.append(alpha)
+        betas.append(beta)
+        # beta ~ 0: the Krylov space is invariant and theta exact
+        stop = beta <= _LANCZOS_TOL * alphas[0] or len(alphas) == _LANCZOS_MAX_STEPS
+        if stop or len(alphas) == checkpoint:
+            previous, (theta, y) = theta, _top_ritz_pair(alphas, betas[:-1], theta)
+            if stop or theta - previous <= _LANCZOS_TOL * theta:
+                break
+            checkpoint += max(20, checkpoint // 8)
+    x = sum(yj * q for yj, (q, _, _) in zip(y, lanczos()))
+    ax = apply(x, forward)
+    x_norm = np.linalg.norm(x)
+    estimate = np.linalg.norm(ax) / x_norm
+    residual = np.linalg.norm(apply(ax, adjoint) - estimate**2 * x) / x_norm
+    return float(estimate), len(alphas), float(residual)
 
 
 def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b.
 
     A dense SVD of ``left_mult_matrix``, which checks the window, or above
-    the dense limit the same check and then the power iteration.
+    the dense limit the same check and then the Lanczos estimate.
     """
     window = _as_window(window)
     if window.dim(a.context.rank) <= _DENSE_DIM_LIMIT:
@@ -191,7 +230,9 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     window = _checked_window(a, sigma, window)
     if not a.values.size:
         return 0.0
-    return _power_iteration_norm(a, sigma, window.radius)
+    if not np.isfinite(a.values).all():  # as the dense SVD fails on them
+        raise np.linalg.LinAlgError("non-finite coefficients")
+    return _lanczos_norm(a, sigma, window.radius)[0]
 
 
 def norm_convergence(

@@ -356,6 +356,20 @@ class TestNormCommand:
         last = float(text.strip().split("\n")[-1].split(",")[1])
         assert abs(last - 2.0) <= 1e-3
 
+    def test_shift_pair_beyond_dense_limit_exits_0(self, tmp_path):
+        # a degenerate top value at W = 17; the dense rows keep their bytes
+        cfg = {
+            "element": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, 1], "1.0", "0.0")),
+            "form": [[0.0, 0.0], [0.0, 0.0]],
+            "windows": [8, 16, 17],
+        }
+        code, text = run(["norm"], cfg, tmp_path)
+        assert code == EXIT_OK
+        lines = text.strip().split("\n")
+        assert lines[:3] == ["window,estimate", "8,1.99146835259007", "16,1.997734678366018"]
+        window, estimate = lines[3].split(",")
+        assert window == "17" and 1.997734678366018 <= float(estimate) <= 2.0
+
     def test_window_too_small_is_validation_error(self, tmp_path):
         ctx1 = GroupContext.lattice(1)
         a = FourierElement(ctx1, {ctx1.point(3): 1.0})
@@ -381,6 +395,22 @@ class TestNormCommand:
             "element": element_to_doc(FourierElement.delta(LATTICE2.zero())),
             "form": [[0.0, 0.0], [0.0, 0.0]],
             "windows": [2, 4],
+        }
+        code, _ = run(["norm"], cfg, tmp_path)
+        assert code == EXIT_NUMERIC
+
+    def test_linalg_failure_exits_3(self, tmp_path, monkeypatch):
+        # raised inside the block that reads input.windows, yet not a rejected value
+        import startwist.norms as norms_mod
+
+        def broken(a, sigma, window):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(norms_mod, "op_norm_estimate", broken)
+        cfg = {
+            "element": element_to_doc(FourierElement.delta(LATTICE2.zero())),
+            "form": [[0.0, 0.0], [0.0, 0.0]],
+            "windows": [2],
         }
         code, _ = run(["norm"], cfg, tmp_path)
         assert code == EXIT_NUMERIC
@@ -455,9 +485,26 @@ class TestSuiteCommand:
         summary = json.loads(lines[-1])
         assert summary == {"total": 2, "passed": 2, "failed": 0}
 
-    def test_unknown_criterion_rejected(self, tmp_path):
+    def test_unknown_criterion_rejected(self, tmp_path, capsys):
         code, _ = run(["suite", "--only", "nonsense"], {}, tmp_path)
         assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --only: unknown criteria: nonsense\n"
+
+    def test_raising_criterion_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # NaN products make semiclassical-limit's dense SVD raise LinAlgError,
+        # which is a numeric failure, not a rejected --only value
+        import startwist.deform as deform_mod
+
+        convolve = deform_mod._convolve
+
+        def nan_convolve(a, b, weight):
+            out = convolve(a, b, weight)
+            return FourierElement.from_arrays(out.context, out.coords, out.values * np.nan)
+
+        monkeypatch.setattr(deform_mod, "_convolve", nan_convolve)
+        code, _ = run(["suite", "--only", "semiclassical-limit"], {}, tmp_path)
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure:")
 
     def test_full_suite_text(self, tmp_path):
         code, text = run(["suite"], {}, tmp_path)

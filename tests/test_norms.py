@@ -7,7 +7,7 @@ from startwist.deform import FourierElement, involution, star
 from startwist.norms import (
     MonotonicityError,
     Window,
-    _power_iteration_norm,
+    _lanczos_norm,
     field_continuity_scan,
     left_mult_matrix,
     norm_convergence,
@@ -18,6 +18,19 @@ LATTICE1 = GroupContext.lattice(1)
 LATTICE2 = GroupContext.lattice(2)
 J = SkewForm.standard_symplectic(1)
 TRIVIAL1 = Bicharacter.trivial(LATTICE1)
+TRIVIAL2 = Bicharacter.trivial(LATTICE2)
+# beyond W = 16 the top of both compressed spectra (ROADMAP_ELEMENT at
+# hbar = 0.3) is degenerate, s1 - s2 below 1e-14
+SHIFT_PAIR = FourierElement(LATTICE2, {LATTICE2.point(1, 0): 1.0, LATTICE2.point(0, 1): 1.0})
+ROADMAP_ELEMENT = FourierElement(
+    LATTICE2,
+    {
+        LATTICE2.point(1, 0): 1.0,
+        LATTICE2.point(-1, 0): 1.0,
+        LATTICE2.point(0, 1): 0.5j,
+        LATTICE2.point(0, -1): -0.5j,
+    },
+)
 
 
 def cos_element():
@@ -106,24 +119,14 @@ class TestOpNormEstimate:
     def test_zero_element(self):
         assert op_norm_estimate(FourierElement.zero(LATTICE1), TRIVIAL1, 4) == 0.0
 
-    def test_power_iteration_matches_dense(self):
-        rng = np.random.default_rng(1)
-        sigma = Bicharacter.from_skew(LATTICE2, J, 0.43)
-        for _ in range(5):
-            a = random_element(LATTICE2, rng)
-            w = a.support_radius() + 3
-            dense = op_norm_estimate(a, sigma, w)
-            power = _power_iteration_norm(a, sigma, w)
-            assert abs(dense - power) <= 1e-6 * max(1.0, dense)
-
     def test_large_window_uses_power_iteration_against_oracle(self):
-        # W = 17 in rank 2 exceeds the dense limit; the compressed bilateral
-        # shift sum is a Toeplitz tensor identity with top value 2 cos(pi/36)
+        # W = 17 in rank 2 exceeds the dense limit, so Lanczos runs; the compressed
+        # bilateral shift sum is a Toeplitz tensor identity, top value 2 cos(pi/36)
         a = FourierElement(
             LATTICE2, {LATTICE2.point(1, 0): 1.0, LATTICE2.point(-1, 0): 1.0}
         )
         est = op_norm_estimate(a, Bicharacter.trivial(LATTICE2), 17)
-        assert abs(est - 2.0 * np.cos(np.pi / 36.0)) <= 1e-6
+        assert abs(est - 2.0 * np.cos(np.pi / 36.0)) <= 1e-12
 
     @pytest.mark.parametrize("kernel", [op_norm_estimate, left_mult_matrix])
     @pytest.mark.parametrize(
@@ -141,9 +144,9 @@ class TestOpNormEstimate:
         # the same check guards the dense and the iterative kernel, so an
         # ill-posed window above the dense limit never starts iterating
         def no_iteration(*args):
-            raise AssertionError("power iteration started")
+            raise AssertionError("Lanczos started")
 
-        monkeypatch.setattr("startwist.norms._power_iteration_norm", no_iteration)
+        monkeypatch.setattr("startwist.norms._lanczos_norm", no_iteration)
         with pytest.raises(ValueError):
             kernel(a, sigma, w)
 
@@ -156,6 +159,55 @@ class TestOpNormEstimate:
             lhs = op_norm_estimate(a, sigma, w)
             rhs = op_norm_estimate(involution(a, sigma), sigma, w)
             assert abs(lhs - rhs) <= 1e-12
+
+
+def dense_norm(a, sigma, w):
+    return float(np.linalg.svd(left_mult_matrix(a, sigma, w), compute_uv=False)[0])
+
+
+class TestLanczosKernel:
+    def test_matches_dense_svd(self):
+        rng = np.random.default_rng(1)
+        roadmap_sigma = Bicharacter.from_skew(LATTICE2, J, 0.3)
+        cases = [(SHIFT_PAIR, TRIVIAL2, w) for w in (2, 7, 11)]
+        cases += [(ROADMAP_ELEMENT, roadmap_sigma, w) for w in (3, 8, 12)]
+        for hbar in (0.0, 0.43, 1.0):
+            sigma = Bicharacter.from_skew(LATTICE2, J, hbar)
+            for _ in range(3):
+                a = random_element(LATTICE2, rng)
+                cases.append((a, sigma, a.support_radius() + int(rng.integers(0, 6))))
+        for a, sigma, w in cases:
+            dense = dense_norm(a, sigma, w)
+            est, steps, residual = _lanczos_norm(a, sigma, w)
+            assert abs(est - dense) <= 1e-10 * dense
+            assert est <= dense * (1.0 + 1e-12)
+            assert steps >= 1 and residual >= 0.0
+
+    @pytest.mark.parametrize("w", [17, 32, 64])
+    def test_closed_form_beyond_dense_limit(self, w):
+        # with the trivial cocycle delta(+-1,0) + delta(0,+-1) compresses to a
+        # Kronecker sum of two path-graph adjacencies, top value 4 cos(pi/(2W+2));
+        # at W = 64 the box has 16 641 points, out of the dense SVD's reach
+        a = FourierElement(
+            LATTICE2,
+            {LATTICE2.point(*p): 1.0 for p in ((1, 0), (-1, 0), (0, 1), (0, -1))},
+        )
+        exact = 4.0 * np.cos(np.pi / (2 * w + 2))
+        assert abs(op_norm_estimate(a, TRIVIAL2, w) - exact) <= 1e-12 * exact
+
+    def test_non_finite_coefficients_fail_like_dense_svd(self):
+        coords, values = np.array([[1, 0], [0, 1]]), np.array([1.0, np.nan])
+        a = FourierElement.from_arrays(LATTICE2, coords, values)
+        for w in (16, 17):
+            with pytest.raises(np.linalg.LinAlgError):
+                op_norm_estimate(a, TRIVIAL2, w)
+
+    def test_step_cap_returns_certified_value(self, monkeypatch):
+        monkeypatch.setattr("startwist.norms._LANCZOS_MAX_STEPS", 5)
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.3)
+        est, steps, _ = _lanczos_norm(ROADMAP_ELEMENT, sigma, 8)
+        assert steps == 5
+        assert 0.0 < est <= dense_norm(ROADMAP_ELEMENT, sigma, 8)
 
 
 class TestNormConvergence:
@@ -178,6 +230,20 @@ class TestNormConvergence:
         for w, est in norm_convergence(sa, sigma, [3, 5, 7]):
             flipped = op_norm_estimate(involution(sa, sigma), sigma, w)
             assert abs(est - flipped) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a, hbar, windows",
+        [(SHIFT_PAIR, 0.0, [8, 16, 17]), (ROADMAP_ELEMENT, 0.3, [17, 20])],
+        ids=["shift-pair", "roadmap-element"],
+    )
+    def test_formerly_diverging_elements(self, a, hbar, windows):
+        # degenerate top values beyond the dense limit
+        rows = norm_convergence(a, Bicharacter.from_skew(LATTICE2, J, hbar), windows)
+        estimates = [est for _, est in rows]
+        assert [w for w, _ in rows] == windows
+        assert estimates == sorted(estimates)
+        l2, l1 = np.linalg.norm(a.values), np.abs(a.values).sum()
+        assert all(l2 <= est <= l1 for est in estimates)
 
     def test_monotonicity_guard_raises(self, monkeypatch):
         # honest runs are monotone, so the guard is exercised with a stub
