@@ -152,6 +152,12 @@ def _points(ctx: GroupContext) -> np.ndarray:
     return np.indices(ctx.moduli, dtype=np.int64).reshape(ctx.rank, -1).T
 
 
+def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (u, v) of rows of ``points``, u-major: two (|V|^2, rank) arrays."""
+    count = len(points)
+    return np.repeat(points, count, axis=0), np.tile(points, (count, 1))
+
+
 def _per_base(values: np.ndarray, ctx: GroupContext) -> np.ndarray:
     """One value per point v, shaped to scale the fiber at v of a crossed table."""
     return values.reshape(tuple(ctx.moduli) + (1,) * ctx.rank)
@@ -198,11 +204,12 @@ def fixed_point_test(
     """Spectral condition alpha_{Tu}[a(v)] = e(u, v) a(v) for all u, v."""
     ctx = a.context
     points, axes = _points(ctx), tuple(range(ctx.rank, 2 * ctx.rank))
+    # row u holds e(u, v) for every v
+    phases = data.e.eval_many(*_point_pairs(points)).reshape(len(points), -1)
     dev = 0.0
-    for u in points:
+    for u, row in zip(points, phases):
         shifted = np.roll(a.table, tuple(-data.t.apply_vec(u)), axis=axes)
-        phases = data.e.eval_many(np.broadcast_to(u, points.shape), points)
-        residual = shifted - _per_base(phases, ctx) * a.table
+        residual = shifted - _per_base(row, ctx) * a.table
         dev = float(np.maximum(dev, np.max(np.abs(residual))))
     return CheckReport(dev <= tol, dev)
 
@@ -291,16 +298,17 @@ def twisted_crossed_dual(
     if sigma_hat.context != ctx:
         raise ValueError("cocycle from a different context")
     points = _points(ctx)
-    moduli, shape = np.array(ctx.moduli), points.shape
+    us, vs = _point_pairs(points)
+    # row u holds sigma_hat(u - v, u) for every v
+    phases = sigma_hat.eval_many((us - vs) % np.array(ctx.moduli), us).reshape(len(points), -1)
     out = np.zeros_like(a.table)
-    for u in points:
+    for u, row in zip(points, phases):
         fiber_a = a.table[tuple(u)]
         if not fiber_a.any():
             continue
-        phases = sigma_hat.eval_many((u - points) % moduli, np.broadcast_to(u, shape))
         # slot v holds alpha_u[b(v - u)]
         shifted = np.roll(b.table, (*u, *-u), axis=tuple(range(2 * ctx.rank)))
-        out += _per_base(phases, ctx) * fiber_a * shifted
+        out += _per_base(row, ctx) * fiber_a * shifted
     return CrossedElement(ctx, out)
 
 

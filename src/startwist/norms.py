@@ -3,9 +3,13 @@
 The left-regular action of an element on square-summable coefficients is
 compressed to the box of indices with max |p_j| <= W.  The largest singular
 value of the compression is a certified lower bound of the deformed operator
-norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Small
-boxes take a dense SVD, larger ones a matrix-free Lanczos estimate: the Rayleigh
-quotient ||A x|| / ||x|| of its Ritz vector x, a lower bound even unconverged.
+norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Boxes
+of up to 289 points (rank 2, W = 8) take a dense SVD, larger ones a
+matrix-free Lanczos estimate: the Rayleigh quotient ||A x|| / ||x|| of its Ritz
+vector x, a lower bound even unconverged.  The boundary sits at the measured
+crossover, where the two cost about the same; at W = 16 in rank 2 the SVD is
+ten to thirty times slower.  ``left_mult_matrix`` plus the SVD stays the oracle
+for every box.
 """
 
 from __future__ import annotations
@@ -29,8 +33,11 @@ __all__ = [
     "field_continuity_scan",
 ]
 
-# Dense decomposition up to the 2-d W=16 box; Lanczos on the Gram operator beyond.
-_DENSE_DIM_LIMIT = 1089
+# Dense SVD up to the 2-d W=8 box, Lanczos on the Gram operator beyond.  With
+# one BLAS thread on a 2-core x86 host, SVD against Lanczos on three elements
+# took 19-20 against 11-21 ms at W=8, the crossover, 152-161 against 15-45 ms
+# at W=12 and 832-857 against 25-89 ms at W=16.
+_DENSE_DIM_LIMIT = 289
 # Largest box estimated at all: W = 511 in rank 2.
 _WINDOW_DIM_LIMIT = 2**20
 # Lanczos stops once its top Ritz value moves by at most this, relative,
@@ -126,35 +133,47 @@ def left_mult_matrix(
     return mat
 
 
-def _pivots(alphas: list, betas: list, mu: float) -> list | None:
-    """Pivots of LDL^T = mu - T for T = tridiag(betas, alphas, betas), or None once
-    one is not positive: by Sturm's count, T then has an eigenvalue >= mu."""
-    pivots = [mu - alphas[0]]
-    for alpha, beta in zip(alphas[1:], betas):
-        if pivots[-1] <= 0.0:
-            return None
-        pivots.append(mu - alpha - beta * beta / pivots[-1])
-    return pivots if pivots[-1] > 0.0 else None
+def _below_spectrum(alpha0: float, pairs: list, mu: float) -> bool:
+    """Whether every eigenvalue of T = tridiag(betas, alphas, betas) lies below mu.
+
+    Sturm's count: the LDL^T pivots of mu - T are all positive exactly then.
+    ``pairs`` holds (alpha_i, beta_{i-1}^2) for i >= 1; nothing is stored per pass.
+    """
+    pivot = mu - alpha0
+    for alpha, beta_sq in pairs:
+        if pivot <= 0.0:
+            return False
+        pivot = mu - alpha - beta_sq / pivot
+    return pivot > 0.0
 
 
-def _top_ritz_pair(alphas: list, betas: list, low: float) -> tuple[float, list]:
-    """Top eigenvalue theta >= ``low`` of T from above, by bisection on Sturm counts,
-    and its eigenvector by inverse iteration: one O(k) solve with theta - T."""
+def _top_ritz_value(alphas: list, betas: list, low: float) -> float:
+    """Top eigenvalue theta >= ``low`` of T from above, by bisection on Sturm counts."""
     high = 2.0 * (max(alphas) + 2.0 * max(betas, default=0.0))
-    pivots = _pivots(alphas, betas, high)
+    pairs = [(alpha, beta * beta) for alpha, beta in zip(alphas[1:], betas)]
     while high - low > 1e-15 * high:
         mid = 0.5 * (low + high)
-        if (trial := _pivots(alphas, betas, mid)) is None:
-            low = mid
+        if _below_spectrum(alphas[0], pairs, mid):
+            high = mid
         else:
-            high, pivots = mid, trial
+            low = mid
+    return high
+
+
+def _ritz_vector(alphas: list, betas: list, theta: float) -> list:
+    """Eigenvector of T for theta, by inverse iteration: one O(k) solve with
+    theta - T through its LDL^T pivots, all positive since theta is above the
+    spectrum."""
+    pivots = [theta - alphas[0]]
+    for alpha, beta in zip(alphas[1:], betas):
+        pivots.append(theta - alpha - beta * beta / pivots[-1])
     y = [1.0] * len(pivots)
     for i in range(1, len(y)):
         y[i] += betas[i - 1] * y[i - 1] / pivots[i - 1]
     y[-1] /= pivots[-1]
     for i in range(len(y) - 2, -1, -1):
         y[i] = (y[i] + betas[i] * y[i + 1]) / pivots[i]
-    return high, y
+    return y
 
 
 def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float, int, float]:
@@ -205,10 +224,11 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
         # beta ~ 0: the Krylov space is invariant and theta exact
         stop = beta <= _LANCZOS_TOL * alphas[0] or len(alphas) == _LANCZOS_MAX_STEPS
         if stop or len(alphas) == checkpoint:
-            previous, (theta, y) = theta, _top_ritz_pair(alphas, betas[:-1], theta)
+            previous, theta = theta, _top_ritz_value(alphas, betas[:-1], theta)
             if stop or theta - previous <= _LANCZOS_TOL * theta:
                 break
             checkpoint += max(20, checkpoint // 8)
+    y = _ritz_vector(alphas, betas[:-1], theta)
     x = sum(yj * q for yj, (q, _, _) in zip(y, lanczos()))
     ax = apply(x, forward)
     x_norm = np.linalg.norm(x)
@@ -221,7 +241,10 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b.
 
     A dense SVD of ``left_mult_matrix``, which checks the window, or above
-    the dense limit the same check and then the Lanczos estimate.
+    the dense limit of 289 points the same check and then the Lanczos
+    estimate, clamped into [||a||_2, ||a||_1]: the box covers the support, so
+    ||A delta_0|| = ||a||_2 bounds the compression from below, and the triangle
+    inequality bounds it by ||a||_1.  For one term both ends are |c|.
     """
     window = _as_window(window)
     if window.dim(a.context.rank) <= _DENSE_DIM_LIMIT:
@@ -232,7 +255,9 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
         return 0.0
     if not np.isfinite(a.values).all():  # as the dense SVD fails on them
         raise np.linalg.LinAlgError("non-finite coefficients")
-    return _lanczos_norm(a, sigma, window.radius)[0]
+    moduli = np.abs(a.values)
+    estimate = _lanczos_norm(a, sigma, window.radius)[0]
+    return float(min(max(estimate, np.linalg.norm(moduli)), moduli.sum()))
 
 
 def norm_convergence(

@@ -11,12 +11,19 @@ import numpy as np
 import pytest
 
 import startwist.deform
+import startwist.norms
 from startwist.acceptance import CRITERIA
 from startwist.deform import FourierElement
 
 
 @pytest.mark.parametrize("name", list(CRITERIA))
-def test_criterion(name):
+def test_criterion(monkeypatch, name):
+    # every window in the battery holds at most 289 points, so the printed
+    # norm values are dense SVDs and never come from Lanczos
+    def no_iteration(*args):
+        raise AssertionError("Lanczos started")
+
+    monkeypatch.setattr(startwist.norms, "_lanczos_norm", no_iteration)
     result = CRITERIA[name]()
     print(result.line())
     assert result.passed, result.detail
@@ -36,6 +43,22 @@ def test_mutation_control_iterated(monkeypatch):
     result = CRITERIA["iterated-deformation"]()
     assert result.value > 1e-12
     assert not result.passed
+
+
+def test_mutation_control_norm_closed_form(monkeypatch):
+    # a rank-1 estimate off by 1e-10 keeps the sup gap, monotonicity and the
+    # rank-2 delta estimates, so only the closed-form rows can catch it
+    estimate = startwist.norms.op_norm_estimate
+
+    def skewed(a, sigma, window):
+        est = estimate(a, sigma, window)
+        return est * (1.0 + 1e-10) if a.context.rank == 1 else est
+
+    monkeypatch.setattr(startwist.norms, "op_norm_estimate", skewed)
+    result = CRITERIA["norm-oracle"]()
+    assert not result.passed
+    assert result.value <= result.tolerance
+    assert result.detail.endswith("delta estimates exactly 1: True")
 
 
 NAN_EXPOSED = [

@@ -107,7 +107,7 @@ NORM_CONFIG = {
 NORM_TEXT = """window,estimate
 2,1.9892687906815092
 3,2.0738118235160194
-5,2.1359313226268184
+5,2.1359313226268206
 """
 AUTOMORPHY_CONFIG = {
     "group_table": [[0, 1], [1, 0]],
@@ -357,7 +357,8 @@ class TestNormCommand:
         assert abs(last - 2.0) <= 1e-3
 
     def test_shift_pair_beyond_dense_limit_exits_0(self, tmp_path):
-        # a degenerate top value at W = 17; the dense rows keep their bytes
+        # W = 8 takes the dense SVD, W = 16 and 17 Lanczos on a degenerate top
+        # value; the compression has top singular value 2 cos(pi/(4W+2))
         cfg = {
             "element": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, 1], "1.0", "0.0")),
             "form": [[0.0, 0.0], [0.0, 0.0]],
@@ -366,9 +367,12 @@ class TestNormCommand:
         code, text = run(["norm"], cfg, tmp_path)
         assert code == EXIT_OK
         lines = text.strip().split("\n")
-        assert lines[:3] == ["window,estimate", "8,1.99146835259007", "16,1.997734678366018"]
-        window, estimate = lines[3].split(",")
-        assert window == "17" and 1.997734678366018 <= float(estimate) <= 2.0
+        assert lines[:3] == ["window,estimate", "8,1.9914683525900694", "16,1.997734678366016"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(w) for w, _ in rows] == [8, 16, 17]
+        for w, estimate in rows:
+            exact = 2.0 * np.cos(np.pi / (4 * int(w) + 2))
+            assert abs(float(estimate) - exact) <= 1e-15 * exact
 
     def test_window_too_small_is_validation_error(self, tmp_path):
         ctx1 = GroupContext.lattice(1)

@@ -33,6 +33,15 @@ ROADMAP_ELEMENT = FourierElement(
 )
 
 
+SKEW = {
+    1: SkewForm([[0.0]]),
+    2: J,
+    3: SkewForm([[0.0, 1.0, 0.5], [-1.0, 0.0, -2.0], [-0.5, 2.0, 0.0]]),
+}
+# per rank, the largest window of at most 289 points (dense SVD) and the next
+LAST_DENSE = {1: 144, 2: 8, 3: 2}
+
+
 def cos_element():
     return FourierElement(LATTICE1, {LATTICE1.point(1): 1.0, LATTICE1.point(-1): 1.0})
 
@@ -198,7 +207,7 @@ class TestLanczosKernel:
     def test_non_finite_coefficients_fail_like_dense_svd(self):
         coords, values = np.array([[1, 0], [0, 1]]), np.array([1.0, np.nan])
         a = FourierElement.from_arrays(LATTICE2, coords, values)
-        for w in (16, 17):
+        for w in (8, 16, 17):
             with pytest.raises(np.linalg.LinAlgError):
                 op_norm_estimate(a, TRIVIAL2, w)
 
@@ -208,6 +217,59 @@ class TestLanczosKernel:
         est, steps, _ = _lanczos_norm(ROADMAP_ELEMENT, sigma, 8)
         assert steps == 5
         assert 0.0 < est <= dense_norm(ROADMAP_ELEMENT, sigma, 8)
+
+
+class TestDenseLimit:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("side", ["dense", "lanczos"])
+    def test_matches_dense_svd_on_both_sides(self, monkeypatch, rank, side):
+        import startwist.norms as norms_mod
+
+        calls = []
+        kernel = norms_mod._lanczos_norm
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(norms_mod, "_lanczos_norm", counted)
+        ctx = GroupContext.lattice(rank)
+        w = LAST_DENSE[rank] + (side == "lanczos")
+        rng = np.random.default_rng(7 + rank)
+        for hbar in (0.0, 0.43, 1.0):
+            sigma = Bicharacter.from_skew(ctx, SKEW[rank], hbar)
+            a = random_element(ctx, rng)
+            dense = dense_norm(a, sigma, w)
+            est = op_norm_estimate(a, sigma, w)
+            assert abs(est - dense) <= 1e-12 * dense
+            assert est <= dense * (1.0 + 1e-12)
+        assert len(calls) == (3 if side == "lanczos" else 0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("hbar", [0.0, 0.3, 1.0])
+    def test_one_term_is_exact_beyond_dense_limit(self, rank, hbar):
+        # the estimate is clamped into [||a||_2, ||a||_1], both |c| for one term;
+        # unclamped, Lanczos lands an ulp or two off
+        ctx = GroupContext.lattice(rank)
+        sigma = Bicharacter.from_skew(ctx, SKEW[rank], hbar)
+        w = LAST_DENSE[rank] + 1
+        for coords in ((0,) * rank, (1,) + (0,) * (rank - 1), (-3,) + (1,) * (rank - 1)):
+            for c in (1.0, -1j, 3 + 4j, 0.75 - 1j, -1.5 + 2j):
+                a = FourierElement.delta(ctx.point(*coords), c)
+                assert op_norm_estimate(a, sigma, w) == abs(c)
+
+    @pytest.mark.parametrize(
+        "rank, windows", [(1, [100, 144, 145, 160]), (2, [6, 8, 9, 12]), (3, [2, 3, 4])]
+    )
+    def test_tables_across_dense_limit_nondecreasing(self, rank, windows):
+        # a saturated norm may repeat with a last-digit wobble, nothing more
+        ctx = GroupContext.lattice(rank)
+        rng = np.random.default_rng(100 + rank)
+        for hbar in (0.0, 0.43, 1.0):
+            a = random_element(ctx, rng)
+            rows = norm_convergence(a, Bicharacter.from_skew(ctx, SKEW[rank], hbar), windows)
+            estimates = [est for _, est in rows]
+            assert all(hi >= lo * (1.0 - 1e-14) for lo, hi in zip(estimates, estimates[1:]))
 
 
 class TestNormConvergence:
