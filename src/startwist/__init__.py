@@ -14,7 +14,6 @@ from .abelian import (
     inverse_fourier,
     pairing,
 )
-from .checks import CheckReport
 from .cocycles import (
     Bicharacter,
     LinearMap,

@@ -17,6 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .modarith import matmul_mod
+
 __all__ = [
     "GroupContext",
     "GroupPoint",
@@ -232,7 +234,13 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
     if ctx.is_finite:
         if not isinstance(xi, GroupPoint) or xi.context != ctx:
             raise ValueError("second argument does not belong to the context")
-        angle = (coords * xi.vector() / np.array(ctx.moduli)).sum(axis=1)
+        # sum_j u_j xi_j / N_j is (sum_j u_j xi_j L / N_j mod L) / L for L the
+        # lcm of the moduli; reducing exactly keeps the angle in [0, 1)
+        period = math.lcm(*ctx.moduli)
+        weights = np.array(
+            [x * (period // m) for x, m in zip(xi.coords, ctx.moduli)], dtype=object
+        )
+        angle = matmul_mod(coords, weights, period).astype(np.float64) / period
     else:
         t = np.asarray(xi, dtype=np.float64)
         if t.shape != (ctx.rank,):

@@ -12,8 +12,9 @@ Every config field is read by ``_integer`` (a JSON integer, never a boolean),
 ``_number`` (a finite number, never a boolean) or ``_list`` (a nonempty list
 read item by item); a rejected field exits 1 with ``error: <path>: ...``, for
 instance ``error: input.windows[0]: ...``.  Windows whose box holds more than
-2**20 points, and crossed-product contexts whose tables would, are rejected
-the same way, as is an unreadable ``--input`` or unwritable ``--output`` file.
+2**20 points, crossed-product contexts whose tables would, and Heisenberg grids
+above 2**16 samples are rejected the same way, as is an unreadable ``--input``
+or unwritable ``--output`` file.
 Each subcommand maps its config to its output text; ``main`` loads, writes and
 maps exceptions to exit codes: 0 success, 1 validation or command-line usage
 error, 2 assertion or tolerance failure, 3 internal numeric failure (for
@@ -42,6 +43,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 EXIT_NUMERIC = 3
+
+# A Heisenberg sample costs about 2 KB and 0.1 ms: 2**16 take about 160 MB and 7 s.
+_GRID_SIZE_LIMIT = 2**16
 
 
 class InputError(ValueError):
@@ -304,6 +308,10 @@ def cmd_kasprzak_verify(cfg: Any, args) -> str:
 
 def cmd_heisenberg(cfg: Any, args) -> str:
     grid_size = _integer(_require(cfg, "grid_size"), "input.grid_size", minimum=1)
+    if grid_size > _GRID_SIZE_LIMIT:
+        raise InputError(
+            "input.grid_size", f"{grid_size} samples, above the limit of {_GRID_SIZE_LIMIT}"
+        )
     hbar = _number(_require(cfg, "hbar"), "input.hbar")
     grid = paramdeform.BaseGrid.circle(grid_size)
     phases = paramdeform.heisenberg_phases(hbar, grid)

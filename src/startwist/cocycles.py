@@ -21,8 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import GroupContext, GroupPoint
-from .checks import CheckReport
-from .modarith import det_int, mat_inv_mod
+from .modarith import det_int, mat_inv_mod, matmul_mod
 
 __all__ = [
     "SkewForm",
@@ -47,15 +46,6 @@ def _quadratic(xs, matrix: np.ndarray, ys) -> np.ndarray:
     every batch size.
     """
     return np.einsum("ki,ij,kj->k", xs, matrix, ys)
-
-
-def _matmul_mod(a, b, n: int) -> np.ndarray:
-    """a @ b mod n, exact for every modulus: with both factors reduced into
-    [0, n), no sum of k products exceeds k (n - 1)^2, kept in int64 below
-    2**63 and in Python integers beyond."""
-    a, b = np.asarray(a), np.asarray(b)
-    dtype = np.int64 if a.shape[-1] * (n - 1) ** 2 < 2**63 else object
-    return (a.astype(dtype) % n) @ (b.astype(dtype) % n) % n
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +154,8 @@ class Bicharacter:
         """
         if self.hbar is None:
             n = self.context.uniform_modulus
-            xb = _matmul_mod(xis, self.matrix, n)
-            quad = _matmul_mod(xb[:, None, :], np.asarray(etas)[:, :, None], n)
+            xb = matmul_mod(xis, self.matrix, n)
+            quad = matmul_mod(xb[:, None, :], np.asarray(etas)[:, :, None], n)
             return np.exp(2j * np.pi * quad[:, 0, 0].astype(np.float64) / n)
         return np.exp(-1j * np.pi * self.hbar * _quadratic(xis, self.matrix, etas))
 
@@ -225,7 +215,7 @@ class LinearMap:
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
         if self.modulus is None:
             return self.matrix @ np.asarray(v)
-        return _matmul_mod(self.matrix, v, self.modulus)
+        return matmul_mod(self.matrix, v, self.modulus)
 
     def is_invertible(self) -> bool:
         if self.modulus is None:
@@ -248,13 +238,11 @@ class LinearMap:
 def cocycle_check(
     sigma: Bicharacter | Callable[[GroupPoint, GroupPoint], complex],
     triples: Iterable[tuple[GroupPoint, GroupPoint, GroupPoint]],
-    tol: float = 1e-9,
-) -> CheckReport:
-    """Verify sigma(x,y) sigma(x+y,z) = sigma(x,y+z) sigma(y,z) on sample triples.
+) -> float:
+    """Worst |sigma(x,y) sigma(x+y,z) - sigma(x,y+z) sigma(y,z)| on sample triples.
 
-    Report-only: returns the verdict at ``tol`` together with the worst
-    absolute deviation.  Accepts any callable phase table, not only exponent
-    forms, so constructed counterexamples can be measured.
+    NaN if any term is NaN.  Accepts any callable phase table, not only
+    exponent forms, so constructed counterexamples can be measured.
     """
     triples = list(triples)
     if not triples:
@@ -272,7 +260,7 @@ def cocycle_check(
             lhs = sigma(x, y) * sigma(x + y, z)
             rhs = sigma(x, y + z) * sigma(y, z)
             dev = float(np.maximum(dev, abs(lhs - rhs)))
-    return CheckReport(dev <= tol, dev)
+    return dev
 
 
 def antisymmetrize(sigma: Bicharacter) -> Bicharacter:
@@ -335,7 +323,7 @@ def T_map(sigma: Bicharacter, e: Bicharacter) -> tuple[LinearMap, LinearMap]:
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
     n = sigma.context.uniform_modulus
-    t = _matmul_mod(sigma.matrix.T, e.matrix.T, n)
+    t = matmul_mod(sigma.matrix.T, e.matrix.T, n)
     e_inv_t = mat_inv_mod(e.matrix.T % n, n)
-    t_adj = _matmul_mod(_matmul_mod(e_inv_t, t.T, n), e.matrix.T, n)
+    t_adj = matmul_mod(matmul_mod(e_inv_t, t.T, n), e.matrix.T, n)
     return LinearMap(t, n), LinearMap(t_adj, n)

@@ -3,7 +3,8 @@
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M, and with them inverses mod M, go through one elimination
 over Z/q in int64 numpy for each prime-power factor q of M, with every entry
-reduced into [0, q); M must be below 2**31.
+reduced into [0, q); M must be below 2**31.  ``matmul_mod`` is exact at every
+modulus.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["check_modulus", "det_int", "mat_inv_mod", "solve_mod_system"]
+__all__ = ["check_modulus", "det_int", "mat_inv_mod", "matmul_mod", "solve_mod_system"]
 
 
 def det_int(matrix) -> int:
@@ -37,6 +38,15 @@ def det_int(matrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def matmul_mod(a, b, n: int) -> np.ndarray:
+    """a @ b mod n, exact for every modulus: with both factors reduced into
+    [0, n), no sum of k products exceeds k (n - 1)^2, kept in int64 below
+    2**63 and in Python integers beyond."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.int64 if a.shape[-1] * (n - 1) ** 2 < 2**63 else object
+    return (a.astype(dtype) % n) @ (b.astype(dtype) % n) % n
 
 
 def mat_inv_mod(matrix, modulus: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,24 @@ class TestPairing:
         assert abs(
             pairing(ctx, u + v, xi) - pairing(ctx, u, xi) * pairing(ctx, v, xi)
         ) <= 1e-12
+
+    @pytest.mark.parametrize("n", [10**8 + 7, 3 * 10**9 + 19, 10**12])
+    def test_exact_at_large_modulus(self, n):
+        # (N - 1)^2 loses bits in a float from 10**8 on and wraps int64 past 3.04e9
+        ctx = GroupContext.finite(n)
+        top = ctx.point(n - 1)
+        expected = np.exp(2j * np.pi * (((n - 1) ** 2) % n) / n)
+        assert abs(pairing(ctx, top, top) - expected) <= 1e-15
+
+    def test_exact_at_mixed_large_moduli(self):
+        moduli = (10**12, 10**12 - 1, 3)
+        ctx = GroupContext.finite(moduli)
+        u = ctx.point(tuple(m - 1 for m in moduli))
+        angle = Fraction(0)
+        for c, m in zip(u.coords, moduli):
+            angle += Fraction(c * c % m, m)
+        expected = np.exp(2j * np.pi * float(angle % 1))
+        assert abs(pairing(ctx, u, u) - expected) <= 1e-15
 
     def test_dimension_mismatch(self):
         ctx = GroupContext.lattice(2)

@@ -126,15 +126,13 @@ class TestGammaAction:
 class TestTauCocycleCheck:
     def test_trivial_passes(self):
         for action in BATTERY:
-            ok, dev = tau_cocycle_check(action, TauCocycle.trivial(action))
-            assert ok and dev == 0.0
+            assert tau_cocycle_check(action, TauCocycle.trivial(action)) == 0.0
 
     def test_coboundaries_pass_exhaustively(self):
         rng = np.random.default_rng(0)
         for action in BATTERY:
             tau = coboundary(action, random_factor(action, rng))
-            ok, dev = tau_cocycle_check(action, tau)
-            assert ok and dev <= 1e-12
+            assert tau_cocycle_check(action, tau) <= 1e-12
 
     def test_single_perturbed_entry_fails(self):
         rng = np.random.default_rng(1)
@@ -142,8 +140,8 @@ class TestTauCocycleCheck:
         tau = coboundary(action, random_factor(action, rng))
         values = tau.values.copy()
         values[1, 2, 0] *= np.exp(0.7j)
-        ok, dev = tau_cocycle_check(action, TauCocycle(values))
-        assert not ok and dev > 0.1
+        dev = tau_cocycle_check(action, TauCocycle(values))
+        assert not dev <= 1e-9 and dev > 0.1
 
     def test_non_unit_values_rejected(self):
         action = GammaAction.cyclic(2)
@@ -165,25 +163,24 @@ class TestTauCocycleCheck:
 class TestAutomorphyCheck:
     def test_trivial_pair_passes(self):
         for action in BATTERY[:3]:
-            ok, dev = automorphy_check(
+            dev = automorphy_check(
                 action, TauCocycle.trivial(action), AutomorphyFactor.trivial(action)
             )
-            assert ok and dev == 0.0
+            assert dev == 0.0
 
     def test_factor_with_own_coboundary_passes(self):
         rng = np.random.default_rng(2)
         for action in BATTERY:
             jhat = random_factor(action, rng)
-            ok, dev = automorphy_check(action, coboundary(action, jhat), jhat)
-            assert ok and dev <= 1e-12
+            assert automorphy_check(action, coboundary(action, jhat), jhat) <= 1e-12
 
     def test_mismatched_pair_fails(self):
         rng = np.random.default_rng(3)
         action = GammaAction.cyclic(4, 2)
         tau = coboundary(action, random_factor(action, rng))
         other = random_factor(action, rng)
-        ok, dev = automorphy_check(action, tau, other)
-        assert not ok and dev > 0.0
+        dev = automorphy_check(action, tau, other)
+        assert not dev <= 1e-9 and dev > 0.0
 
 
 class TestSolver:
@@ -191,8 +188,7 @@ class TestSolver:
         action = GammaAction.cyclic(3)
         solved = solve_automorphy(action, TauCocycle.trivial(action), 3)
         assert solved is not None
-        ok, _ = automorphy_check(action, TauCocycle.trivial(action), solved)
-        assert ok
+        assert automorphy_check(action, TauCocycle.trivial(action), solved) <= 1e-9
 
     def test_obstructed_class_needs_bigger_root_order(self):
         action = GammaAction.cyclic(2)
@@ -203,8 +199,7 @@ class TestSolver:
         solved = solve_automorphy(action, tau, 4)
         assert solved is not None
         assert solved.values[1, 0] in (pytest.approx(1j), pytest.approx(-1j))
-        ok, dev = automorphy_check(action, tau, solved, tol=1e-12)
-        assert ok and dev <= 1e-12
+        assert automorphy_check(action, tau, solved) <= 1e-12
 
     def test_solves_all_coboundaries_in_battery(self):
         rng = np.random.default_rng(4)
@@ -215,14 +210,23 @@ class TestSolver:
             tau = coboundary(action, jhat)
             solved = solve_automorphy(action, tau, modulus)
             assert solved is not None
-            ok, dev = automorphy_check(action, tau, solved, tol=1e-9)
-            assert ok, dev
+            dev = automorphy_check(action, tau, solved)
+            assert dev <= 1e-9, dev
 
     def test_non_cocycle_rejected(self):
         action = GammaAction.cyclic(3, 2)
         rng = np.random.default_rng(5)
         values = np.exp(2j * np.pi * rng.random((3, 3, 2)))
         with pytest.raises(ValueError):
+            solve_automorphy(action, TauCocycle(values), 4)
+
+    def test_non_cocycle_of_roots_rejected_by_cocycle_check(self):
+        # fourth roots of unity, so only the cocycle precondition can reject it
+        action = GammaAction.cyclic(2)
+        values = np.ones((2, 2, 1), dtype=np.complex128)
+        values[0, 1, 0] = 1j
+        assert tau_cocycle_check(action, TauCocycle(values)) > 0.1
+        with pytest.raises(ValueError, match="tau is not a cocycle"):
             solve_automorphy(action, TauCocycle(values), 4)
 
     def test_wrong_root_order_rejected(self):
@@ -252,8 +256,7 @@ class TestSolver:
             brute = _brute_force(action, tau, modulus)
             assert (solved is not None) == (brute is not None)
             if solved is not None:
-                ok, _ = automorphy_check(action, tau, solved)
-                assert ok
+                assert automorphy_check(action, tau, solved) <= 1e-9
 
 
 def _brute_force(action, tau, modulus):
@@ -261,8 +264,7 @@ def _brute_force(action, tau, modulus):
     for assignment in itertools.product(range(modulus), repeat=n):
         table = np.array(assignment).reshape(action.order, action.n_points)
         jhat = AutomorphyFactor(np.exp(2j * np.pi * table / modulus))
-        ok, _ = automorphy_check(action, tau, jhat)
-        if ok:
+        if automorphy_check(action, tau, jhat) <= 1e-9:
             return jhat
     return None
 
@@ -271,8 +273,7 @@ class TestUTransform:
     def test_trivial_everything(self):
         action = GammaAction.cyclic(4, 3)
         u = u_transform(action, AutomorphyFactor.trivial(action))
-        ok, dev = u_cocycle_check(action, TauCocycle.trivial(action), u)
-        assert ok and dev == 0.0
+        assert u_cocycle_check(action, TauCocycle.trivial(action), u) == 0.0
 
     def test_identity_for_every_valid_pair(self):
         rng = np.random.default_rng(7)
@@ -280,8 +281,7 @@ class TestUTransform:
             jhat = random_factor(action, rng)
             tau = coboundary(action, jhat)
             u = u_transform(action, jhat)
-            ok, dev = u_cocycle_check(action, tau, u, tol=1e-12)
-            assert ok and dev <= 1e-12
+            assert u_cocycle_check(action, tau, u) <= 1e-12
 
     def test_solver_output_composes(self):
         action = GammaAction.cyclic(2)
@@ -289,8 +289,7 @@ class TestUTransform:
         values[1, 1, 0] = -1.0
         tau = TauCocycle(values)
         solved = solve_automorphy(action, tau, 4)
-        ok, dev = u_cocycle_check(action, tau, u_transform(action, solved), tol=1e-12)
-        assert ok and dev <= 1e-12
+        assert u_cocycle_check(action, tau, u_transform(action, solved)) <= 1e-12
 
     def test_perturbed_u_fails(self):
         rng = np.random.default_rng(8)
@@ -300,8 +299,8 @@ class TestUTransform:
         u = u_transform(action, jhat)
         u_bad = u.copy()
         u_bad[1, 0] *= np.exp(0.5j)
-        ok, dev = u_cocycle_check(action, tau, u_bad)
-        assert not ok and dev > 0.1
+        dev = u_cocycle_check(action, tau, u_bad)
+        assert not dev <= 1e-9 and dev > 0.1
 
 
 class TestModularSolver:
@@ -347,7 +346,7 @@ class TestModularSolver:
         tau = coboundary(action, AutomorphyFactor(np.exp(2j * np.pi * exponents / 6)))
         solved = solve_automorphy(action, tau, 6)
         assert solved is not None
-        assert automorphy_check(action, tau, solved).ok
+        assert automorphy_check(action, tau, solved) <= 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -420,16 +419,12 @@ class TestChecksAgainstReference:
         jhat = random_factor(action, rng)
         u = random_factor(action, rng).values
         t, j = tau.values, jhat.values
-        assert tau_cocycle_check(action, tau).max_deviation == reference_tau_deviation(
-            action, t
+        assert tau_cocycle_check(action, tau) == reference_tau_deviation(action, t)
+        assert automorphy_check(action, tau, jhat) == reference_automorphy_deviation(
+            action, t, j
         )
-        assert automorphy_check(
-            action, tau, jhat
-        ).max_deviation == reference_automorphy_deviation(action, t, j)
         assert np.array_equal(coboundary(action, jhat).values, reference_coboundary(action, j))
         assert np.array_equal(u_transform(action, jhat), reference_u_transform(action, j))
-        assert u_cocycle_check(action, tau, u).max_deviation == reference_u_deviation(
-            action, t, u
-        )
+        assert u_cocycle_check(action, tau, u) == reference_u_deviation(action, t, u)
         # the deviations are far from zero, so the comparison is not vacuous
         assert reference_tau_deviation(action, t) > 0.1

@@ -563,6 +563,7 @@ COEFF0 = ("element", "coefficients", 0)
 BAD_FIELDS = [
     ("heisenberg", HEISENBERG_CONFIG, ("grid_size",), True, "input.grid_size"),
     ("heisenberg", HEISENBERG_CONFIG, ("grid_size",), 2.0, "input.grid_size"),
+    ("heisenberg", HEISENBERG_CONFIG, ("grid_size",), 2**16 + 1, "input.grid_size"),
     ("heisenberg", HEISENBERG_CONFIG, ("hbar",), NAN, "input.hbar"),
     ("heisenberg", HEISENBERG_CONFIG, ("hbar",), INF, "input.hbar"),
     ("heisenberg", HEISENBERG_CONFIG, ("hbar",), True, "input.hbar"),
@@ -640,6 +641,14 @@ class TestBadFields:
         code, _ = run(["norm"], _set(NORM_CONFIG, ("windows",), [100_000]), tmp_path)
         assert code == EXIT_VALIDATION
         assert time.perf_counter() - start < 1.0
+
+    def test_huge_grid_rejected_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, _ = run(["heisenberg"], _set(HEISENBERG_CONFIG, ("grid_size",), 10**8), tmp_path)
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "error: input.grid_size: 100000000 samples, above the limit of 65536\n"
 
     def test_oversized_crossed_model_rejected_fast(self, tmp_path):
         start = time.perf_counter()

@@ -192,21 +192,19 @@ class TestDeformedDualAction:
 class TestFixedPoints:
     def test_zero_is_fixed(self):
         data = data_for(Z5, 1)
-        ok, dev = fixed_point_test(CrossedElement.zero(Z5), data)
-        assert ok and dev == 0.0
+        assert fixed_point_test(CrossedElement.zero(Z5), data) == 0.0
 
     def test_projection_lands_in_subspace(self):
         rng = np.random.default_rng(9)
         data = data_for(Z5, 1)
         proj = spectral_project(random_crossed(Z5, rng), data)
-        ok, dev = fixed_point_test(proj, data)
-        assert ok and dev <= 1e-12
+        assert fixed_point_test(proj, data) <= 1e-12
 
     def test_generic_element_not_fixed(self):
         rng = np.random.default_rng(10)
         data = data_for(Z5, 1)
-        ok, dev = fixed_point_test(random_crossed(Z5, rng), data)
-        assert not ok and dev > 0.1
+        dev = fixed_point_test(random_crossed(Z5, rng), data)
+        assert not dev <= 1e-10 and dev > 0.1
 
     def test_fixed_point_equals_action_invariance(self):
         # the spectral condition holds iff the deformed action fixes the element
@@ -216,7 +214,7 @@ class TestFixedPoints:
             spectral_project(random_crossed(Z5, rng), data),
             random_crossed(Z5, rng),
         ):
-            spectral_ok, _ = fixed_point_test(candidate, data)
+            spectral_ok = fixed_point_test(candidate, data) <= 1e-10
             invariant = all(
                 deformed_dual_action(data, xi, candidate).linf_distance(candidate)
                 <= 1e-10
@@ -246,8 +244,7 @@ class TestFixedPoints:
         data = data_for(Z5, 1)
         a = spectral_project(random_crossed(Z5, rng), data)
         b = spectral_project(random_crossed(Z5, rng), data)
-        ok, dev = fixed_point_test(crossed_conv(a, b), data)
-        assert ok and dev <= 1e-12
+        assert fixed_point_test(crossed_conv(a, b), data) <= 1e-12
 
     def test_dimension_count(self):
         for ctx, b_val in ((Z5, 1), (Z5, 2), (Z7, 3)):
@@ -302,6 +299,16 @@ class TestIHomomorphism:
                 random_crossed(Z5, rng), random_crossed(Z5, rng), data
             )
 
+    def test_unprojected_input_named(self):
+        rng = np.random.default_rng(18)
+        data = data_for(Z5, 1)
+        fixed = spectral_project(random_crossed(Z5, rng), data)
+        loose = random_crossed(Z5, rng)
+        with pytest.raises(ValueError, match="a is not a fixed point"):
+            verify_I_homomorphism(loose, fixed, data)
+        with pytest.raises(ValueError, match="b is not a fixed point"):
+            verify_I_homomorphism(fixed, loose, data)
+
     def test_singular_t_rejected(self):
         rng = np.random.default_rng(19)
         sigma = Bicharacter.trivial(Z5)
@@ -352,8 +359,7 @@ class TestLift:
                 + 1j * rng.standard_normal(tuple(ctx.moduli)),
             )
             lifted = lift_to_fixed_point(x, data)
-            ok, dev = fixed_point_test(lifted, data)
-            assert ok and dev <= 1e-12
+            assert fixed_point_test(lifted, data) <= 1e-12
             assert I_map(lifted).linf_distance(x) <= 1e-12
 
     def test_lift_of_average_recovers_fixed_points(self):
@@ -499,7 +505,7 @@ class TestKernelsAgainstReference:
     def test_projection_is_fixed_and_idempotent(self, data):
         rng = np.random.default_rng(31)
         once = spectral_project(random_crossed(data.context, rng), data)
-        assert fixed_point_test(once, data).ok
+        assert fixed_point_test(once, data) <= 1e-10
         assert spectral_project(once, data).linf_distance(once) <= 1e-13
 
     def test_convolutions_bitwise(self, data):

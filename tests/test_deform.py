@@ -480,6 +480,13 @@ class TestTranslate:
         a, b = random_element(ctx, rng), random_element(ctx, rng)
         assert automorphism_check(a, b, sigma, ctx.point(3)) <= 1e-12
 
+    def test_finite_mode_exact_at_large_modulus(self):
+        n = 10**12
+        ctx = GroupContext.finite(n)
+        p = ctx.point(n - 1)
+        out = translate(FourierElement.delta(p), p)
+        assert abs(out.coeff(p) - np.exp(2j * np.pi / n)) <= 1e-15
+
 
 class TestRieffelProduct:
     def _setup(self, modulus, b_val, e_val=1):
