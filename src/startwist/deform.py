@@ -18,13 +18,22 @@ linearly in hbar; for a single pair of deltas it equals
 Products are exact finite sums; nothing inside the algebra is truncated.
 Only coefficients that are exactly zero are dropped, so scaling an element by
 any nonzero scalar keeps its support.
+
+Every product runs through one kernel, ``_convolve``, which takes a batch of
+operand pairs; ``star`` and the other public products are batches of one.  A
+member's coefficients are bit for bit those of the member run alone, so
+batching changes speed only.  The kernel sorts at most ``_TERM_BUDGET`` pair
+terms at once, which bounds its memory whatever the batch.  Callers that
+check an identity keep its two sides in separate batches: batching never
+merges two routes into one accumulation.
 """
 
 from __future__ import annotations
 
 import numbers
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +59,10 @@ SEMICLASSICAL_SCALE = 1.0 / (4.0 * np.pi)
 # overflows int64 and an out-of-range product is reported, not wrapped.
 _COORD_LIMIT = 2**31
 _RANGE_MESSAGE = "lattice coordinates must stay below 2**31 in magnitude"
+# Pair terms the kernel sorts at once.  A term of a rank-2 product holds about
+# 240 bytes of index, coordinate, phase and sort arrays at the peak, so a
+# chunk stays near half a megabyte whatever the batch.
+_TERM_BUDGET = 2048
 
 
 class FourierElement:
@@ -76,7 +89,7 @@ class FourierElement:
             raise ValueError(_RANGE_MESSAGE) from None
         coords = coords.reshape(len(points), context.rank)
         values = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
-        self._assign(context, *_collect(context, coords, values))
+        self._assign(context, *_collect(context, coords, values)[0])
 
     def _assign(
         self, context: GroupContext, coords: np.ndarray, values: np.ndarray
@@ -114,7 +127,7 @@ class FourierElement:
                 f"need coords of shape ({len(values)}, {context.rank}) for "
                 f"{len(values)} values, got {coords.shape}"
             )
-        return cls._wrap(context, *_collect(context, coords, values))
+        return cls._wrap(context, *_collect(context, coords, values)[0])
 
     @classmethod
     def zero(cls, context: GroupContext) -> "FourierElement":
@@ -158,7 +171,7 @@ class FourierElement:
         )
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
-        return self + (-1.0) * other
+        return _differences([(self, other)])[0]
 
     def __mul__(self, scalar: complex) -> "FourierElement":
         if not isinstance(scalar, numbers.Number):
@@ -203,13 +216,22 @@ class FourierElement:
         return f"FourierElement({{{items}}})"
 
 
+_Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
+_Pairs = Sequence[tuple[FourierElement, FourierElement]]
+
+
 def _collect(
-    ctx: GroupContext, coords: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    ctx: GroupContext, coords: np.ndarray, values: np.ndarray, counts=None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sum the values at each distinct point and sort the points lexicographically.
 
+    With ``counts``, the rows are a batch: the first counts[0] rows belong to
+    member 0, the next counts[1] to member 1, and so on.  The member sorts
+    ahead of the coordinates, so members never merge, and the result is one
+    (coords, values) pair per member; without it the batch has one member.
     ``bincount`` adds its weights in index order, so every output coefficient
-    is accumulated in the order its terms appear in ``values``.
+    is accumulated in the order its terms appear in ``values``, whatever the
+    batch around it.
     """
     if ctx.is_finite:
         coords = coords % np.array(ctx.moduli)
@@ -217,40 +239,126 @@ def _collect(
         -_COORD_LIMIT < coords.min() and coords.max() < _COORD_LIMIT
     ):
         raise ValueError(_RANGE_MESSAGE)
-    if len(values) < 2:
-        return coords, values
-    order = np.lexsort(coords.T[::-1])
-    coords = coords[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.any(coords[1:] != coords[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    n = int(inverse.max()) + 1
-    summed = np.empty(n, dtype=np.complex128)
-    summed.real = np.bincount(inverse, values.real, n)
-    summed.imag = np.bincount(inverse, values.imag, n)
-    return coords[starts], summed
+    batch = counts is not None and len(counts) > 1
+    if batch:
+        # nondecreasing already, so the sort leaves this column in place
+        members = np.repeat(np.arange(len(counts)), counts)
+    if len(values) > 1:
+        keys = coords.T[::-1]
+        order = np.lexsort((*keys, members) if batch else keys)
+        coords = coords[order]
+        starts = np.empty(len(order), dtype=bool)
+        starts[0] = True
+        np.any(coords[1:] != coords[:-1], axis=1, out=starts[1:])
+        if batch:
+            starts[1:] |= members[1:] != members[:-1]
+            members = members[starts]
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        n = int(inverse.max()) + 1
+        summed = np.empty(n, dtype=np.complex128)
+        summed.real = np.bincount(inverse, values.real, n)
+        summed.imag = np.bincount(inverse, values.imag, n)
+        coords, values = coords[starts], summed
+    if not batch:
+        return [(coords, values)]
+    bounds = np.searchsorted(members, np.arange(len(counts) + 1)).tolist()
+    return [(coords[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _convolve(
-    a: FourierElement,
-    b: FourierElement,
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> FourierElement:
-    """sum_{p1+p2=p} a(p1) b(p2) weight(p1, p2), over every pair of support points."""
-    a._check_same(b)
-    i, j = np.divmod(np.arange(len(a.values) * len(b.values)), len(b.values))
-    x, y = a.coords[i], b.coords[j]
-    terms = a.values[i] * b.values[j] * weight(x, y)
-    return FourierElement.from_arrays(a.context, x + y, terms)
+def _batch_context(pairs: _Pairs) -> GroupContext | None:
+    """The one context of every element in the pairs (None when there are none)."""
+    ctx = pairs[0][0].context if pairs else None
+    for a, b in pairs:
+        if not (a.context is ctx is b.context or a.context == ctx == b.context):
+            raise ValueError("elements from different contexts")
+    return ctx
+
+
+def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[FourierElement]:
+    """sum_{p1+p2=p} a(p1) b(p2) weight(p1, p2) for every pair (a, b), as one batch.
+
+    ``weight`` maps coordinate arrays (p1, p2) to one weight per row; it is
+    one callable for the whole batch or a sequence of one per pair.  Members
+    run in chunks of at most ``_TERM_BUDGET`` pair terms (a larger member runs
+    alone), and every member's coefficients come out bit for bit as if it had
+    run alone: its terms keep their i-major pair order and its phases are
+    evaluated row by row.
+    """
+    ctx = _batch_context(pairs)
+    shared = callable(weight)
+    if not shared and len(weight) != len(pairs):
+        raise ValueError(f"need one weight per pair, got {len(weight)} for {len(pairs)}")
+    sizes = [len(a.values) * len(b.values) for a, b in pairs]
+    out: list[FourierElement] = []
+    start = 0
+    while start < len(pairs):
+        stop, total = start + 1, sizes[start]
+        while stop < len(pairs) and total + sizes[stop] <= _TERM_BUDGET:
+            total += sizes[stop]
+            stop += 1
+        chunk, counts = pairs[start:stop], sizes[start:stop]
+        bounds = [0, *accumulate(counts)]
+        if len(chunk) == 1:
+            ((a, b),) = chunk
+            i, j = np.divmod(np.arange(total), len(b.values))
+            a_coords, a_values, b_coords, b_values = a.coords, a.values, b.coords, b.values
+        else:
+            # term k of member m is pair divmod(k - first[m], n_b[m]) of m,
+            # shifted to m's rows in the concatenated operands
+            n_a = [len(a.values) for a, _ in chunk]
+            n_b = [len(b.values) for _, b in chunk]
+            member = np.repeat(np.arange(len(chunk)), counts)
+            first, a_off, b_off, n_b_m = np.array([
+                bounds[:-1],
+                [0, *accumulate(n_a)][:-1],
+                [0, *accumulate(n_b)][:-1],
+                n_b,
+            ])[:, member]
+            i, j = np.divmod(np.arange(total) - first, n_b_m)
+            i += a_off
+            j += b_off
+            a_coords = np.concatenate([a.coords for a, _ in chunk])
+            a_values = np.concatenate([a.values for a, _ in chunk])
+            b_coords = np.concatenate([b.coords for _, b in chunk])
+            b_values = np.concatenate([b.values for _, b in chunk])
+        x, y = a_coords[i], b_coords[j]
+        if shared:
+            w = weight(x, y)
+        else:
+            w = np.concatenate([
+                fn(x[lo:hi], y[lo:hi])
+                for fn, lo, hi in zip(weight[start:stop], bounds, bounds[1:])
+            ])
+        terms = a_values[i] * b_values[j] * w
+        out += [
+            FourierElement._wrap(ctx, c, v)
+            for c, v in _collect(ctx, x + y, terms, counts)
+        ]
+        start = stop
+    return out
+
+
+def _differences(pairs: _Pairs) -> list[FourierElement]:
+    """x + (-1) y for every pair (x, y), collected as one batch."""
+    ctx = _batch_context(pairs)
+    if not pairs:
+        return []
+    coords = np.concatenate([c for x, y in pairs for c in (x.coords, y.coords)])
+    values = np.concatenate([
+        v for x, y in pairs for v in (x.values, y.values * complex(-1.0))
+    ])
+    counts = [len(x.values) + len(y.values) for x, y in pairs]
+    return [
+        FourierElement._wrap(ctx, c, v) for c, v in _collect(ctx, coords, values, counts)
+    ]
 
 
 def star(a: FourierElement, b: FourierElement, sigma: Bicharacter) -> FourierElement:
     """Twisted convolution (a * b)(p) = sum_{p1+p2=p} a(p1) b(p2) sigma(p1, p2)."""
     if sigma.context != a.context:
         raise ValueError("cocycle from a different context")
-    return _convolve(a, b, sigma.eval_many)
+    return _convolve([(a, b)], sigma.eval_many)[0]
 
 
 def involution(a: FourierElement, sigma: Bicharacter) -> FourierElement:
@@ -272,7 +380,7 @@ def poisson_bracket(
     if gamma.rank != a.context.rank:
         raise ValueError("skew form rank does not match context")
     factor = -4.0 * np.pi**2
-    return _convolve(a, b, lambda x, y: factor * gamma.eval_many(x, y))
+    return _convolve([(a, b)], lambda x, y: factor * gamma.eval_many(x, y))[0]
 
 
 def semiclassical_defect(
@@ -326,8 +434,8 @@ def iterated_star_check(
     against phase multiplication.
     """
     lhs = star(a, b, compose_cocycles(sigma1, sigma2))
-    rhs = _convolve(
-        a, b, lambda x, y: sigma2.eval_many(x, y) * sigma1.eval_many(x, y)
+    (rhs,) = _convolve(
+        [(a, b)], lambda x, y: sigma2.eval_many(x, y) * sigma1.eval_many(x, y)
     )
     return lhs.linf_distance(rhs)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .abelian import GroupContext
 from .cocycles import Bicharacter, SkewForm
-from .deform import FourierElement, star, translate
+from . import deform
+from .deform import FourierElement, translate
 
 __all__ = [
     "BaseGrid",
@@ -138,9 +139,8 @@ class ParamElement:
     def linf_distance(self, other: "ParamElement") -> float:
         if self.grid != other.grid:
             raise ValueError("elements on different grids")
-        return float(
-            np.max([f.linf_distance(g) for f, g in zip(self.fibers, other.fibers)])
-        )
+        differences = deform._differences(list(zip(self.fibers, other.fibers)))
+        return float(np.max([np.abs(d.values).max(initial=0.0) for d in differences]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +186,14 @@ def _check_grids(*grids: BaseGrid) -> None:
 
 
 def param_star(a: ParamElement, b: ParamElement, field: CocycleField) -> ParamElement:
-    """Fiberwise star product with the form sampled at each base point."""
+    """Fiberwise star product with the form sampled at each base point, one batch."""
     _check_grids(a.grid, b.grid, field.grid)
     ctx = a.context
     if b.context != ctx or field.rank != ctx.rank:
         raise ValueError("context mismatch")
-    fibers = tuple(
-        star(fa, fb, field.bicharacter_at(i, ctx))
-        for i, (fa, fb) in enumerate(zip(a.fibers, b.fibers))
+    fibers = deform._convolve(
+        list(zip(a.fibers, b.fibers)),
+        [field.bicharacter_at(i, ctx).eval_many for i in range(len(a.grid))],
     )
     return ParamElement(a.grid, fibers)
 

@@ -75,12 +75,15 @@ NAN_EXPOSED = [
 @pytest.mark.parametrize("name", NAN_EXPOSED)
 def test_mutation_control_nan_products(monkeypatch, name):
     # a product kernel that returns NaN coefficients must fail every criterion
-    # built on it, rather than drop the NaN while folding the worst deviation
+    # built on it, rather than drop the NaN while folding the worst deviation;
+    # the kernel takes a batch of pairs, so every member of it turns NaN
     convolve = startwist.deform._convolve
 
-    def nan_convolve(a, b, weight):
-        out = convolve(a, b, weight)
-        return FourierElement.from_arrays(out.context, out.coords, out.values * np.nan)
+    def nan_convolve(pairs, weight):
+        return [
+            FourierElement.from_arrays(out.context, out.coords, out.values * np.nan)
+            for out in convolve(pairs, weight)
+        ]
 
     monkeypatch.setattr(startwist.deform, "_convolve", nan_convolve)
     result = CRITERIA[name]()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from startwist import deform
 from startwist.abelian import FiniteVector, GroupContext, fourier, inverse_fourier
 from startwist.cocycles import Bicharacter, SkewForm, T_map
 from startwist.deform import (
@@ -303,6 +304,122 @@ class TestKernelAgainstReference:
         trivial = Bicharacter.trivial(LATTICE2)
         assert_kernel_matches(a, b, trivial)
         assert set(star(a, b, trivial).support) == {x + x, y + y}
+
+
+def assert_bitwise_equal(got, want):
+    assert got.context == want.context
+    assert np.array_equal(got.coords, want.coords)
+    assert np.array_equal(got.values, want.values)
+
+
+def assert_batch_matches_lone_calls(pairs, weights):
+    """A batched call equals one call per member, bit for bit; both match the loop."""
+    batched = deform._convolve(pairs, weights)
+    assert len(batched) == len(pairs)
+    for k, ((a, b), out) in enumerate(zip(pairs, batched)):
+        weight = weights if callable(weights) else weights[k]
+        (alone,) = deform._convolve([(a, b)], weight)
+        assert_bitwise_equal(out, alone)
+    return batched
+
+
+class TestBatchedKernel:
+    def test_zero_single_point_and_mixed_sizes(self):
+        rng = np.random.default_rng(50)
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.6)
+        zero = FourierElement.zero(LATTICE2)
+        d1 = FourierElement.delta(LATTICE2.point(2, -1), 0.5 - 1j)
+        d2 = FourierElement.delta(LATTICE2.point(-3, 0), 2j)
+        a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
+        pairs = [(zero, a), (d1, d2), (a, zero), (a, b), (zero, zero), (d1, a), (b, d2)]
+        out = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
+        for (x, y), product in zip(pairs, out):
+            assert_kernel_matches(x, y, sigma)
+            assert_bitwise_equal(product, star(x, y, sigma))
+        assert [len(o.values) for o in out][:3] == [0, 1, 0]
+        assert out[4].coords.shape == (0, 2)
+
+    @pytest.mark.parametrize("moduli", [[7], [5, 5]], ids=["Z7", "Z5xZ5"])
+    def test_finite_moduli_wrap(self, moduli):
+        ctx = GroupContext.finite(moduli)
+        rng = np.random.default_rng(51)
+        n = ctx.rank
+        sigmas = [Bicharacter(ctx, rng.integers(0, 7, (n, n))) for _ in range(12)]
+        pairs = [
+            (random_element(ctx, rng, box=9), random_element(ctx, rng, box=9))
+            for _ in sigmas
+        ]
+        out = assert_batch_matches_lone_calls(pairs, [s.eval_many for s in sigmas])
+        for (a, b), sigma, product in zip(pairs, sigmas, out):
+            assert_same_coefficients(
+                product, reference_star(a, b, sigma), 1e-15 * a.l1_norm() * b.l1_norm()
+            )
+            assert np.all((0 <= product.coords) & (product.coords < np.array(moduli)))
+
+    def test_cancelling_member_beside_a_surviving_one(self):
+        # the first member's cross terms at x + y cancel exactly; the second
+        # member has a term at the same point that must survive
+        x, y = LATTICE2.point(1, 0), LATTICE2.point(0, 1)
+        a = FourierElement(LATTICE2, {x: 1.0, y: 1.0})
+        b = FourierElement(LATTICE2, {y: 1.0, x: -1.0})
+        c = FourierElement.delta(x)
+        trivial = Bicharacter.trivial(LATTICE2)
+        cancelled, kept = assert_batch_matches_lone_calls([(a, b), (c, b)], trivial.eval_many)
+        assert set(cancelled.support) == {x + x, y + y}
+        assert kept.coeff(x + y) == 1.0 and len(kept.values) == 2
+
+    def test_overlapping_supports_stay_separate(self):
+        # every member lands on the same points, and the single-point members
+        # end where the next one starts, so only the member key keeps them apart
+        rng = np.random.default_rng(52)
+        a = random_element(LATTICE2, rng)
+        b = random_element(LATTICE2, rng)
+        d = delta(LATTICE2, 1, 2)
+        hbars = (0.0, 0.3, 0.3, 1.1)
+        sigmas = [Bicharacter.from_skew(LATTICE2, J, h) for h in hbars]
+        pairs = [(a, b)] * 4 + [(d, d)] * 4
+        out = assert_batch_matches_lone_calls(pairs, [s.eval_many for s in sigmas * 2])
+        assert all(np.array_equal(o.coords, out[0].coords) for o in out[:4])
+        assert_bitwise_equal(out[1], out[2])
+        assert not np.array_equal(out[0].values, out[1].values)
+        assert [o.coords.tolist() for o in out[4:]] == [[[2, 4]]] * 4
+        assert [o.values.tolist() for o in out[4:]] == [[1.0]] * 4
+
+    def test_batch_over_the_term_budget(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        sigma = Bicharacter(LATTICE2, rng.uniform(-2, 2, (2, 2)), hbar=0.8)
+        pairs = [
+            (random_element(LATTICE2, rng), random_element(LATTICE2, rng)) for _ in range(120)
+        ]
+        sizes = [len(a.values) * len(b.values) for a, b in pairs]
+        assert sum(sizes) > deform._TERM_BUDGET
+        natural = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
+        # a budget below single members: each member then runs alone
+        monkeypatch.setattr(deform, "_TERM_BUDGET", 7)
+        assert max(sizes) > 7
+        tiny = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
+        for x, y in zip(natural, tiny):
+            assert_bitwise_equal(x, y)
+
+    def test_mixed_contexts_rejected(self):
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
+        z5 = GroupContext.finite(5)
+        good = delta(LATTICE2, 1, 0)
+        with pytest.raises(ValueError, match="different contexts"):
+            deform._convolve([(good, good), (delta(z5, 1), delta(z5, 2))], sigma.eval_many)
+        with pytest.raises(ValueError, match="different contexts"):
+            deform._convolve([(good, delta(z5, 1))], sigma.eval_many)
+        with pytest.raises(ValueError, match="one weight per pair"):
+            deform._convolve([(good, good)], [sigma.eval_many] * 2)
+
+    def test_batched_differences_equal_subtraction(self):
+        rng = np.random.default_rng(54)
+        x = [random_element(LATTICE2, rng) for _ in range(10)]
+        y = [random_element(LATTICE2, rng) for _ in range(10)]
+        pairs = list(zip(x, y)) + [(x[0], x[0]), (FourierElement.zero(LATTICE2), x[1])]
+        for (a, b), d in zip(pairs, deform._differences(pairs)):
+            assert_bitwise_equal(d, a - b)
+        assert deform._differences([]) == []
 
 
 class TestInvolution:
