@@ -124,10 +124,6 @@ def _batches(count: int, draw: Callable[[], tuple]) -> Iterator[tuple]:
         yield zip(*[draw() for _ in range(min(_DRAWS_PER_BATCH, count - start))])
 
 
-def _l1_distances(xs, ys) -> list[float]:
-    return [d.l1_norm() for d in deform._differences(list(zip(xs, ys)))]
-
-
 def check_delta_relation() -> CriterionResult:
     """delta_p * delta_q = sigma(p, q) delta_{p+q} over random data."""
     rng = _rng()
@@ -142,16 +138,16 @@ def check_delta_relation() -> CriterionResult:
 
     deviations = []
     for sigmas, ps, qs in _batches(200, draw):
-        products = deform._convolve(
+        products = deform._star_batch(
             [(FourierElement.delta(p), FourierElement.delta(q)) for p, q in zip(ps, qs)],
-            [sigma.eval_many for sigma in sigmas],
+            sigmas,
         )
         # the right-hand side is the closed form, never a product
         sums = [p + q for p, q in zip(ps, qs)]
         expected = [
             FourierElement.delta(s, sigma(p, q)) for s, sigma, p, q in zip(sums, sigmas, ps, qs)
         ]
-        deviations += _l1_distances(products, expected)
+        deviations += deform._l1_distances(list(zip(products, expected)))
         deviations += [
             1.0 for product, s in zip(products, sums)
             if product.coords.tolist() != [list(s.coords)]
@@ -176,14 +172,13 @@ def check_associativity() -> CriterionResult:
 
     deviations = []
     for sigma in battery:
-        weight = sigma.eval_many
         for a, b, c in _batches(100, draw):
             # each bracketing is its own pair of batches
-            ab = deform._convolve(list(zip(a, b)), weight)
-            lhs = deform._convolve(list(zip(ab, c)), weight)
-            bc = deform._convolve(list(zip(b, c)), weight)
-            rhs = deform._convolve(list(zip(a, bc)), weight)
-            deviations += _l1_distances(lhs, rhs)
+            ab = deform._star_batch(list(zip(a, b)), sigma)
+            lhs = deform._star_batch(list(zip(ab, c)), sigma)
+            bc = deform._star_batch(list(zip(b, c)), sigma)
+            rhs = deform._star_batch(list(zip(a, bc)), sigma)
+            deviations += deform._l1_distances(list(zip(lhs, rhs)))
     return _worst_case("associativity", 1e-10, deviations, "l1 deviation", "5 x 100 triples")
 
 
@@ -201,13 +196,13 @@ def check_involution() -> CriterionResult:
 
     deviations = []
     for sigmas, a, b in _batches(100, draw):
-        weights = [sigma.eval_many for sigma in sigmas]
         star_a = list(map(deform.involution, a, sigmas))
         star_b = list(map(deform.involution, b, sigmas))
-        lhs = list(map(deform.involution, deform._convolve(list(zip(a, b)), weights), sigmas))
-        rhs = deform._convolve(list(zip(star_b, star_a)), weights)
-        twice = list(map(deform.involution, star_a, sigmas))
-        deviations += _l1_distances(lhs, rhs) + _l1_distances(twice, a)
+        lhs = map(deform.involution, deform._star_batch(list(zip(a, b)), sigmas), sigmas)
+        rhs = deform._star_batch(list(zip(star_b, star_a)), sigmas)
+        twice = map(deform.involution, star_a, sigmas)
+        deviations += deform._l1_distances(list(zip(lhs, rhs)))
+        deviations += deform._l1_distances(list(zip(twice, a)))
     return _worst_case("involution", 1e-12, deviations, "l1 deviation", "100 pairs")
 
 
@@ -291,16 +286,7 @@ def check_translation_automorphisms() -> CriterionResult:
 
     deviations = []
     for sigmas, a, b, v in _batches(100, draw):
-        # automorphism_check, with each side's products in one batch
-        weights = [sigma.eval_many for sigma in sigmas]
-        lhs = deform._convolve(
-            list(zip(map(deform.translate, a, v), map(deform.translate, b, v))), weights
-        )
-        rhs = map(deform.translate, deform._convolve(list(zip(a, b)), weights), v)
-        deviations += [
-            np.abs(d.values).max(initial=0.0)
-            for d in deform._differences(list(zip(lhs, rhs)))
-        ]
+        deviations += deform._automorphism_deviations(list(zip(a, b)), sigmas, v)
     return _worst_case(
         "translation-automorphisms", 1e-12, deviations, "deviation", "100 draws"
     )

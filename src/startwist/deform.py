@@ -20,7 +20,9 @@ Only coefficients that are exactly zero are dropped, so scaling an element by
 any nonzero scalar keeps its support.
 
 Every product runs through one kernel, ``_convolve``, which takes a batch of
-operand pairs; ``star`` and the other public products are batches of one.  A
+operand pairs; ``star`` and the other public products are batches of one,
+and ``_star_batch`` twists a whole batch, each member by its own cocycle or
+all by one.  Batched distances subtract through one ``_collect`` call.  A
 member's coefficients are bit for bit those of the member run alone, so
 batching changes speed only.  The kernel sorts at most ``_TERM_BUDGET`` pair
 terms at once, which bounds its memory whatever the batch.  Callers that
@@ -203,10 +205,10 @@ class FourierElement:
         return float(np.abs(self.values).sum())
 
     def l1_distance(self, other: "FourierElement") -> float:
-        return (self - other).l1_norm()
+        return _l1_distances([(self, other)])[0]
 
     def linf_distance(self, other: "FourierElement") -> float:
-        return float(np.abs((self - other).values).max(initial=0.0))
+        return _linf_distances([(self, other)])[0]
 
     def __repr__(self) -> str:
         items = ", ".join(
@@ -225,10 +227,10 @@ def _collect(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sum the values at each distinct point and sort the points lexicographically.
 
-    With ``counts``, the rows are a batch: the first counts[0] rows belong to
-    member 0, the next counts[1] to member 1, and so on.  The member sorts
-    ahead of the coordinates, so members never merge, and the result is one
-    (coords, values) pair per member; without it the batch has one member.
+    The rows are a batch: the first counts[0] rows belong to member 0, the
+    next counts[1] to member 1, and so on (without ``counts``, all rows are
+    one member).  The member sorts ahead of the coordinates, so members never
+    merge, and the result is one (coords, values) pair per member.
     ``bincount`` adds its weights in index order, so every output coefficient
     is accumulated in the order its terms appear in ``values``, whatever the
     batch around it.
@@ -239,30 +241,32 @@ def _collect(
         -_COORD_LIMIT < coords.min() and coords.max() < _COORD_LIMIT
     ):
         raise ValueError(_RANGE_MESSAGE)
-    batch = counts is not None and len(counts) > 1
-    if batch:
-        # nondecreasing already, so the sort leaves this column in place
-        members = np.repeat(np.arange(len(counts)), counts)
-    if len(values) > 1:
-        keys = coords.T[::-1]
-        order = np.lexsort((*keys, members) if batch else keys)
+    rows = len(values)
+    if counts is None:
+        counts = [rows]
+    bounds = [0, *accumulate(counts)]
+    if rows > 1:
+        # the member is nondecreasing already, so its rows keep their
+        # positions bounds[m]:bounds[m + 1] through the sort
+        members = np.arange(len(counts)).repeat(counts)
+        order = np.lexsort((*coords.T[::-1], members))
         coords = coords[order]
-        starts = np.empty(len(order), dtype=bool)
+        starts = np.empty(rows, dtype=bool)
         starts[0] = True
         np.any(coords[1:] != coords[:-1], axis=1, out=starts[1:])
-        if batch:
-            starts[1:] |= members[1:] != members[:-1]
-            members = members[starts]
-        inverse = np.empty(len(order), dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
-        n = int(inverse.max()) + 1
+        for lo in bounds[1:-1]:
+            if lo < rows:
+                starts[lo] = True  # a member's first point is always new
+        ends = np.cumsum(starts)
+        inverse = np.empty(rows, dtype=np.intp)
+        inverse[order] = ends - 1
+        n = int(ends[-1])
         summed = np.empty(n, dtype=np.complex128)
         summed.real = np.bincount(inverse, values.real, n)
         summed.imag = np.bincount(inverse, values.imag, n)
         coords, values = coords[starts], summed
-    if not batch:
-        return [(coords, values)]
-    bounds = np.searchsorted(members, np.arange(len(counts) + 1)).tolist()
+        # row bounds become point bounds: ends[r - 1] points start before row r
+        bounds = [int(ends[r - 1]) if r else 0 for r in bounds]
     return [(coords[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -299,30 +303,21 @@ def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[Fourie
             stop += 1
         chunk, counts = pairs[start:stop], sizes[start:stop]
         bounds = [0, *accumulate(counts)]
-        if len(chunk) == 1:
-            ((a, b),) = chunk
-            i, j = np.divmod(np.arange(total), len(b.values))
-            a_coords, a_values, b_coords, b_values = a.coords, a.values, b.coords, b.values
-        else:
-            # term k of member m is pair divmod(k - first[m], n_b[m]) of m,
-            # shifted to m's rows in the concatenated operands
-            n_a = [len(a.values) for a, _ in chunk]
-            n_b = [len(b.values) for _, b in chunk]
-            member = np.repeat(np.arange(len(chunk)), counts)
-            first, a_off, b_off, n_b_m = np.array([
-                bounds[:-1],
-                [0, *accumulate(n_a)][:-1],
-                [0, *accumulate(n_b)][:-1],
-                n_b,
-            ])[:, member]
-            i, j = np.divmod(np.arange(total) - first, n_b_m)
-            i += a_off
-            j += b_off
-            a_coords = np.concatenate([a.coords for a, _ in chunk])
-            a_values = np.concatenate([a.values for a, _ in chunk])
-            b_coords = np.concatenate([b.coords for _, b in chunk])
-            b_values = np.concatenate([b.values for _, b in chunk])
-        x, y = a_coords[i], b_coords[j]
+        n_b = [len(b.values) for _, b in chunk]
+        operands = [a for a, _ in chunk] + [b for _, b in chunk]
+        rows = [0, *accumulate(len(e.values) for e in operands)]
+        coords = np.concatenate([e.coords for e in operands])
+        values = np.concatenate([e.values for e in operands])
+        # term k of member m is pair divmod(k - bounds[m], n_b[m]) of m; the
+        # shifts move i and j to m's a and b rows in the concatenated operands
+        shift, n_b_m, b_row = np.array([
+            [nb * row - lo for nb, row, lo in zip(n_b, rows, bounds)],
+            n_b,
+            rows[len(chunk):-1],
+        ]).repeat(counts, axis=1)
+        i, j = np.divmod(np.arange(total) + shift, n_b_m)
+        j += b_row
+        x, y = coords[i], coords[j]
         if shared:
             w = weight(x, y)
         else:
@@ -330,7 +325,7 @@ def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[Fourie
                 fn(x[lo:hi], y[lo:hi])
                 for fn, lo, hi in zip(weight[start:stop], bounds, bounds[1:])
             ])
-        terms = a_values[i] * b_values[j] * w
+        terms = values[i] * values[j] * w
         out += [
             FourierElement._wrap(ctx, c, v)
             for c, v in _collect(ctx, x + y, terms, counts)
@@ -354,11 +349,36 @@ def _differences(pairs: _Pairs) -> list[FourierElement]:
     ]
 
 
+def _l1_distances(pairs: _Pairs) -> list[float]:
+    """||x - y||_1 for every pair (x, y), from one batched subtraction."""
+    return [d.l1_norm() for d in _differences(pairs)]
+
+
+def _linf_distances(pairs: _Pairs) -> list[float]:
+    """max |x - y| for every pair (x, y) (0 where x = y), from one batched subtraction."""
+    return [float(np.abs(d.values).max(initial=0.0)) for d in _differences(pairs)]
+
+
+def _star_batch(
+    pairs: _Pairs, sigma: Bicharacter | Sequence[Bicharacter]
+) -> list[FourierElement]:
+    """``star`` for every pair (a, b), as one batch.
+
+    ``sigma`` is one cocycle for the whole batch or a sequence of one per
+    pair; each member is twisted by its own cocycle's ``eval_many``.
+    """
+    shared = isinstance(sigma, Bicharacter)
+    # a shared cocycle is checked against the first pair; the kernel checks
+    # that every element shares that pair's context
+    sigmas = [sigma] if shared else sigma
+    if any(s.context != a.context for s, (a, _) in zip(sigmas, pairs)):
+        raise ValueError("cocycle from a different context")
+    return _convolve(pairs, sigma.eval_many if shared else [s.eval_many for s in sigmas])
+
+
 def star(a: FourierElement, b: FourierElement, sigma: Bicharacter) -> FourierElement:
     """Twisted convolution (a * b)(p) = sum_{p1+p2=p} a(p1) b(p2) sigma(p1, p2)."""
-    if sigma.context != a.context:
-        raise ValueError("cocycle from a different context")
-    return _convolve([(a, b)], sigma.eval_many)[0]
+    return _star_batch([(a, b)], sigma)[0]
 
 
 def involution(a: FourierElement, sigma: Bicharacter) -> FourierElement:
@@ -451,9 +471,18 @@ def automorphism_check(
     a: FourierElement, b: FourierElement, sigma: Bicharacter, v
 ) -> float:
     """Deviation of translate(a) * translate(b) from translate(a * b)."""
-    lhs = star(translate(a, v), translate(b, v), sigma)
-    rhs = translate(star(a, b, sigma), v)
-    return lhs.linf_distance(rhs)
+    return _automorphism_deviations([(a, b)], [sigma], [v])[0]
+
+
+def _automorphism_deviations(
+    pairs: _Pairs, sigmas: Sequence[Bicharacter], vs: Sequence
+) -> list[float]:
+    """``automorphism_check`` for every pair, each side's products in one batch."""
+    lhs = _star_batch(
+        [(translate(a, v), translate(b, v)) for (a, b), v in zip(pairs, vs)], sigmas
+    )
+    rhs = map(translate, _star_batch(pairs, sigmas), vs)
+    return _linf_distances(list(zip(lhs, rhs)))
 
 
 def rieffel_product_finite(

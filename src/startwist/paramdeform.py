@@ -139,8 +139,7 @@ class ParamElement:
     def linf_distance(self, other: "ParamElement") -> float:
         if self.grid != other.grid:
             raise ValueError("elements on different grids")
-        differences = deform._differences(list(zip(self.fibers, other.fibers)))
-        return float(np.max([np.abs(d.values).max(initial=0.0) for d in differences]))
+        return float(np.max(deform._linf_distances(list(zip(self.fibers, other.fibers)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +190,9 @@ def param_star(a: ParamElement, b: ParamElement, field: CocycleField) -> ParamEl
     ctx = a.context
     if b.context != ctx or field.rank != ctx.rank:
         raise ValueError("context mismatch")
-    fibers = deform._convolve(
+    fibers = deform._star_batch(
         list(zip(a.fibers, b.fibers)),
-        [field.bicharacter_at(i, ctx).eval_many for i in range(len(a.grid))],
+        [field.bicharacter_at(i, ctx) for i in range(len(a.grid))],
     )
     return ParamElement(a.grid, fibers)
 

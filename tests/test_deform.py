@@ -312,14 +312,19 @@ def assert_bitwise_equal(got, want):
     assert np.array_equal(got.values, want.values)
 
 
-def assert_batch_matches_lone_calls(pairs, weights):
-    """A batched call equals one call per member, bit for bit; both match the loop."""
-    batched = deform._convolve(pairs, weights)
+def assert_batch_matches_lone_calls(pairs, sigma):
+    """A batched product equals one product per member, bit for bit, and the loop.
+
+    ``sigma`` is one cocycle for the batch or a list of one per pair.
+    """
+    sigmas = [sigma] * len(pairs) if isinstance(sigma, Bicharacter) else sigma
+    batched = deform._star_batch(pairs, sigma)
     assert len(batched) == len(pairs)
-    for k, ((a, b), out) in enumerate(zip(pairs, batched)):
-        weight = weights if callable(weights) else weights[k]
-        (alone,) = deform._convolve([(a, b)], weight)
-        assert_bitwise_equal(out, alone)
+    for (a, b), s, out in zip(pairs, sigmas, batched):
+        assert_bitwise_equal(out, star(a, b, s))
+        assert_same_coefficients(
+            out, reference_star(a, b, s), 1e-15 * a.l1_norm() * b.l1_norm()
+        )
     return batched
 
 
@@ -332,10 +337,7 @@ class TestBatchedKernel:
         d2 = FourierElement.delta(LATTICE2.point(-3, 0), 2j)
         a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
         pairs = [(zero, a), (d1, d2), (a, zero), (a, b), (zero, zero), (d1, a), (b, d2)]
-        out = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
-        for (x, y), product in zip(pairs, out):
-            assert_kernel_matches(x, y, sigma)
-            assert_bitwise_equal(product, star(x, y, sigma))
+        out = assert_batch_matches_lone_calls(pairs, sigma)
         assert [len(o.values) for o in out][:3] == [0, 1, 0]
         assert out[4].coords.shape == (0, 2)
 
@@ -349,11 +351,7 @@ class TestBatchedKernel:
             (random_element(ctx, rng, box=9), random_element(ctx, rng, box=9))
             for _ in sigmas
         ]
-        out = assert_batch_matches_lone_calls(pairs, [s.eval_many for s in sigmas])
-        for (a, b), sigma, product in zip(pairs, sigmas, out):
-            assert_same_coefficients(
-                product, reference_star(a, b, sigma), 1e-15 * a.l1_norm() * b.l1_norm()
-            )
+        for product in assert_batch_matches_lone_calls(pairs, sigmas):
             assert np.all((0 <= product.coords) & (product.coords < np.array(moduli)))
 
     def test_cancelling_member_beside_a_surviving_one(self):
@@ -364,7 +362,7 @@ class TestBatchedKernel:
         b = FourierElement(LATTICE2, {y: 1.0, x: -1.0})
         c = FourierElement.delta(x)
         trivial = Bicharacter.trivial(LATTICE2)
-        cancelled, kept = assert_batch_matches_lone_calls([(a, b), (c, b)], trivial.eval_many)
+        cancelled, kept = assert_batch_matches_lone_calls([(a, b), (c, b)], trivial)
         assert set(cancelled.support) == {x + x, y + y}
         assert kept.coeff(x + y) == 1.0 and len(kept.values) == 2
 
@@ -378,7 +376,7 @@ class TestBatchedKernel:
         hbars = (0.0, 0.3, 0.3, 1.1)
         sigmas = [Bicharacter.from_skew(LATTICE2, J, h) for h in hbars]
         pairs = [(a, b)] * 4 + [(d, d)] * 4
-        out = assert_batch_matches_lone_calls(pairs, [s.eval_many for s in sigmas * 2])
+        out = assert_batch_matches_lone_calls(pairs, sigmas * 2)
         assert all(np.array_equal(o.coords, out[0].coords) for o in out[:4])
         assert_bitwise_equal(out[1], out[2])
         assert not np.array_equal(out[0].values, out[1].values)
@@ -393,11 +391,11 @@ class TestBatchedKernel:
         ]
         sizes = [len(a.values) * len(b.values) for a, b in pairs]
         assert sum(sizes) > deform._TERM_BUDGET
-        natural = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
+        natural = assert_batch_matches_lone_calls(pairs, sigma)
         # a budget below single members: each member then runs alone
         monkeypatch.setattr(deform, "_TERM_BUDGET", 7)
         assert max(sizes) > 7
-        tiny = assert_batch_matches_lone_calls(pairs, sigma.eval_many)
+        tiny = assert_batch_matches_lone_calls(pairs, sigma)
         for x, y in zip(natural, tiny):
             assert_bitwise_equal(x, y)
 
@@ -406,9 +404,11 @@ class TestBatchedKernel:
         z5 = GroupContext.finite(5)
         good = delta(LATTICE2, 1, 0)
         with pytest.raises(ValueError, match="different contexts"):
-            deform._convolve([(good, good), (delta(z5, 1), delta(z5, 2))], sigma.eval_many)
+            deform._star_batch([(good, good), (delta(z5, 1), delta(z5, 2))], sigma)
         with pytest.raises(ValueError, match="different contexts"):
             deform._convolve([(good, delta(z5, 1))], sigma.eval_many)
+        with pytest.raises(ValueError, match="cocycle from a different context"):
+            deform._star_batch([(good, good)] * 2, [sigma, Bicharacter.trivial(z5)])
         with pytest.raises(ValueError, match="one weight per pair"):
             deform._convolve([(good, good)], [sigma.eval_many] * 2)
 
@@ -420,6 +420,19 @@ class TestBatchedKernel:
         for (a, b), d in zip(pairs, deform._differences(pairs)):
             assert_bitwise_equal(d, a - b)
         assert deform._differences([]) == []
+        assert deform._linf_distances(pairs) == [a.linf_distance(b) for a, b in pairs]
+        assert deform._l1_distances(pairs) == [a.l1_distance(b) for a, b in pairs]
+
+    def test_batched_automorphism_deviations_equal_lone_checks(self):
+        rng = np.random.default_rng(55)
+        sigmas = [Bicharacter(LATTICE2, rng.uniform(-2, 2, (2, 2)), hbar=0.8) for _ in range(6)]
+        pairs = [(random_element(LATTICE2, rng), random_element(LATTICE2, rng)) for _ in sigmas]
+        vs = [rng.random(2) for _ in sigmas]
+        batched = deform._automorphism_deviations(pairs, sigmas, vs)
+        assert batched == [
+            automorphism_check(a, b, s, v) for (a, b), s, v in zip(pairs, sigmas, vs)
+        ]
+        assert max(batched) <= 1e-12
 
 
 class TestInvolution:
