@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import check_modulus, solve_mod_system
+from .modarith import check_modulus, integer_table, solve_mod_system
 
 __all__ = [
     "GammaAction",
@@ -31,16 +31,6 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _COCYCLE_TOL = 1e-9
-
-
-def integer_table(values, what: str) -> np.ndarray:
-    """The values as an int64 array; raises unless each one is an integer."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        table = raw.astype(np.int64)
-    if not np.array_equal(table, raw):
-        raise ValueError(f"{what} must hold integers")
-    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import GroupContext, GroupPoint
-from .modarith import det_int, mat_inv_mod, matmul_mod
+from .modarith import det_int, integer_table, mat_inv_mod, matmul_mod
 
 __all__ = [
     "SkewForm",
@@ -111,14 +111,17 @@ class Bicharacter:
         if context.is_finite:
             if hbar is not None:
                 raise ValueError("hbar applies to lattice mode only")
-            n = context.uniform_modulus
-            m = np.asarray(matrix, dtype=np.int64) % n
+            m = integer_table(matrix, "exponent matrix") % context.uniform_modulus
             self.hbar = None
         else:
             if hbar is None:
                 raise ValueError("lattice-mode bicharacter needs hbar")
             m = np.asarray(matrix, dtype=np.float64)
+            if not np.isfinite(m).all():
+                raise ValueError("exponent matrix entries must be finite")
             self.hbar = float(hbar)
+            if not math.isfinite(self.hbar):
+                raise ValueError(f"hbar must be finite, got {self.hbar}")
         if m.shape != (context.rank, context.rank):
             raise ValueError(
                 f"exponent matrix shape {m.shape} does not match rank {context.rank}"

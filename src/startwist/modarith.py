@@ -16,6 +16,16 @@ import numpy as np
 __all__ = ["check_modulus", "det_int", "mat_inv_mod", "matmul_mod", "solve_mod_system"]
 
 
+def integer_table(values, what: str) -> np.ndarray:
+    """The values as an int64 array; raises unless each one is an integer."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        table = raw.astype(np.int64)
+    if not np.array_equal(table, raw):
+        raise ValueError(f"{what} must hold integers")
+    return table
+
+
 def det_int(matrix) -> int:
     """Determinant of an integer matrix via fraction-free Bareiss elimination."""
     m = [[int(x) for x in row] for row in np.asarray(matrix)]

@@ -6,10 +6,12 @@ value of the compression is a certified lower bound of the deformed operator
 norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Boxes
 of up to 289 points (rank 2, W = 8) take a dense SVD, larger ones a
 matrix-free Lanczos estimate: the Rayleigh quotient ||A x|| / ||x|| of its Ritz
-vector x, a lower bound even unconverged.  The boundary sits at the measured
-crossover, where the two cost about the same; at W = 16 in rank 2 the SVD is
-ten to thirty times slower.  ``left_mult_matrix`` plus the SVD stays the oracle
-for every box.
+vector x, a lower bound even unconverged.  Lanczos keeps its basis within a
+fixed budget of 2 MiB and reruns the recurrence only for the vectors of x past
+it, so one pass suffices whenever the basis fits.  The boundary sits at the
+measured crossover, where the two cost about the same; at W = 16 in rank 2 the
+SVD is ten to thirty times slower.  ``left_mult_matrix`` plus the SVD stays the
+oracle for every box.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ _WINDOW_DIM_LIMIT = 2**20
 # between checkpoints, or at the step cap.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_MAX_STEPS = 2000
+# Complex values of the Lanczos basis kept for the Ritz vector, 2 MiB; the
+# vectors past it are rerun.  An unbounded basis raised the benchmark's
+# window-norms peak RSS from 42.5 to 55.0 MB.
+_BASIS_BUDGET = 2**17
 
 
 class MonotonicityError(RuntimeError):
@@ -180,12 +186,15 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
     """Largest singular value by plain Lanczos on the Gram operator A^H A.
 
     A and its adjoint are applied per support term, clipped at the box boundary.
-    No basis is stored or reorthogonalised: lost orthogonality only repeats
-    converged Ritz values (Paige 1980).  The top Ritz value is checkpointed until
-    it settles or the step cap is hit; a second pass regenerates the vectors from
-    the same start and sums the Ritz vector x.  Returns (s, steps, residual) with
-    s = ||A x|| / ||x||, a Rayleigh quotient and so a lower bound even when
-    unconverged, and residual ||A^H A x - s^2 x|| / ||x||.
+    Nothing is reorthogonalised: lost orthogonality only repeats converged Ritz
+    values (Paige 1980).  The top Ritz value is checkpointed until it settles or
+    the step cap is hit.  The vectors q_0, q_1, ... are kept while they fit
+    ``_BASIS_BUDGET`` (always the first two), and the Ritz vector x sums the
+    kept ones first, then the ones past the budget, which the recurrence
+    regenerates from the last two kept vectors with the recorded alphas and
+    betas; when all fit, that resumed tail is empty.  Returns (s, steps,
+    residual) with s = ||A x|| / ||x||, a Rayleigh quotient and so a lower bound
+    even when unconverged, and residual ||A^H A x - s^2 x|| / ||x||.
     """
     side = 2 * w + 1
     shape = (side,) * a.context.rank
@@ -203,22 +212,21 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
             out[dst] += coef * x[src]
         return out
 
-    def lanczos():
-        """(q_j, alpha_j, beta_j) of the three-term recurrence from a seeded start."""
-        rng = np.random.default_rng(20240229)
-        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        q /= np.linalg.norm(q)
-        q_prev, beta = q, 0.0
-        while True:
-            v = apply(apply(q, forward), adjoint) - beta * q_prev
-            alpha = float(np.vdot(q, v).real)
-            v -= alpha * q
-            beta = float(np.linalg.norm(v))
-            yield q, alpha, beta
-            q_prev, q = q, v / beta
+    def gram_step(q_prev: np.ndarray, q: np.ndarray, beta_prev: float) -> np.ndarray:
+        """A^H A q_j - beta_{j-1} q_{j-1}, before alpha_j q_j is taken off."""
+        return apply(apply(q, forward), adjoint) - beta_prev * q_prev
 
+    rng = np.random.default_rng(20240229)
+    q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q /= np.linalg.norm(q)
+    kept, keep = [q], max(2, _BASIS_BUDGET // q.size)
     alphas, betas, theta, checkpoint = [], [], 0.0, 20
-    for _, alpha, beta in lanczos():
+    q_prev, beta = q, 0.0
+    while True:
+        v = gram_step(q_prev, q, beta)
+        alpha = float(np.vdot(q, v).real)
+        v -= alpha * q
+        beta = float(np.linalg.norm(v))
         alphas.append(alpha)
         betas.append(beta)
         # beta ~ 0: the Krylov space is invariant and theta exact
@@ -228,8 +236,23 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
             if stop or theta - previous <= _LANCZOS_TOL * theta:
                 break
             checkpoint += max(20, checkpoint // 8)
+        q_prev, q = q, v / beta
+        if len(kept) < keep:
+            kept.append(q)
+
+    def resumed():
+        """q_m, ..., q_{k-1} past the m kept vectors, rerun from the last two
+        kept ones with the recorded alphas and betas; empty when m = k."""
+        m = len(kept)  # at least 2 unless k = 1, where nothing is rerun
+        q_prev, q = kept[m - 2], kept[m - 1]
+        for i in range(m - 1, len(alphas) - 1):
+            v = gram_step(q_prev, q, betas[i - 1])
+            v -= alphas[i] * q
+            q_prev, q = q, v / betas[i]
+            yield q
+
     y = _ritz_vector(alphas, betas[:-1], theta)
-    x = sum(yj * q for yj, (q, _, _) in zip(y, lanczos()))
+    x = sum(yj * qj for yj, qj in zip(y, itertools.chain(kept, resumed())))
     ax = apply(x, forward)
     x_norm = np.linalg.norm(x)
     estimate = np.linalg.norm(ax) / x_norm

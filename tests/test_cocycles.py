@@ -91,6 +91,25 @@ class TestEval:
         with pytest.raises(ValueError):
             Bicharacter(GroupContext.finite([2, 3]), [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("entry", [1.7, -0.5, np.nan, np.inf])
+    def test_finite_non_integer_exponent_rejected(self, entry):
+        with pytest.raises(ValueError, match="exponent matrix must hold integers"):
+            Bicharacter(Z5, [[entry]])
+
+    def test_finite_integer_valued_floats_accepted(self):
+        sigma = Bicharacter(Z5, [[7.0]])
+        assert sigma.matrix.dtype == np.int64 and sigma.matrix.tolist() == [[2]]
+
+    @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
+    def test_lattice_non_finite_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be finite"):
+            Bicharacter(LATTICE2, np.eye(2), hbar=hbar)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_lattice_non_finite_matrix_rejected(self, entry):
+        with pytest.raises(ValueError, match="exponent matrix entries must be finite"):
+            Bicharacter(LATTICE2, [[0.0, entry], [0.0, 0.0]], hbar=0.5)
+
     @pytest.mark.parametrize(
         "ctx",
         [GroupContext.lattice(1), LATTICE2, GroupContext.lattice(4), Z7,

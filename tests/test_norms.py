@@ -219,6 +219,76 @@ class TestLanczosKernel:
         assert 0.0 < est <= dense_norm(ROADMAP_ELEMENT, sigma, 8)
 
 
+def _budget_cases():
+    """(id, a, sigma, w, step cap, expected steps) for the budget identity test."""
+    rng = np.random.default_rng(13)
+    roadmap_sigma = Bicharacter.from_skew(LATTICE2, J, 0.3)
+    cases = [(f"shift-pair-{w}", SHIFT_PAIR, TRIVIAL2, w, None, None) for w in (16, 17)]
+    cases += [(f"roadmap-{w}", ROADMAP_ELEMENT, roadmap_sigma, w, None, None) for w in (17, 20)]
+    for rank, w in ((1, 150), (2, 9), (2, 13), (3, 3), (3, 4)):
+        ctx = GroupContext.lattice(rank)
+        sigma = Bicharacter.from_skew(ctx, SKEW[rank], 0.43)
+        for i in range(2):
+            a = random_element(ctx, rng)
+            cases.append((f"random-rank{rank}-{w}-{i}", a, sigma, w, None, None))
+    # a multiple of the unit: A^H A is a multiple of the identity, beta = 0 at step 1
+    unit = FourierElement.delta(LATTICE2.point(0, 0), 0.5 - 2j)
+    cases.append(("one-term", unit, TRIVIAL2, 9, None, 1))
+    for cap in (1, 2):
+        cases.append((f"cap-{cap}", ROADMAP_ELEMENT, roadmap_sigma, 9, cap, cap))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestBasisBudget:
+    """The Ritz vector sums the kept basis, then the vectors past the budget,
+    rerun from the last two kept ones; the result must not depend on where the
+    budget falls."""
+
+    @pytest.mark.parametrize("a, sigma, w, cap, steps", _budget_cases())
+    def test_result_independent_of_budget(self, monkeypatch, a, sigma, w, cap, steps):
+        import startwist.norms as norms_mod
+
+        if cap is not None:
+            monkeypatch.setattr(norms_mod, "_LANCZOS_MAX_STEPS", cap)
+        dim = Window(w).dim(a.context.rank)
+        results = []
+        for budget in (2 * dim, norms_mod._BASIS_BUDGET, 2**62):
+            monkeypatch.setattr(norms_mod, "_BASIS_BUDGET", budget)
+            est, steps, residual = _lanczos_norm(a, sigma, w)
+            results.append((est.hex(), steps, residual.hex()))
+        assert results[0] == results[1] == results[2]
+        if steps is not None:
+            assert results[0][1] == steps
+
+    def test_traced_peak_grows_by_at_most_the_budget(self, monkeypatch):
+        import tracemalloc
+
+        import startwist.norms as norms_mod
+
+        # 140 steps at W = 64, 16 641 points: 7 vectors fit the budget
+        a = FourierElement(
+            LATTICE2,
+            {LATTICE2.point(0, 0): 3.0, LATTICE2.point(1, 0): 1.0, LATTICE2.point(-1, 0): 1.0},
+        )
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.3)
+        budget = norms_mod._BASIS_BUDGET
+
+        def traced_peak(kept_values):
+            monkeypatch.setattr(norms_mod, "_BASIS_BUDGET", kept_values)
+            tracemalloc.start()
+            try:
+                _lanczos_norm(a, sigma, 64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        floor = traced_peak(2 * Window(64).dim(2))
+        slack = 1.05 * 16 * budget  # 16 B per complex value
+        assert traced_peak(budget) - floor <= slack
+        # all 140 vectors, 37 MB, would show: the bound can fail
+        assert traced_peak(2**62) - floor > slack
+
+
 class TestDenseLimit:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("side", ["dense", "lanczos"])
