@@ -11,7 +11,6 @@ from .abelian import (
     GroupContext,
     GroupPoint,
     fourier,
-    inverse_fourier,
     pairing,
 )
 from .cocycles import (
@@ -43,11 +42,8 @@ from .crossed import (
     I_map,
     crossed_conv,
     deformed_dual_action,
-    dual_action,
     fixed_point_dimension,
     fixed_point_test,
-    lambda_element,
-    lift_to_fixed_point,
     spectral_project,
     twisted_crossed_dual,
     verify_I_homomorphism,

@@ -9,7 +9,6 @@ enough that every transform and every sum below is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ __all__ = [
     "pairing",
     "pairing_many",
     "fourier",
-    "inverse_fourier",
 ]
 
 
@@ -98,8 +96,8 @@ class GroupContext:
         """All group elements in lexicographic order (finite mode only)."""
         if self.moduli is None:
             raise ValueError("cannot enumerate a lattice context")
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield GroupPoint(self, coords)
+        for coords in _points(self).tolist():
+            yield GroupPoint(self, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -252,12 +250,22 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
 
 
 def fourier(f: FiniteVector) -> FiniteVector:
-    """Unitary transform f_hat(v) = |V|^(-1/2) sum_xi pairing(v, xi) f(xi)."""
+    """Unitary transform f_hat(v) = |V|^(-1/2) sum_xi pairing(v, xi) f(xi).
+
+    Applied twice it is the reflection f(v) -> f(-v), so applying it three
+    more times inverts it.
+    """
     size = f.context.size
     return FiniteVector(f.context, np.fft.ifftn(f.values) * math.sqrt(size))
 
 
-def inverse_fourier(f_hat: FiniteVector) -> FiniteVector:
-    """Two-sided inverse of :func:`fourier`."""
-    size = f_hat.context.size
-    return FiniteVector(f_hat.context, np.fft.fftn(f_hat.values) / math.sqrt(size))
+def _points(ctx: GroupContext) -> np.ndarray:
+    """All points of a finite context as int64 rows of shape (|V|, rank), in
+    lexicographic order; ``GroupContext.points`` and the finite kernels read them."""
+    return np.indices(ctx.moduli, dtype=np.int64).reshape(ctx.rank, -1).T
+
+
+def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (u, v) of rows of ``points``, u-major: two (|V|^2, rank) arrays."""
+    count = len(points)
+    return np.repeat(points, count, axis=0), np.tile(points, (count, 1))

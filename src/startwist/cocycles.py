@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import GroupContext, GroupPoint
-from .modarith import det_int, integer_table, mat_inv_mod, matmul_mod
+from .modarith import det_int, integer_table, matmul_mod
 
 __all__ = [
     "SkewForm",
@@ -225,11 +225,6 @@ class LinearMap:
             return abs(float(np.linalg.det(self.matrix))) > _DEGENERACY_TOL
         return math.gcd(det_int(self.matrix) % self.modulus, self.modulus) == 1
 
-    def inverse(self) -> "LinearMap":
-        if self.modulus is None:
-            return LinearMap(np.linalg.inv(self.matrix), None)
-        return LinearMap(mat_inv_mod(self.matrix, self.modulus), self.modulus)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LinearMap)
@@ -311,13 +306,14 @@ def is_nondegenerate(sigma: Bicharacter) -> bool:
     return sigma_one(sigma).is_invertible()
 
 
-def T_map(sigma: Bicharacter, e: Bicharacter) -> tuple[LinearMap, LinearMap]:
-    """Compose the slot-one maps: T = sigma^1 o e^1, plus its adjoint for e.
+def T_map(sigma: Bicharacter, e: Bicharacter) -> LinearMap:
+    """Compose the slot-one maps: T = sigma^1 o e^1, the matrix B^T E^T mod N.
 
     Finite mode only (the lattice dual torus carries no nondegenerate
-    bicharacter, so this composition has no lattice realization).  The adjoint
-    T_adj satisfies e(T_adj u, w) = e(u, T w) for all u, w; with E = exponent
-    of e this reads T_adj = E^{-T} T^T E^T mod N and needs e nondegenerate.
+    bicharacter, so this composition has no lattice realization), and e must
+    be nondegenerate.  For antisymmetric sigma and symmetric e, -T is the
+    e-adjoint of T, e(-T u, w) = e(u, T w), which is why the double-sum
+    product translates its first factor by -T u.
     """
     if not sigma.context.is_finite:
         raise ValueError("T_map is defined on finite contexts only")
@@ -326,7 +322,4 @@ def T_map(sigma: Bicharacter, e: Bicharacter) -> tuple[LinearMap, LinearMap]:
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
     n = sigma.context.uniform_modulus
-    t = matmul_mod(sigma.matrix.T, e.matrix.T, n)
-    e_inv_t = mat_inv_mod(e.matrix.T % n, n)
-    t_adj = matmul_mod(matmul_mod(e_inv_t, t.T, n), e.matrix.T, n)
-    return LinearMap(t, n), LinearMap(t_adj, n)
+    return LinearMap(matmul_mod(sigma.matrix.T, e.matrix.T, n), n)

@@ -1,4 +1,4 @@
-"""Exact finite-group model of a crossed product with deformed dual actions.
+"""Exact finite-group model of a crossed product with a deformed dual action.
 
 The coefficient algebra A is the commutative algebra of functions on the
 (self-dual) finite group, with the group acting by coordinate translation;
@@ -15,6 +15,8 @@ translate at a time, so it checks the mask rather than restating it.
 
 ``DeformedActionData(sigma, e)`` derives T = sigma^1 o e^1 from its cocycles
 and rejects a context with |V|^2 > 2**20, the entry count of every table here.
+The dual action is ``deformed_dual_action`` at the trivial sigma; a routine
+given an element and the data rejects them unless their contexts agree.
 
 Measure constants: fiber convolution uses plain sums, and both I and the
 matched double-sum product (``deform.rieffel_product_finite``) carry the
@@ -29,16 +31,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, pairing_many
+from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
 from .cocycles import Bicharacter, LinearMap, T_map, sigma_one
 from .deform import rieffel_product_finite
 
 __all__ = [
     "CrossedElement",
     "DeformedActionData",
-    "lambda_element",
     "crossed_conv",
-    "dual_action",
     "deformed_dual_action",
     "fixed_point_test",
     "spectral_project",
@@ -46,7 +46,6 @@ __all__ = [
     "I_map",
     "verify_I_homomorphism",
     "twisted_crossed_dual",
-    "lift_to_fixed_point",
     "fixed_point_dimension",
 ]
 
@@ -84,11 +83,6 @@ class CrossedElement:
 
     def fiber(self, v: GroupPoint) -> np.ndarray:
         return self.table[v.coords]
-
-    def with_fiber(self, v: GroupPoint, values: np.ndarray) -> "CrossedElement":
-        table = self.table.copy()
-        table[v.coords] = values
-        return CrossedElement(self.context, table)
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         self._check_same(other)
@@ -135,7 +129,7 @@ class DeformedActionData:
                 f"a crossed table over |V| = {size} points holds {size**2} entries, "
                 f"above the limit of {_TABLE_SIZE_LIMIT}"
             )
-        object.__setattr__(self, "t", T_map(self.sigma, self.e)[0])
+        object.__setattr__(self, "t", T_map(self.sigma, self.e))
 
     @classmethod
     def from_cocycles(cls, sigma: Bicharacter, e: Bicharacter) -> "DeformedActionData":
@@ -146,15 +140,9 @@ class DeformedActionData:
         return self.sigma.context
 
 
-def _points(ctx: GroupContext) -> np.ndarray:
-    """All group points as int64 rows of shape (|V|, rank), in ``points()`` order."""
-    return np.indices(ctx.moduli, dtype=np.int64).reshape(ctx.rank, -1).T
-
-
-def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (u, v) of rows of ``points``, u-major: two (|V|^2, rank) arrays."""
-    count = len(points)
-    return np.repeat(points, count, axis=0), np.tile(points, (count, 1))
+def _check_context(a: CrossedElement, data: DeformedActionData) -> None:
+    if a.context != data.context:
+        raise ValueError("crossed element and action data from different contexts")
 
 
 def _per_base(values: np.ndarray, ctx: GroupContext) -> np.ndarray:
@@ -162,44 +150,31 @@ def _per_base(values: np.ndarray, ctx: GroupContext) -> np.ndarray:
     return values.reshape(tuple(ctx.moduli) + (1,) * ctx.rank)
 
 
-def lambda_element(v: GroupPoint) -> CrossedElement:
-    """Group unitary: delta-supported at v with the unit fiber."""
-    ctx = v.context
-    table = np.zeros(tuple(ctx.moduli) * 2, dtype=np.complex128)
-    table[v.coords] = np.ones(tuple(ctx.moduli), dtype=np.complex128)
-    return CrossedElement(ctx, table)
-
-
 def crossed_conv(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     """(a * b)(v) = sum_u a(u) . alpha_u[b(v - u)]: the untwisted convolution."""
     return twisted_crossed_dual(a, b, Bicharacter.trivial(a.context))
 
 
-def _dual(xi: GroupPoint, a: CrossedElement, shift) -> CrossedElement:
-    """Fiber at v becomes pairing(v, xi) alpha_{-shift}[fiber(v)]."""
-    ctx = a.context
-    if xi.context != ctx:
-        raise ValueError("character point from a different context")
-    phases = pairing_many(ctx, _points(ctx), xi)
-    shifted = np.roll(a.table, tuple(shift), axis=tuple(range(ctx.rank, 2 * ctx.rank)))
-    return CrossedElement(ctx, _per_base(phases, ctx) * shifted)
-
-
-def dual_action(xi: GroupPoint, a: CrossedElement) -> CrossedElement:
-    """Multiply the fiber at v by pairing(v, xi); fixes exactly the v = 0 slice."""
-    return _dual(xi, a, (0,) * a.context.rank)
-
-
 def deformed_dual_action(
     data: DeformedActionData, xi: GroupPoint, a: CrossedElement
 ) -> CrossedElement:
-    """Twisted dual action: fiber at v becomes pairing(v, xi) alpha_{sigma^1 xi}^{-1}[fiber]."""
-    return _dual(xi, a, sigma_one(data.sigma).apply_vec(xi.vector()))
+    """Twisted dual action: fiber at v becomes pairing(v, xi) alpha_{sigma^1 xi}^{-1}[fiber].
+
+    At the trivial sigma the shift is zero: the plain dual action, which fixes
+    exactly the v = 0 slice.
+    """
+    _check_context(a, data)
+    ctx = a.context
+    phases = pairing_many(ctx, _points(ctx), xi)
+    shift = tuple(sigma_one(data.sigma).apply_vec(xi.vector()))
+    shifted = np.roll(a.table, shift, axis=tuple(range(ctx.rank, 2 * ctx.rank)))
+    return CrossedElement(ctx, _per_base(phases, ctx) * shifted)
 
 
 def fixed_point_test(a: CrossedElement, data: DeformedActionData) -> float:
     """Worst deviation from the spectral condition alpha_{Tu}[a(v)] = e(u, v) a(v)
     over all u, v; fixed points read below ``FIXED_POINT_TOL``."""
+    _check_context(a, data)
     ctx = a.context
     points, axes = _points(ctx), tuple(range(ctx.rank, 2 * ctx.rank))
     # row u holds e(u, v) for every v
@@ -235,6 +210,7 @@ def spectral_project(a: CrossedElement, data: DeformedActionData) -> CrossedElem
     as the 0/1 spectral mask applied between an FFT and its inverse along
     the fiber axes.
     """
+    _check_context(a, data)
     axes = tuple(range(a.context.rank, 2 * a.context.rank))
     spectrum = np.fft.fftn(a.table, axes=axes) * _spectral_mask(data)
     return CrossedElement(a.context, np.fft.ifftn(spectrum, axes=axes))
@@ -307,23 +283,6 @@ def twisted_crossed_dual(
         shifted = np.roll(b.table, (*u, *-u), axis=tuple(range(2 * ctx.rank)))
         out += _per_base(row, ctx) * fiber_a * shifted
     return CrossedElement(ctx, out)
-
-
-def lift_to_fixed_point(x: FiniteVector, data: DeformedActionData) -> CrossedElement:
-    """Right inverse of the averaging map on the fixed-point subalgebra.
-
-    Lifts x as a constant fiber assignment, projects onto the spectral
-    subspaces, and rescales by |V|^{1/2}; the scale is fixed by the round
-    trip I(lift(x)) = x, which the tests pin down.  Together with the
-    dimension count this realizes the fixed-point algebra as an exact copy
-    of the coefficient algebra.
-    """
-    ctx = x.context
-    if data.context != ctx:
-        raise ValueError("vector and action data from different contexts")
-    table = np.broadcast_to(x.values, tuple(ctx.moduli) * 2)
-    constant = CrossedElement(ctx, np.array(table))
-    return spectral_project(constant, data) * np.sqrt(ctx.size)
 
 
 def fixed_point_dimension(data: DeformedActionData) -> int:

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, pairing_many
+from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
 from .cocycles import Bicharacter, LinearMap, SkewForm, is_nondegenerate
 
 __all__ = [
@@ -510,7 +510,7 @@ def rieffel_product_finite(
         raise ValueError("translation map does not match the context")
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
-    coords = np.array([p.coords for p in ctx.points()])
+    coords = _points(ctx)
     size, moduli = len(coords), np.array(ctx.moduli)
 
     def gather(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -518,7 +518,7 @@ def rieffel_product_finite(
         index = (coords[None, :, :] + offsets[:, None, :]) % moduli
         return values[tuple(np.moveaxis(index, -1, 0))]
 
-    phases = e.eval_many(np.repeat(coords, size, axis=0), np.tile(coords, (size, 1)))
+    phases = e.eval_many(*_point_pairs(coords))
     b_shift = gather(b.values, coords)  # (w, v): b(v + w)
     a_shift = gather(a.values, -(coords @ t.matrix.T))  # (u, v): a(v - T u)
     out = (a_shift * (phases.reshape(size, size) @ b_shift)).sum(axis=0)

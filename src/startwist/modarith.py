@@ -1,19 +1,16 @@
 """Exact integer and modular linear algebra helpers.
 
 ``det_int`` works on Python integers, so determinants are exact at any size.
-Linear systems mod M, and with them inverses mod M, go through one elimination
-over Z/q in int64 numpy for each prime-power factor q of M, with every entry
-reduced into [0, q); M must be below 2**31.  ``matmul_mod`` is exact at every
-modulus.
+Linear systems mod M go through one elimination over Z/q in int64 numpy for
+each prime-power factor q of M, with every entry reduced into [0, q); M must
+be below 2**31.  ``matmul_mod`` is exact at every modulus.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["check_modulus", "det_int", "mat_inv_mod", "matmul_mod", "solve_mod_system"]
+__all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 
 def integer_table(values, what: str) -> np.ndarray:
@@ -57,19 +54,6 @@ def matmul_mod(a, b, n: int) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     dtype = np.int64 if a.shape[-1] * (n - 1) ** 2 < 2**63 else object
     return (a.astype(dtype) % n) @ (b.astype(dtype) % n) % n
-
-
-def mat_inv_mod(matrix, modulus: int) -> np.ndarray:
-    """Inverse of an integer matrix mod N, solved column by column; needs gcd(det, N) = 1."""
-    a = np.asarray(matrix, dtype=np.int64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("inverse of a non-square matrix")
-    det = det_int(a)
-    if math.gcd(det, modulus) != 1:
-        raise ValueError(f"matrix determinant {det} is not invertible mod {modulus}")
-    columns = [solve_mod_system(a, e, modulus) for e in np.eye(n, dtype=np.int64)]
-    return np.array(columns, dtype=np.int64).T
 
 
 def _prime_powers(modulus: int) -> list[int]:

@@ -16,7 +16,7 @@ every form in the field is a scalar multiple of the standard symplectic form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,11 +83,13 @@ class BaseGrid:
 
 @dataclass(frozen=True, eq=False)
 class CocycleField:
-    """One skew form per base sample plus the shared deformation scalar."""
+    """One skew form per base sample plus the shared deformation scalar; the
+    fibre cocycles over the lattice, one per sample, are derived once."""
 
     grid: BaseGrid
     forms: tuple[SkewForm, ...]
     hbar: float
+    bicharacters: tuple[Bicharacter, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         forms = tuple(self.forms)
@@ -97,6 +99,9 @@ class CocycleField:
         ranks = {f.rank for f in forms}
         if len(ranks) != 1:
             raise ValueError("all forms must share one rank")
+        ctx = GroupContext.lattice(forms[0].rank)
+        cocycles = tuple(Bicharacter.from_skew(ctx, form, self.hbar) for form in forms)
+        object.__setattr__(self, "bicharacters", cocycles)
 
     @classmethod
     def constant(cls, grid: BaseGrid, form: SkewForm, hbar: float) -> "CocycleField":
@@ -105,9 +110,6 @@ class CocycleField:
     @property
     def rank(self) -> int:
         return self.forms[0].rank
-
-    def bicharacter_at(self, i: int, ctx: GroupContext) -> Bicharacter:
-        return Bicharacter.from_skew(ctx, self.forms[i], self.hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +192,7 @@ def param_star(a: ParamElement, b: ParamElement, field: CocycleField) -> ParamEl
     ctx = a.context
     if b.context != ctx or field.rank != ctx.rank:
         raise ValueError("context mismatch")
-    fibers = deform._star_batch(
-        list(zip(a.fibers, b.fibers)),
-        [field.bicharacter_at(i, ctx) for i in range(len(a.grid))],
-    )
+    fibers = deform._star_batch(list(zip(a.fibers, b.fibers)), field.bicharacters)
     return ParamElement(a.grid, fibers)
 
 

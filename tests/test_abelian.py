@@ -9,7 +9,6 @@ from startwist.abelian import (
     FiniteVector,
     GroupContext,
     fourier,
-    inverse_fourier,
     pairing,
 )
 
@@ -169,16 +168,20 @@ class TestFourier:
                 assert abs(g[p] - f[-p]) <= 1e-12
 
     def test_round_trip(self):
+        # F^2 is the reflection, so F^4 is the identity and F is invertible
         rng = np.random.default_rng(9)
         for ctx in CONTEXTS:
             f = random_vector(ctx, rng)
-            assert inverse_fourier(fourier(f)).linf_distance(f) <= 1e-12
-            assert fourier(inverse_fourier(f)).linf_distance(f) <= 1e-12
+            reflected = FiniteVector(ctx, [f[-p] for p in ctx.points()])
+            twice = fourier(fourier(f))
+            assert twice.linf_distance(reflected) <= 1e-12
+            assert fourier(fourier(twice)).linf_distance(f) <= 1e-12
 
     def test_constant_inverts_to_scaled_delta(self):
+        # F(delta_0) is the constant |V|^(-1/2), so F(c) = c |V|^(1/2) delta_0
         ctx = GroupContext.finite(5)
         c = 0.3 - 0.4j
-        out = inverse_fourier(FiniteVector.constant(ctx, c))
+        out = fourier(FiniteVector.constant(ctx, c))
         expected = FiniteVector.delta(ctx.zero()) * (c * np.sqrt(ctx.size))
         assert out.linf_distance(expected) <= 1e-12
 
@@ -186,8 +189,8 @@ class TestFourier:
         rng = np.random.default_rng(10)
         ctx = GroupContext.finite(7)
         f, g = random_vector(ctx, rng), random_vector(ctx, rng)
-        lhs = inverse_fourier(f + 2j * g)
-        rhs = inverse_fourier(f) + 2j * inverse_fourier(g)
+        lhs = fourier(f + 2j * g)
+        rhs = fourier(f) + 2j * fourier(g)
         assert lhs.linf_distance(rhs) <= 1e-12
 
     def test_shift_law(self):

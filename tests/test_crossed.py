@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from startwist.abelian import FiniteVector, GroupContext
+from startwist.abelian import FiniteVector, GroupContext, pairing
 from startwist.cocycles import Bicharacter, LinearMap, T_map
 from startwist.crossed import (
     CrossedElement,
@@ -12,11 +12,8 @@ from startwist.crossed import (
     I_map,
     crossed_conv,
     deformed_dual_action,
-    dual_action,
     fixed_point_dimension,
     fixed_point_test,
-    lambda_element,
-    lift_to_fixed_point,
     spectral_project,
     twisted_crossed_dual,
     verify_I_homomorphism,
@@ -36,6 +33,21 @@ def data_for(ctx, b_val, e_val=1):
 def random_crossed(ctx, rng):
     shape = tuple(ctx.moduli) * 2
     return CrossedElement(ctx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def lambda_element(v):
+    """Group unitary: delta-supported at v with the unit fiber."""
+    ctx = v.context
+    table = np.zeros(tuple(ctx.moduli) * 2, dtype=np.complex128)
+    table[v.coords] = 1.0
+    return CrossedElement(ctx, table)
+
+
+def dual_action(xi, a):
+    """The dual action: ``deformed_dual_action`` at the trivial sigma."""
+    ctx = a.context
+    e = Bicharacter(ctx, np.eye(ctx.rank, dtype=np.int64))
+    return deformed_dual_action(DeformedActionData(Bicharacter.trivial(ctx), e), xi, a)
 
 
 class TestCrossedConv:
@@ -81,8 +93,6 @@ class TestDualAction:
             assert dual_action(xi, a).linf_distance(a) <= 1e-15
 
     def test_lambda_is_eigenvector(self):
-        from startwist.abelian import pairing
-
         for v in Z5.points():
             for xi in Z5.points():
                 got = dual_action(xi, lambda_element(v))
@@ -104,7 +114,7 @@ class TestDeformedActionData:
         sigma, e = Bicharacter(Z5, [[2]]), Bicharacter(Z5, [[3]])
         data = DeformedActionData(sigma, e)
         assert [f.name for f in dataclasses.fields(data)] == ["sigma", "e", "t"]
-        assert data.t == T_map(sigma, e)[0]
+        assert data.t == T_map(sigma, e)
         assert DeformedActionData.from_cocycles(sigma, e).t == data.t
         # sigma and e give T = 1 here; a stored T = 2 cannot be passed in
         with pytest.raises(TypeError):
@@ -146,19 +156,17 @@ class TestDeformedActionData:
 
 class TestDeformedDualAction:
     def test_trivial_cocycle_reduces_to_dual_action(self):
+        # at sigma = 0 the fiber at v is multiplied by pairing(v, xi) and not moved
         rng = np.random.default_rng(6)
         data = DeformedActionData.from_cocycles(
             Bicharacter.trivial(Z5), Bicharacter(Z5, [[1]])
         )
         a = random_crossed(Z5, rng)
         for xi in Z5.points():
-            lhs = deformed_dual_action(data, xi, a)
-            rhs = dual_action(xi, a)
-            assert lhs.linf_distance(rhs) == 0.0
+            rhs = np.array([pairing(Z5, v, xi) * a.fiber(v) for v in Z5.points()])
+            assert np.max(np.abs(deformed_dual_action(data, xi, a).table - rhs)) <= 1e-15
 
     def test_lambda_still_eigenvector(self):
-        from startwist.abelian import pairing
-
         data = data_for(Z5, 2)
         for v in Z5.points():
             for xi in Z5.points():
@@ -319,6 +327,27 @@ class TestIHomomorphism:
             verify_I_homomorphism(zero, zero, data)
 
 
+CONTEXT_CHECKED = {
+    "fixed_point_test": fixed_point_test,
+    "spectral_project": spectral_project,
+    "deformed_dual_action": lambda a, data: deformed_dual_action(data, data.context.zero(), a),
+}
+
+
+class TestContextMismatch:
+    @pytest.mark.parametrize("routine", list(CONTEXT_CHECKED))
+    @pytest.mark.parametrize(
+        "a_moduli, data_moduli", [(5, 7), (7, 5), (5, [5, 5])], ids=["Z5-Z7", "Z7-Z5", "Z5-Z5xZ5"]
+    )
+    def test_rejected_by_name(self, routine, a_moduli, data_moduli):
+        rng = np.random.default_rng(25)
+        a = random_crossed(GroupContext.finite(a_moduli), rng)
+        rank = GroupContext.finite(data_moduli).rank
+        data = finite_data(data_moduli, np.eye(rank, dtype=np.int64), np.eye(rank, dtype=np.int64))
+        with pytest.raises(ValueError, match="crossed element and action data from different"):
+            CONTEXT_CHECKED[routine](a, data)
+
+
 class TestUndeformedPicture:
     def test_zero_supported_subalgebra_exhaustive_z5(self):
         # with the trivial twist the fixed elements are exactly the v = 0 slice,
@@ -347,6 +376,14 @@ class TestUndeformedPicture:
             )
 
 
+def lift(x, data):
+    """Right inverse of the averaging map on the fixed points: the constant
+    fiber assignment x, projected and rescaled by |V|^{1/2}."""
+    ctx = x.context
+    constant = CrossedElement(ctx, np.broadcast_to(x.values, tuple(ctx.moduli) * 2))
+    return spectral_project(constant, data) * np.sqrt(ctx.size)
+
+
 class TestLift:
     @pytest.mark.parametrize("ctx,b_val", [(Z5, 1), (Z7, 3)])
     def test_round_trip_through_averaging(self, ctx, b_val):
@@ -358,7 +395,7 @@ class TestLift:
                 rng.standard_normal(tuple(ctx.moduli))
                 + 1j * rng.standard_normal(tuple(ctx.moduli)),
             )
-            lifted = lift_to_fixed_point(x, data)
+            lifted = lift(x, data)
             assert fixed_point_test(lifted, data) <= 1e-12
             assert I_map(lifted).linf_distance(x) <= 1e-12
 
@@ -366,7 +403,7 @@ class TestLift:
         rng = np.random.default_rng(24)
         data = data_for(Z5, 2)
         a = spectral_project(random_crossed(Z5, rng), data)
-        recovered = lift_to_fixed_point(I_map(a), data)
+        recovered = lift(I_map(a), data)
         assert recovered.linf_distance(a) <= 1e-12
 
 
@@ -513,7 +550,9 @@ class TestKernelsAgainstReference:
         ctx = data.context
         a, b = random_crossed(ctx, rng), random_crossed(ctx, rng)
         # a zero fiber exercises the skipped terms
-        a = a.with_fiber(ctx.point((1,) * ctx.rank), np.zeros(tuple(ctx.moduli)))
+        table = a.table.copy()
+        table[(1,) * ctx.rank] = 0.0
+        a = CrossedElement(ctx, table)
         for sigma_hat in (data.sigma, data.e, Bicharacter.trivial(ctx)):
             got = twisted_crossed_dual(a, b, sigma_hat).table
             assert np.array_equal(got, reference_twisted(a, b, sigma_hat))

@@ -1,7 +1,7 @@
-"""The modular solver and inverse against the eliminations they replaced.
+"""The modular solver against the elimination it replaced.
 
-The Smith-over-Z solver and the adjugate inverse are kept here as oracles:
-they share no code with ``startwist.modarith`` beyond ``det_int``.
+The Smith-over-Z solver is kept here as an oracle: it shares no code with
+``startwist.modarith``.
 """
 
 import math
@@ -9,37 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from startwist.modarith import det_int, mat_inv_mod, solve_mod_system
+from startwist.modarith import solve_mod_system
 
 
 # ----------------------------------------------------------------------
-# the replaced eliminations, kept as oracles
-
-
-def reference_mat_inv_mod(matrix, modulus: int) -> np.ndarray:
-    """Inverse of an integer matrix mod N via the adjugate; needs gcd(det, N) = 1."""
-    a = np.asarray(matrix, dtype=np.int64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("inverse of a non-square matrix")
-    det = det_int(a)
-    try:
-        det_inv = pow(det % modulus, -1, modulus)
-    except ValueError:
-        raise ValueError(
-            f"matrix determinant {det} is not invertible mod {modulus}"
-        ) from None
-    if n == 1:
-        return np.array([[det_inv % modulus]], dtype=np.int64)
-    cof = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * det_int(minor)
-    adj = cof.T
-    inv = np.vectorize(lambda x: (int(x) * det_inv) % modulus)(adj)
-    return inv.astype(np.int64)
-
+# the replaced elimination, kept as an oracle
 
 
 def reference_smith_eliminate(rows: list[list[int]], ncols: int):
@@ -197,31 +171,3 @@ class TestSolverAgainstSmith:
         x = [modulus - 7, modulus - 11]
         rhs = [sum(c * v for c, v in zip(row, x)) % modulus for row in a]
         assert solve_mod_system(a, rhs, modulus) == x
-
-
-class TestMatInvMod:
-    def test_matches_adjugate(self):
-        rng = np.random.default_rng(17)
-        for modulus in (1, 5, 12, 31):
-            for n in range(1, 5):
-                found = 0
-                while found < 5:
-                    a = rng.integers(-6, 7, size=(n, n))
-                    if math.gcd(det_int(a), modulus) != 1:
-                        continue
-                    found += 1
-                    inv = mat_inv_mod(a, modulus)
-                    expected = reference_mat_inv_mod(a, modulus)
-                    assert inv.dtype == expected.dtype == np.int64
-                    assert np.array_equal(inv, expected)
-                    assert np.array_equal(a @ inv % modulus, np.eye(n, dtype=np.int64) % modulus)
-
-    def test_non_invertible_message_unchanged(self):
-        a = np.array([[2, 0], [0, 3]])
-        for modulus in (4, 6):
-            with pytest.raises(ValueError) as new:
-                mat_inv_mod(a, modulus)
-            with pytest.raises(ValueError) as old:
-                reference_mat_inv_mod(a, modulus)
-            message = f"matrix determinant 6 is not invertible mod {modulus}"
-            assert str(new.value) == str(old.value) == message

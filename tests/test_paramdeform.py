@@ -130,8 +130,8 @@ class TestParamStar:
 
 def _iterated_fiber(fa, fb, f1, f2, i):
     ctx = fa.context
-    s1 = f1.bicharacter_at(i, ctx)
-    s2 = f2.bicharacter_at(i, ctx)
+    s1 = f1.bicharacters[i]
+    s2 = f2.bicharacters[i]
     out = FourierElement.zero(ctx)
     for p1, c1 in fa.coeffs.items():
         for p2, c2 in fb.coeffs.items():
@@ -214,7 +214,7 @@ class TestHeisenbergField:
         field = heisenberg_field(1.0, grid)
         ctx = LATTICE2
         i = grid.samples.index(0.5)
-        sigma = field.bicharacter_at(i, ctx)
+        sigma = field.bicharacters[i]
         u, v = ctx.point(1, 0), ctx.point(0, 1)
         phase = sigma(u, v) / sigma(v, u)
         assert phase == pytest.approx(-1.0)
