@@ -67,7 +67,6 @@ from .paramdeform import (
 from .norms import (
     MonotonicityError,
     Window,
-    field_continuity_scan,
     left_mult_matrix,
     norm_convergence,
     op_norm_estimate,

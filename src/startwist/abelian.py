@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .modarith import matmul_mod
+from .modarith import checked_array, matmul_mod
 
 __all__ = [
     "GroupContext",
@@ -148,33 +148,11 @@ class FiniteVector:
     def __init__(self, context: GroupContext, values: np.ndarray | Sequence) -> None:
         if not context.is_finite:
             raise ValueError("FiniteVector requires a finite context")
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = checked_array(values, "FiniteVector", np.complex128)
         if arr.shape != tuple(context.moduli):
-            arr = arr.reshape(tuple(context.moduli))
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("FiniteVector entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+            arr = arr.reshape(tuple(context.moduli))  # a view, so read-only too
         self.context = context
         self.values = arr
-
-    @classmethod
-    def zero(cls, context: GroupContext) -> "FiniteVector":
-        if not context.is_finite:
-            raise ValueError("FiniteVector requires a finite context")
-        return cls(context, np.zeros(tuple(context.moduli), dtype=np.complex128))
-
-    @classmethod
-    def delta(cls, point: GroupPoint) -> "FiniteVector":
-        vec = np.zeros(tuple(point.context.moduli), dtype=np.complex128)
-        vec[point.coords] = 1.0
-        return cls(point.context, vec)
-
-    @classmethod
-    def constant(cls, context: GroupContext, value: complex = 1.0) -> "FiniteVector":
-        if not context.is_finite:
-            raise ValueError("FiniteVector requires a finite context")
-        return cls(context, np.full(tuple(context.moduli), value, dtype=np.complex128))
 
     def __getitem__(self, point: GroupPoint) -> complex:
         return complex(self.values[point.coords])
@@ -202,9 +180,6 @@ class FiniteVector:
     def _check_same(self, other: "FiniteVector") -> None:
         if self.context != other.context:
             raise ValueError("finite vectors from different contexts")
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def linf_distance(self, other: "FiniteVector") -> float:
         self._check_same(other)

@@ -334,8 +334,13 @@ def check_rieffel_duality() -> CriterionResult:
             g = _random_element(ctx, rng, max_support=modulus, box=modulus)
             fv = _element_to_vector(f)
             gv = _element_to_vector(g)
+            product = star(f, g, data.sigma)
+            if not np.isfinite(product.values).all():
+                # FiniteVector rejects it; a NaN deviation fails the criterion instead
+                deviations.append(np.nan)
+                continue
             lhs = deform.rieffel_product_finite(fourier(fv), fourier(gv), data.e, data.t)
-            rhs = fourier(_element_to_vector(star(f, g, data.sigma)))
+            rhs = fourier(_element_to_vector(product))
             deviations.append(lhs.linf_distance(rhs))
     return _worst_case("rieffel-duality", 1e-10, deviations, "deviation", "2 x 50 pairs")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import check_modulus, integer_table, solve_mod_system
+from .modarith import check_modulus, checked_array, integer_table, solve_mod_system
 
 __all__ = [
     "GammaAction",
@@ -46,8 +46,8 @@ class GammaAction:
     act: np.ndarray
 
     def __post_init__(self) -> None:
-        mul = integer_table(self.mul, "multiplication table")
-        act = integer_table(self.act, "action table")
+        mul = checked_array(self.mul, "multiplication table", np.int64)
+        act = checked_array(self.act, "action table", np.int64)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         order = mul.shape[0]
@@ -60,7 +60,7 @@ class GammaAction:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "identity", self._find_identity())
-        object.__setattr__(self, "inv", self._find_inverses())
+        object.__setattr__(self, "inv", checked_array(self._find_inverses(), "inverses", np.int64))
         self._validate()
 
     def _find_identity(self) -> int:
@@ -112,8 +112,9 @@ class GammaAction:
         return cls.cyclic(order, order, (g[:, None] + g[None, :]) % order)
 
 
-def _check_unit(values: np.ndarray, what: str) -> None:
-    # written as "all within" so that NaN and inf fail it
+def _check_unit(values, what: str) -> None:
+    # written as "all within" so that NaN and inf fail it; run before
+    # checked_array, it reports a non-finite entry as off the unit circle
     if not np.all(np.abs(np.abs(values) - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} values must have modulus 1")
 
@@ -125,12 +126,10 @@ class TauCocycle:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+        _check_unit(self.values, "tau")
+        values = checked_array(self.values, "tau", np.complex128)
         if values.ndim != 3 or values.shape[0] != values.shape[1]:
             raise ValueError("tau table must have shape (order, order, points)")
-        _check_unit(values, "tau")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -145,12 +144,10 @@ class AutomorphyFactor:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+        _check_unit(self.values, "factor")
+        values = checked_array(self.values, "factor", np.complex128)
         if values.ndim != 2:
             raise ValueError("factor table must have shape (order, points)")
-        _check_unit(values, "factor")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -4,7 +4,9 @@ Cocycles are kept in exponent (bicharacter) normal form throughout: a real
 matrix with a deformation scalar in lattice mode, an integer matrix mod N in
 finite mode.  Arbitrary phase tables appear only as counterexamples in tests.
 Cohomology equivalence is decided on exponent matrices (symmetric difference),
-not by searching for a trivializing phase.
+not by searching for a trivializing phase.  The slot-one map, and with it
+nondegeneracy and T, exists in finite mode only: a ``LinearMap`` is a square
+matrix mod N.  Every stored matrix is read by ``modarith.checked_array``.
 
 The antisymmetric representative is produced by taking the matrix skew part.
 On groups where halving is available the same class representative can be
@@ -21,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import GroupContext, GroupPoint
-from .modarith import det_int, integer_table, matmul_mod
+from .modarith import checked_array, det_int, integer_table, matmul_mod
 
 __all__ = [
     "SkewForm",
@@ -34,8 +36,6 @@ __all__ = [
     "is_nondegenerate",
     "T_map",
 ]
-
-_DEGENERACY_TOL = 1e-12
 
 
 def _quadratic(xs, matrix: np.ndarray, ys) -> np.ndarray:
@@ -55,13 +55,11 @@ class SkewForm:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
+        m = checked_array(self.matrix, "skew form matrix", np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("skew form matrix must be square")
         if not np.array_equal(m.T, -m):
             raise ValueError("matrix is not exactly skew-symmetric")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -111,14 +109,13 @@ class Bicharacter:
         if context.is_finite:
             if hbar is not None:
                 raise ValueError("hbar applies to lattice mode only")
-            m = integer_table(matrix, "exponent matrix") % context.uniform_modulus
+            table = integer_table(matrix, "exponent matrix") % context.uniform_modulus
+            m = checked_array(table, "exponent matrix", np.int64)
             self.hbar = None
         else:
             if hbar is None:
                 raise ValueError("lattice-mode bicharacter needs hbar")
-            m = np.asarray(matrix, dtype=np.float64)
-            if not np.isfinite(m).all():
-                raise ValueError("exponent matrix entries must be finite")
+            m = checked_array(matrix, "exponent matrix", np.float64)
             self.hbar = float(hbar)
             if not math.isfinite(self.hbar):
                 raise ValueError(f"hbar must be finite, got {self.hbar}")
@@ -126,8 +123,6 @@ class Bicharacter:
             raise ValueError(
                 f"exponent matrix shape {m.shape} does not match rank {context.rank}"
             )
-        m = m.copy()
-        m.flags.writeable = False
         self.matrix = m
 
     @classmethod
@@ -190,39 +185,26 @@ class Bicharacter:
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
-    """A square matrix over R (modulus None) or over Z/modulus."""
+    """A square integer matrix over Z/modulus."""
 
     matrix: np.ndarray
-    modulus: int | None = None
+    modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus is None:
-            m = np.asarray(self.matrix, dtype=np.float64)
-        else:
-            m = np.asarray(self.matrix, dtype=np.int64) % self.modulus
+        table = integer_table(self.matrix, "linear map matrix") % self.modulus
+        m = checked_array(table, "linear map matrix", np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("linear map matrix must be square")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def rank(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, p: GroupPoint) -> GroupPoint:
-        if self.modulus is None:
-            raise ValueError("real-valued maps do not act on group points")
-        return p.context.point(tuple(self.apply_vec(p.vector())))
-
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        if self.modulus is None:
-            return self.matrix @ np.asarray(v)
         return matmul_mod(self.matrix, v, self.modulus)
 
     def is_invertible(self) -> bool:
-        if self.modulus is None:
-            return abs(float(np.linalg.det(self.matrix))) > _DEGENERACY_TOL
         return math.gcd(det_int(self.matrix) % self.modulus, self.modulus) == 1
 
     def __eq__(self, other: object) -> bool:
@@ -246,6 +228,7 @@ def cocycle_check(
     if not triples:
         raise ValueError("cocycle_check needs a nonempty sample")
     if isinstance(sigma, Bicharacter):
+        # kept batched: with exponent forms sent through the loop below, tier-1 ran 10x slower
         xs = np.array([x.coords for x, _, _ in triples])
         ys = np.array([y.coords for _, y, _ in triples])
         zs = np.array([z.coords for _, _, z in triples])
@@ -292,31 +275,28 @@ def cohomologous_check(sigma1: Bicharacter, sigma2: Bicharacter) -> bool:
 def sigma_one(sigma: Bicharacter) -> LinearMap:
     """The slot-one map xi -> sigma^1_xi as a matrix on coordinates.
 
-    sigma(xi, .) is a character of the dual group; in finite mode its point is
-    B^T xi mod N, in lattice mode the torus point -(hbar/2) A^T p mod 1.
+    sigma(xi, .) is a character of the dual group, the point B^T xi mod N.
+    Finite mode only: on a lattice context sigma(p, .) is a point of the
+    dual torus, which carries no nondegenerate bicharacter.
     """
-    if sigma.context.is_finite:
-        n = sigma.context.uniform_modulus
-        return LinearMap(sigma.matrix.T % n, n)
-    return LinearMap(-(sigma.hbar / 2.0) * sigma.matrix.T, None)
+    if not sigma.context.is_finite:
+        raise ValueError("the slot-one map is defined on finite contexts only")
+    return LinearMap(sigma.matrix.T, sigma.context.uniform_modulus)
 
 
 def is_nondegenerate(sigma: Bicharacter) -> bool:
-    """True iff the slot-one map is invertible (over R, resp. mod N)."""
+    """True iff the slot-one map is invertible mod N (finite mode only)."""
     return sigma_one(sigma).is_invertible()
 
 
 def T_map(sigma: Bicharacter, e: Bicharacter) -> LinearMap:
     """Compose the slot-one maps: T = sigma^1 o e^1, the matrix B^T E^T mod N.
 
-    Finite mode only (the lattice dual torus carries no nondegenerate
-    bicharacter, so this composition has no lattice realization), and e must
-    be nondegenerate.  For antisymmetric sigma and symmetric e, -T is the
-    e-adjoint of T, e(-T u, w) = e(u, T w), which is why the double-sum
-    product translates its first factor by -T u.
+    Finite mode only, as ``sigma_one`` is, and e must be nondegenerate.  For
+    antisymmetric sigma and symmetric e, -T is the e-adjoint of T,
+    e(-T u, w) = e(u, T w), which is why the double-sum product translates
+    its first factor by -T u.
     """
-    if not sigma.context.is_finite:
-        raise ValueError("T_map is defined on finite contexts only")
     if sigma.context != e.context:
         raise ValueError("bicharacters from different contexts")
     if not is_nondegenerate(e):

@@ -34,6 +34,7 @@ import numpy as np
 from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
 from .cocycles import Bicharacter, LinearMap, T_map, sigma_one
 from .deform import rieffel_product_finite
+from .modarith import checked_array
 
 __all__ = [
     "CrossedElement",
@@ -67,22 +68,11 @@ class CrossedElement:
         if not context.is_finite:
             raise ValueError("crossed elements require a finite context")
         shape = tuple(context.moduli) * 2
-        arr = np.asarray(table, dtype=np.complex128)
+        arr = checked_array(table, "crossed table", np.complex128)
         if arr.shape != shape:
             raise ValueError(f"table shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("crossed table entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
         self.context = context
         self.table = arr
-
-    @classmethod
-    def zero(cls, context: GroupContext) -> "CrossedElement":
-        return cls(context, np.zeros(tuple(context.moduli) * 2, dtype=np.complex128))
-
-    def fiber(self, v: GroupPoint) -> np.ndarray:
-        return self.table[v.coords]
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         self._check_same(other)

@@ -1,4 +1,8 @@
-"""Exact integer and modular linear algebra helpers.
+"""Exact integer and modular linear algebra helpers, and the array reader.
+
+``checked_array`` is how every value type turns what a caller passes into
+its stored array: a fresh read-only copy, checked to hold integers for an
+integer dtype and finite values otherwise, never truncated.
 
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M go through one elimination over Z/q in int64 numpy for
@@ -14,12 +18,31 @@ __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 
 def integer_table(values, what: str) -> np.ndarray:
-    """The values as an int64 array; raises unless each one is an integer."""
+    """The values as a fresh int64 array; raises unless each one is an integer."""
     raw = np.asarray(values)
+    if raw.dtype == np.int64:
+        return raw.copy()
     with np.errstate(invalid="ignore"):
         table = raw.astype(np.int64)
     if not np.array_equal(table, raw):
         raise ValueError(f"{what} must hold integers")
+    return table
+
+
+def checked_array(values, what: str, dtype: type) -> np.ndarray:
+    """The values as a fresh read-only array of ``dtype``, named ``what`` in errors.
+
+    ``dtype`` is a numpy scalar type.  An integer one takes only integers, by
+    ``integer_table``'s exact check (so the array is int64); a float or complex
+    one takes only finite values.
+    """
+    if issubclass(dtype, np.integer):  # np.dtype(dtype).kind would cost as much as the copy
+        table = integer_table(values, what)
+    else:
+        table = np.array(values, dtype=dtype)
+        if not np.isfinite(table).all():
+            raise ValueError(f"{what} entries must be finite")
+    table.flags.writeable = False
     return table
 
 

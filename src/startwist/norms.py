@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycles import Bicharacter, SkewForm
-from .deform import FourierElement, star
+from .cocycles import Bicharacter
+from .deform import FourierElement
 
 __all__ = [
     "Window",
@@ -32,7 +32,6 @@ __all__ = [
     "left_mult_matrix",
     "op_norm_estimate",
     "norm_convergence",
-    "field_continuity_scan",
 ]
 
 # Dense SVD up to the 2-d W=8 box, Lanczos on the Gram operator beyond.  With
@@ -295,26 +294,3 @@ def norm_convergence(
                 f"estimate dropped from {e1} at W={w1} to {e2} at W={w2}"
             )
     return rows
-
-
-def field_continuity_scan(
-    a: FourierElement,
-    b: FourierElement,
-    gamma: SkewForm,
-    hbar_list: Sequence[float],
-    window,
-) -> tuple[list[tuple[float, float]], float]:
-    """Window norm of a *_hbar b per hbar, plus the worst difference quotient.
-
-    Evidence for continuity of the field in hbar, not a proof; the returned
-    constant bounds adjacent jumps by C * delta-hbar on this sample.
-    """
-    rows = []
-    for hbar in hbar_list:
-        sigma = Bicharacter.from_skew(a.context, gamma, hbar)
-        rows.append((float(hbar), op_norm_estimate(star(a, b, sigma), sigma, window)))
-    quotient = 0.0
-    for (h1, e1), (h2, e2) in itertools.pairwise(rows):
-        if h1 != h2:
-            quotient = max(quotient, abs(e2 - e1) / abs(h2 - h1))
-    return rows, quotient

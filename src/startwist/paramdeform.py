@@ -24,6 +24,7 @@ from .abelian import GroupContext
 from .cocycles import Bicharacter, SkewForm
 from . import deform
 from .deform import FourierElement, translate
+from .modarith import checked_array
 
 __all__ = [
     "BaseGrid",
@@ -58,7 +59,7 @@ class BaseGrid:
         object.__setattr__(self, "samples", samples)
         if not samples:
             raise ValueError("grid needs at least one sample")
-        if any(s < 0.0 or s > 1.0 for s in samples):
+        if any(not 0.0 <= s <= 1.0 for s in samples):
             raise ValueError("samples must lie in [0, 1]")
         if any(b <= a for a, b in zip(samples, samples[1:])):
             raise ValueError("samples must be strictly increasing")
@@ -169,11 +170,9 @@ class MonodromyData:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.int64)
+        m = checked_array(self.matrix, "monodromy matrix", np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError("monodromy matrix must be square of even size")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property

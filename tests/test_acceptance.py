@@ -67,8 +67,10 @@ NAN_EXPOSED = [
     "involution",
     "iterated-deformation",
     "translation-automorphisms",
+    "rieffel-duality",
     "c0x-linearity",
     "heisenberg-field",
+    "non-principal-model",
 ]
 
 

@@ -24,8 +24,8 @@ PUBLIC_NAMES = {
     "equivariant_product_closure", "equivariant_test", "heisenberg_field", "linearity_check",
     "monodromy_check", "monodromy_transport", "param_star", "torus_action",
     # norms
-    "MonotonicityError", "Window", "field_continuity_scan", "left_mult_matrix",
-    "norm_convergence", "op_norm_estimate",
+    "MonotonicityError", "Window", "left_mult_matrix", "norm_convergence",
+    "op_norm_estimate",
     # automorphy
     "AutomorphyFactor", "GammaAction", "TauCocycle", "automorphy_check", "coboundary",
     "solve_automorphy", "tau_cocycle_check", "u_cocycle_check", "u_transform",

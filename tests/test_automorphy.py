@@ -95,6 +95,12 @@ class TestGammaAction:
             with pytest.raises(ValueError, match=f"{table} must hold integers"):
                 GammaAction(np.asarray(mul), np.asarray(act))
 
+    def test_tables_read_only(self):
+        action = GammaAction.cyclic(3)
+        for table in (action.mul, action.act, action.inv[None]):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 2
+
     def test_integer_valued_float_tables_accepted(self):
         z2 = GammaAction.cyclic(2)
         action = GammaAction(z2.mul.astype(float), z2.act.astype(float))

@@ -43,6 +43,21 @@ class TestSkewForm:
         j = SkewForm.standard_symplectic(1)
         assert j(LATTICE2.point(1, 0), LATTICE2.point(0, 1)) == 1.0
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(ValueError, match="skew form matrix entries must be finite"):
+            SkewForm([[0, entry], [-entry, 0]])
+
+
+class TestLinearMap:
+    def test_non_integer_matrix_rejected(self):
+        with pytest.raises(ValueError, match="linear map matrix must hold integers"):
+            LinearMap([[2.5]], 5)
+
+    def test_modulus_required(self):
+        with pytest.raises(TypeError):
+            LinearMap([[1.0]])
+
 
 class TestEval:
     def test_trivial_is_one(self):
@@ -296,14 +311,21 @@ class TestCohomologousCheck:
 
 class TestSigmaOne:
     def test_trivial_is_degenerate_zero_map(self):
-        sigma = Bicharacter.trivial(LATTICE2)
+        sigma = Bicharacter.trivial(GroupContext.finite([5, 5]))
         m = sigma_one(sigma)
-        assert np.all(m.matrix == 0.0)
+        assert np.all(m.matrix == 0)
         assert not is_nondegenerate(sigma)
 
     def test_symplectic_nondegenerate(self):
-        sigma = Bicharacter.from_skew(LATTICE2, SkewForm.standard_symplectic(1), 0.5)
+        sigma = Bicharacter(GroupContext.finite([5, 5]), [[0, 1], [-1, 0]])
         assert is_nondegenerate(sigma)
+
+    def test_lattice_rejected(self):
+        # the dual torus carries no nondegenerate bicharacter: finite mode only
+        sigma = Bicharacter.from_skew(LATTICE2, SkewForm.standard_symplectic(1), 0.5)
+        for routine in (sigma_one, is_nondegenerate):
+            with pytest.raises(ValueError, match="finite contexts only"):
+                routine(sigma)
 
     def test_finite_inverse_example(self):
         sigma = Bicharacter(Z5, [[2]])
@@ -321,7 +343,8 @@ class TestSigmaOne:
         s1 = sigma_one(sigma)
         for xi in Z7.points():
             for eta in Z7.points():
-                assert abs(sigma(xi, eta) - pairing(Z7, s1.apply(xi), eta)) <= 1e-12
+                image = Z7.point(s1.apply_vec(xi.vector()))
+                assert abs(sigma(xi, eta) - pairing(Z7, image, eta)) <= 1e-12
 
 
 class TestTMap:
@@ -339,7 +362,9 @@ class TestTMap:
         e = Bicharacter(ctx, e_matrix)
         t = T_map(Bicharacter(ctx, s), e)
         return max(
-            abs(e(-t.apply(u), w) - e(u, t.apply(w))) for u in ctx.points() for w in ctx.points()
+            abs(e(-ctx.point(t.apply_vec(u.vector())), w) - e(u, ctx.point(t.apply_vec(w.vector()))))
+            for u in ctx.points()
+            for w in ctx.points()
         )
 
     def test_antisymmetric_sigma_symmetric_e(self):
@@ -417,6 +442,8 @@ class TestTMap:
         e1 = LinearMap(e.matrix.T % 5, 5)
         for u in ctx.points():
             for v in ctx.points():
-                lhs = sigma(e1.apply(u), e1.apply(v))
-                rhs = e(t.apply(u), v)
+                lhs = sigma(
+                    ctx.point(e1.apply_vec(u.vector())), ctx.point(e1.apply_vec(v.vector()))
+                )
+                rhs = e(ctx.point(t.apply_vec(u.vector())), v)
                 assert abs(lhs - rhs) <= 1e-12

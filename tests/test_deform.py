@@ -639,7 +639,7 @@ class TestRieffelProduct:
     def test_unit_up_to_measure_for_trivial_twist(self):
         ctx, _, e, _ = self._setup(5, 1)
         t_zero = T_map(Bicharacter.trivial(ctx), e)
-        ones = FiniteVector.constant(ctx)
+        ones = FiniteVector(ctx, np.ones(ctx.moduli))
         rng = np.random.default_rng(16)
         b = FiniteVector(ctx, rng.standard_normal(5) + 1j * rng.standard_normal(5))
         out = rieffel_product_finite(ones, b, e, t_zero)
@@ -718,7 +718,7 @@ class TestRieffelProduct:
     def test_degenerate_e_rejected(self):
         ctx, sigma, e, t = self._setup(5, 1)
         bad_e = Bicharacter(ctx, [[0]])
-        a = FiniteVector.constant(ctx)
+        a = FiniteVector(ctx, np.ones(ctx.moduli))
         with pytest.raises(ValueError):
             rieffel_product_finite(a, a, bad_e, t)
 

@@ -9,7 +9,28 @@ import math
 import numpy as np
 import pytest
 
-from startwist.modarith import solve_mod_system
+from startwist.modarith import checked_array, solve_mod_system
+
+
+class TestCheckedArray:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+    @pytest.mark.parametrize("source_dtype", [np.int64, np.float64])
+    def test_fresh_read_only_copy(self, dtype, source_dtype):
+        source = np.array([[1, 2], [3, 4]], dtype=source_dtype)
+        out = checked_array(source, "table", dtype)
+        assert out.dtype == dtype and not out.flags.writeable
+        assert not np.shares_memory(out, source) and np.array_equal(out, source)
+
+    @pytest.mark.parametrize("entry", [1.5, np.nan, np.inf])
+    def test_integer_dtype_takes_integers_only(self, entry):
+        with pytest.raises(ValueError, match="table must hold integers"):
+            checked_array([[1.0, entry]], "table", np.int64)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_float_dtypes_take_finite_values_only(self, dtype, entry):
+        with pytest.raises(ValueError, match="table entries must be finite"):
+            checked_array([1.0, entry], "table", dtype)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from startwist.norms import (
     MonotonicityError,
     Window,
     _lanczos_norm,
-    field_continuity_scan,
     left_mult_matrix,
     norm_convergence,
     op_norm_estimate,
@@ -403,43 +402,6 @@ class TestCStarInequality:
             lhs = op_norm_estimate(star(a, involution(a, sigma), sigma), sigma, w + 2 * r)
             rhs = op_norm_estimate(a, sigma, w + 2 * r + r) ** 2
             assert lhs <= rhs + 1e-9
-
-
-class TestContinuityScan:
-    def test_unit_second_factor_gives_flat_row(self):
-        # the product a * delta_0 = a never changes; taking a on one lattice
-        # line makes its norm the same in every twisted representation, so
-        # the whole row is constant
-        a = FourierElement(
-            LATTICE2,
-            {
-                LATTICE2.point(1, 0): 1.0,
-                LATTICE2.point(-1, 0): 1.0,
-                LATTICE2.point(2, 0): 0.5j,
-            },
-        )
-        unit = FourierElement.delta(LATTICE2.zero())
-        rows, _ = field_continuity_scan(a, unit, J, [0.1, 0.2, 0.4], 4)
-        values = [v for _, v in rows]
-        assert max(values) - min(values) <= 1e-10
-
-    def test_delta_pair_norm_independent_of_hbar(self):
-        a = FourierElement.delta(LATTICE2.point(1, 0))
-        b = FourierElement.delta(LATTICE2.point(0, 1))
-        rows, quotient = field_continuity_scan(a, b, J, [0.1, 0.3, 0.7], 4)
-        assert all(abs(v - 1.0) <= 1e-12 for _, v in rows)
-        assert quotient <= 1e-10
-
-    def test_generic_scan_reports_quotient(self):
-        rng = np.random.default_rng(6)
-        a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
-        hbars = [0.05, 0.1, 0.15, 0.2]
-        rows, quotient = field_continuity_scan(a, b, J, hbars, 5)
-        assert len(rows) == len(hbars)
-        assert quotient >= 0.0
-        # adjacent jumps respect the reported constant
-        for (h1, e1), (h2, e2) in zip(rows, rows[1:]):
-            assert abs(e2 - e1) <= quotient * abs(h2 - h1) + 1e-12
 
 
 class TestWindow:

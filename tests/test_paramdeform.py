@@ -66,6 +66,11 @@ class TestBaseGrid:
         with pytest.raises(ValueError):
             BaseGrid("interval", (-0.1, 0.5))
 
+    @pytest.mark.parametrize("samples", [(0.0, np.nan, 1.0), (np.nan,)])
+    def test_nan_sample_rejected(self, samples):
+        with pytest.raises(ValueError, match=r"samples must lie in \[0, 1\]"):
+            BaseGrid("interval", samples)
+
 
 class TestParamStar:
     def test_constant_field_reduces_to_single_fiber(self):
@@ -269,6 +274,11 @@ class TestMonodromy:
 
     def test_diag_2_1_rejected(self):
         assert not monodromy_check(MonodromyData([[2, 0], [0, 1]]))
+
+    def test_non_integer_matrix_rejected(self):
+        # truncating 1.7 would store the shear, which passes monodromy_check
+        with pytest.raises(ValueError, match="monodromy matrix must hold integers"):
+            MonodromyData([[1.7, 1], [0, 1]])
 
     def test_equivariant_test_detects_mismatch(self):
         rng = np.random.default_rng(11)
