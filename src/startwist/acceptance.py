@@ -68,44 +68,49 @@ def _rng() -> np.random.Generator:
     return np.random.default_rng(SUITE_SEED)
 
 
-def _unit_disc(rng: np.random.Generator) -> complex:
-    r = np.sqrt(rng.random())
-    theta = 2.0 * np.pi * rng.random()
-    return complex(r * np.cos(theta), r * np.sin(theta))
+def _unit_disc(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` values uniform in the unit disc, from one ``rng.random`` call."""
+    radius_squared, turns = rng.random((2, count))
+    return np.sqrt(radius_squared) * np.exp(2j * np.pi * turns)
 
 
-def _random_element(
+def _random_elements(
     ctx: GroupContext,
     rng: np.random.Generator,
+    count: int,
     max_support: int = 9,
     box: int = 3,
-) -> FourierElement:
-    n_points = int(rng.integers(1, max_support + 1))
-    if ctx.is_finite:
-        n_points = min(n_points, ctx.size)
-    coeffs = {}  # keyed by reduced coordinates: a repeated point keeps its first slot
-    while len(coeffs) < n_points:
-        p = rng.integers(-box, box + 1, size=ctx.rank)
-        if ctx.is_finite:
-            p %= ctx.moduli
-        coeffs[tuple(p.tolist())] = _unit_disc(rng)
-    return FourierElement.from_arrays(ctx, list(coeffs), list(coeffs.values()))
+) -> list[FourierElement]:
+    """``count`` elements of 1 to ``max_support`` rows each, drawn as one batch.
+
+    Coordinates lie in [-box, box] (reduced in finite contexts) and values in
+    the unit disc.  The batch takes three rng calls and one ``_collect``,
+    which sums a point drawn twice in one member.
+    """
+    sizes = rng.integers(1, max_support + 1, size=count)
+    coords = rng.integers(-box, box + 1, size=(int(sizes.sum()), ctx.rank))
+    return FourierElement._from_rows(ctx, coords, _unit_disc(rng, len(coords)), sizes)
 
 
-def _random_skew2(rng: np.random.Generator) -> SkewForm:
-    theta = float(rng.uniform(-2.0, 2.0))
-    return SkewForm([[0.0, theta], [-theta, 0.0]])
+def _split(items, parts: int) -> list:
+    """``items`` cut into ``parts`` consecutive runs of equal length."""
+    size = len(items) // parts
+    return [items[start:start + size] for start in range(0, len(items), size)]
 
 
-def _random_lattice_cocycle(
-    ctx: GroupContext, rng: np.random.Generator, antisymmetric: bool = False
-) -> Bicharacter:
+def _random_skews(rng: np.random.Generator, count: int) -> list[SkewForm]:
+    return [SkewForm([[0.0, t], [-t, 0.0]]) for t in rng.uniform(-2.0, 2.0, count)]
+
+
+def _random_lattice_cocycles(
+    ctx: GroupContext, rng: np.random.Generator, count: int, antisymmetric: bool = False
+) -> list[Bicharacter]:
     if antisymmetric:
-        matrix = _random_skew2(rng).matrix
+        matrices = [form.matrix for form in _random_skews(rng, count)]
     else:
-        matrix = rng.uniform(-2.0, 2.0, size=(ctx.rank, ctx.rank))
-    hbar = float(rng.uniform(0.05, 1.5))
-    return Bicharacter(ctx, matrix, hbar=hbar)
+        matrices = rng.uniform(-2.0, 2.0, size=(count, ctx.rank, ctx.rank))
+    hbars = rng.uniform(0.05, 1.5, count)
+    return [Bicharacter(ctx, m, hbar=h) for m, h in zip(matrices, hbars)]
 
 
 # The product criteria multiply their draws this many at a time.  A batch holds
@@ -114,14 +119,14 @@ def _random_lattice_cocycle(
 _DRAWS_PER_BATCH = 10
 
 
-def _batches(count: int, draw: Callable[[], tuple]) -> Iterator[tuple]:
-    """``count`` calls of ``draw``, in order, as transposed batches of draws.
+def _batches(count: int, draw: Callable[[int], tuple]) -> Iterator[tuple]:
+    """``count`` draws in batches of at most ``_DRAWS_PER_BATCH``.
 
-    Each batch is drawn when it is reached, so the random stream is consumed
-    exactly as by one loop over ``draw``.
+    ``draw(k)`` returns a whole batch of k draws at once, as one sequence of
+    length k per operand; each batch is drawn when it is reached.
     """
     for start in range(0, count, _DRAWS_PER_BATCH):
-        yield zip(*[draw() for _ in range(min(_DRAWS_PER_BATCH, count - start))])
+        yield draw(min(_DRAWS_PER_BATCH, count - start))
 
 
 def check_delta_relation() -> CriterionResult:
@@ -129,12 +134,10 @@ def check_delta_relation() -> CriterionResult:
     rng = _rng()
     ctx = GroupContext.lattice(2)
 
-    def draw():
-        return (
-            _random_lattice_cocycle(ctx, rng),
-            ctx.point(tuple(rng.integers(-5, 6, size=2))),
-            ctx.point(tuple(rng.integers(-5, 6, size=2))),
-        )
+    def draw(k):
+        ps, qs = rng.integers(-5, 6, size=(2, k, 2))
+        sigmas = _random_lattice_cocycles(ctx, rng, k)
+        return sigmas, [ctx.point(p) for p in ps], [ctx.point(q) for q in qs]
 
     deviations = []
     for sigmas, ps, qs in _batches(200, draw):
@@ -162,13 +165,13 @@ def check_associativity() -> CriterionResult:
     battery = [
         Bicharacter.trivial(ctx),
         Bicharacter.from_skew(ctx, SkewForm.standard_symplectic(1), 0.5),
-        Bicharacter.from_skew(ctx, _random_skew2(rng), 1.0),
+        Bicharacter.from_skew(ctx, _random_skews(rng, 1)[0], 1.0),
         Bicharacter(ctx, rng.uniform(-2, 2, size=(2, 2)), hbar=0.7),
         Bicharacter(ctx, [[0.0, np.sqrt(2.0)], [-np.sqrt(2.0), 0.0]], hbar=1.0),
     ]
 
-    def draw():
-        return tuple(_random_element(ctx, rng) for _ in "abc")
+    def draw(k):
+        return _split(_random_elements(ctx, rng, 3 * k), 3)
 
     deviations = []
     for sigma in battery:
@@ -187,11 +190,10 @@ def check_involution() -> CriterionResult:
     rng = _rng()
     ctx = GroupContext.lattice(2)
 
-    def draw():
+    def draw(k):
         return (
-            _random_lattice_cocycle(ctx, rng, antisymmetric=True),
-            _random_element(ctx, rng),
-            _random_element(ctx, rng),
+            _random_lattice_cocycles(ctx, rng, k, antisymmetric=True),
+            *_split(_random_elements(ctx, rng, 2 * k), 2),
         )
 
     deviations = []
@@ -246,23 +248,24 @@ def check_iterated_deformation() -> CriterionResult:
     rng = _rng()
     ctx = GroupContext.lattice(2)
     tol = 1e-12
-    worst = 0.0
-    for _ in range(50):
-        hbar = float(rng.uniform(0.05, 1.5))
-        s1 = Bicharacter.from_skew(ctx, _random_skew2(rng), hbar)
-        s2 = Bicharacter.from_skew(ctx, _random_skew2(rng), hbar)
-        a = _random_element(ctx, rng)
-        b = _random_element(ctx, rng)
-        worst = np.maximum(worst, deform.iterated_star_check(a, b, s1, s2))
-    undeform_exact = True
-    for _ in range(10):
-        hbar = float(rng.uniform(0.05, 1.5))
-        sigma = Bicharacter.from_skew(ctx, _random_skew2(rng), hbar)
-        a = _random_element(ctx, rng)
-        b = _random_element(ctx, rng)
-        recovered = star(a, b, deform.compose_cocycles(sigma, sigma.conjugate()))
-        plain = star(a, b, Bicharacter.trivial(ctx))
-        undeform_exact = undeform_exact and recovered.l1_distance(plain) == 0.0
+    hbars = rng.uniform(0.05, 1.5, 50)
+    forms1, forms2 = _split(_random_skews(rng, 100), 2)
+    a, b = _split(_random_elements(ctx, rng, 100), 2)
+    worst = np.max([
+        deform.iterated_star_check(
+            x, y, Bicharacter.from_skew(ctx, g1, h), Bicharacter.from_skew(ctx, g2, h)
+        )
+        for x, y, g1, g2, h in zip(a, b, forms1, forms2, hbars)
+    ])
+    # the undeformation draws run as one batch, each side its own product batch
+    undo = []
+    for form, hbar in zip(_random_skews(rng, 10), rng.uniform(0.05, 1.5, 10)):
+        sigma = Bicharacter.from_skew(ctx, form, hbar)
+        undo.append(deform.compose_cocycles(sigma, sigma.conjugate()))
+    pairs = list(zip(*_split(_random_elements(ctx, rng, 20), 2)))
+    recovered = deform._star_batch(pairs, undo)
+    plain = deform._star_batch(pairs, Bicharacter.trivial(ctx))
+    undeform_exact = all(d == 0.0 for d in deform._l1_distances(list(zip(recovered, plain))))
     ok = worst <= tol and undeform_exact
     return CriterionResult(
         "iterated-deformation", ok, worst, tol,
@@ -276,13 +279,9 @@ def check_translation_automorphisms() -> CriterionResult:
     rng = _rng()
     ctx = GroupContext.lattice(2)
 
-    def draw():
-        return (
-            _random_lattice_cocycle(ctx, rng),
-            _random_element(ctx, rng),
-            _random_element(ctx, rng),
-            rng.random(2),
-        )
+    def draw(k):
+        a, b = _split(_random_elements(ctx, rng, 2 * k), 2)
+        return _random_lattice_cocycles(ctx, rng, k), a, b, rng.random((k, 2))
 
     deviations = []
     for sigmas, a, b, v in _batches(100, draw):
@@ -329,9 +328,8 @@ def check_rieffel_duality() -> CriterionResult:
     deviations = []
     for modulus, b in ((5, 1), (7, 3)):
         ctx, data = _kasprzak_context(modulus, b)
-        for _ in range(50):
-            f = _random_element(ctx, rng, max_support=modulus, box=modulus)
-            g = _random_element(ctx, rng, max_support=modulus, box=modulus)
+        elements = _random_elements(ctx, rng, 100, max_support=modulus, box=modulus)
+        for f, g in zip(*_split(elements, 2)):
             fv = _element_to_vector(f)
             gv = _element_to_vector(g)
             product = star(f, g, data.sigma)
@@ -356,23 +354,20 @@ def check_c0x_linearity() -> CriterionResult:
     rng = _rng()
     ctx = GroupContext.lattice(2)
     grid = paramdeform.BaseGrid.interval(5)
-    deviations = []
-    for _ in range(50):
-        field = paramdeform.CocycleField(
-            grid,
-            tuple(_random_skew2(rng) for _ in grid.samples),
-            float(rng.uniform(0.05, 1.5)),
+    n = len(grid)  # each draw takes one form, two fibers and one scalar per sample
+    forms = _split(_random_skews(rng, 50 * n), 50)
+    hbars = rng.uniform(0.05, 1.5, 50)
+    fibers = _split(_random_elements(ctx, rng, 100 * n, 5), 100)
+    scalars = _split(_unit_disc(rng, 50 * n), 50)
+    deviations = [
+        paramdeform.linearity_check(
+            paramdeform.ScalarField(grid, tuple(f)),
+            paramdeform.ParamElement(grid, tuple(a)),
+            paramdeform.ParamElement(grid, tuple(b)),
+            paramdeform.CocycleField(grid, tuple(g), h),
         )
-        a = paramdeform.ParamElement(
-            grid, tuple(_random_element(ctx, rng, 5) for _ in grid.samples)
-        )
-        b = paramdeform.ParamElement(
-            grid, tuple(_random_element(ctx, rng, 5) for _ in grid.samples)
-        )
-        f = paramdeform.ScalarField(
-            grid, tuple(_unit_disc(rng) for _ in grid.samples)
-        )
-        deviations.append(paramdeform.linearity_check(f, a, b, field))
+        for g, h, a, b, f in zip(forms, hbars, fibers[:50], fibers[50:], scalars)
+    ]
     return _worst_case("c0x-linearity", 1e-12, deviations, "deviation", "50 triples")
 
 
@@ -432,13 +427,12 @@ def check_non_principal_model() -> CriterionResult:
         0.5,
     )
 
-    def draw() -> paramdeform.ParamElement:
-        # the base fiber, then the middle ones; the last is the base transported
-        fibers = [_random_element(ctx2, rng, max_support=4, box=2) for _ in grid.samples[1:]]
-        return _equivariant_element(grid, rho, *fibers)
-
+    # each draw takes the base fiber, then the middle ones; the last is the base transported
+    fibers = _random_elements(ctx2, rng, 20 * (len(grid) - 1), max_support=4, box=2)
+    drawn = [_equivariant_element(grid, rho, *f) for f in _split(fibers, 20)]
     worst = np.max([
-        paramdeform.equivariant_product_closure(draw(), draw(), rho, field) for _ in range(10)
+        paramdeform.equivariant_product_closure(a, b, rho, field)
+        for a, b in zip(drawn[::2], drawn[1::2])
     ])
     # negative control: a non-invariant form needs rank 4, where skew forms
     # other than multiples of the standard one exist; the supports are chosen
@@ -499,7 +493,7 @@ def check_norm_oracle() -> CriterionResult:
     ctx2 = GroupContext.lattice(2)
     rng = _rng()
     for _ in range(10):
-        sigma = _random_lattice_cocycle(ctx2, rng, antisymmetric=True)
+        (sigma,) = _random_lattice_cocycles(ctx2, rng, 1, antisymmetric=True)
         p = ctx2.point(tuple(rng.integers(-3, 4, size=2)))
         w = int(rng.integers(max(3, max(abs(c) for c in p.coords) + 1), 8))
         est = norms.op_norm_estimate(FourierElement.delta(p), sigma, w)

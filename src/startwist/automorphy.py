@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import check_modulus, checked_array, integer_table, solve_mod_system
+from .modarith import check_modulus, checked_array, solve_mod_system
 
 __all__ = [
     "GammaAction",
@@ -26,7 +26,6 @@ __all__ = [
     "solve_automorphy",
     "u_transform",
     "u_cocycle_check",
-    "integer_table",
 ]
 
 _UNIT_TOL = 1e-9

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import acceptance, crossed, deform, norms, paramdeform
 from .abelian import GroupContext
-from .automorphy import GammaAction, TauCocycle, integer_table, solve_automorphy
+from .automorphy import GammaAction, TauCocycle, solve_automorphy
 from .cocycles import Bicharacter, SkewForm, is_nondegenerate
 from .deform import FourierElement
-from .modarith import check_modulus
+from .modarith import check_modulus, integer_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

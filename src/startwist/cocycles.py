@@ -191,6 +191,9 @@ class LinearMap:
     modulus: int
 
     def __post_init__(self) -> None:
+        # no upper cap: T_map passes the moduli of Z/10**12 cocycles
+        if not self.modulus >= 1:
+            raise ValueError(f"linear map modulus must be at least 1, got {self.modulus}")
         table = integer_table(self.matrix, "linear map matrix") % self.modulus
         m = checked_array(table, "linear map matrix", np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:

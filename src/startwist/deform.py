@@ -27,7 +27,9 @@ member's coefficients are bit for bit those of the member run alone, so
 batching changes speed only.  The kernel sorts at most ``_TERM_BUDGET`` pair
 terms at once, which bounds its memory whatever the batch.  Callers that
 check an identity keep its two sides in separate batches: batching never
-merges two routes into one accumulation.
+merges two routes into one accumulation.  Elements built from coordinate
+rows take one route too: ``from_arrays`` is a batch of one of
+``FourierElement._from_rows``.
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ class FourierElement:
         Values at repeated points are added in row order; finite coordinates
         are reduced mod the moduli.
         """
+        return cls._from_rows(context, coords, values)[0]
+
+    @classmethod
+    def _from_rows(
+        cls, context: GroupContext, coords, values, counts=None
+    ) -> list["FourierElement"]:
+        """Elements from a batch of coordinate rows, through one ``_collect``.
+
+        The first counts[0] rows make member 0, the next counts[1] member 1,
+        and so on (without ``counts``, all rows make one member).  Members
+        never merge, and each is bit for bit ``from_arrays`` of its own rows.
+        """
         coords = np.array(coords, dtype=np.int64)
         values = np.array(values, dtype=np.complex128)
         if values.ndim != 1 or coords.shape != (len(values), context.rank):
@@ -129,7 +143,7 @@ class FourierElement:
                 f"need coords of shape ({len(values)}, {context.rank}) for "
                 f"{len(values)} values, got {coords.shape}"
             )
-        return cls._wrap(context, *_collect(context, coords, values)[0])
+        return [cls._wrap(context, c, v) for c, v in _collect(context, coords, values, counts)]
 
     @classmethod
     def zero(cls, context: GroupContext) -> "FourierElement":

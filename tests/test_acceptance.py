@@ -12,7 +12,9 @@ import pytest
 
 import startwist.deform
 import startwist.norms
-from startwist.acceptance import CRITERIA
+from startwist.abelian import GroupContext
+from startwist.acceptance import CRITERIA, _random_elements
+from startwist.cocycles import Bicharacter
 from startwist.deform import FourierElement
 
 
@@ -27,6 +29,96 @@ def test_criterion(monkeypatch, name):
     result = CRITERIA[name]()
     print(result.line())
     assert result.passed, result.detail
+
+
+def spy_collect(monkeypatch) -> list:
+    """Record the (coords, values, counts) of every ``deform._collect`` call."""
+    calls = []
+    collect = startwist.deform._collect
+
+    def spy(ctx, coords, values, counts=None):
+        calls.append((coords.copy(), values.copy(), None if counts is None else list(counts)))
+        return collect(ctx, coords, values, counts)
+
+    monkeypatch.setattr(startwist.deform, "_collect", spy)
+    return calls
+
+
+DRAW_CONTEXTS = [
+    (GroupContext.lattice(2), 9, 3),
+    (GroupContext.finite(5), 5, 5),
+    (GroupContext.finite([3, 4]), 7, 4),
+]
+
+
+@pytest.mark.parametrize("ctx, max_support, box", DRAW_CONTEXTS)
+def test_random_elements_are_from_arrays_of_their_rows(monkeypatch, ctx, max_support, box):
+    calls = spy_collect(monkeypatch)
+    elements = _random_elements(ctx, np.random.default_rng(3), 200, max_support, box)
+    ((coords, values, counts),) = calls
+    monkeypatch.undo()
+    bounds = np.cumsum([0, *counts])
+    assert len(elements) == len(counts) == 200
+    for element, lo, hi in zip(elements, bounds, bounds[1:]):
+        alone = FourierElement.from_arrays(ctx, coords[lo:hi], values[lo:hi])
+        assert element == alone
+        assert element.values.tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("ctx, max_support, box", DRAW_CONTEXTS)
+def test_random_elements_ranges(monkeypatch, ctx, max_support, box):
+    calls = spy_collect(monkeypatch)
+    elements = _random_elements(ctx, np.random.default_rng(4), 200, max_support, box)
+    ((coords, values, counts),) = calls
+    # the row counts span [1, max_support], both ends included
+    assert set(counts) == set(range(1, max_support + 1))
+    assert len(coords) == sum(counts)
+    assert (np.abs(coords) <= box).all()
+    assert (np.abs(values) <= 1.0).all()
+    for element, size in zip(elements, counts):
+        assert 1 <= len(element.values) <= size
+        if ctx.is_finite:
+            assert ((0 <= element.coords) & (element.coords < np.array(ctx.moduli))).all()
+        else:
+            assert (np.abs(element.coords) <= box).all()
+
+
+def test_random_elements_never_merge(monkeypatch):
+    ctx = GroupContext.lattice(2)
+    # every row of every member lands on the origin
+    singles = _random_elements(ctx, np.random.default_rng(5), 30, max_support=1, box=0)
+    assert [e.coords.tolist() for e in singles] == [[[0, 0]]] * 30
+    calls = spy_collect(monkeypatch)
+    stacked = _random_elements(ctx, np.random.default_rng(6), 30, max_support=4, box=0)
+    ((_, values, counts),) = calls
+    bounds = np.cumsum([0, *counts])
+    for element, lo, hi in zip(stacked, bounds, bounds[1:]):
+        assert element.coords.tolist() == [[0, 0]]
+        assert element.values[0] == pytest.approx(values[lo:hi].sum(), abs=1e-15)
+    members = FourierElement._from_rows(ctx, [[0, 0]] * 4, [1.0, 2.0, 3.0, 4.0], [1, 1, 2])
+    assert [e.values.tolist() for e in members] == [[1.0], [2.0], [7.0]]
+
+
+def test_associativity_collect_calls(monkeypatch):
+    # 5 cocycles x 10 batches, each one draw, four product batches and one
+    # batch of distances; a per-element draw would add 1 500 calls
+    calls = spy_collect(monkeypatch)
+    assert CRITERIA["associativity"]().passed
+    assert len(calls) == 300
+
+
+def test_mutation_control_non_cocycle(monkeypatch):
+    # a twist that is no longer a 2-cocycle must break associativity
+    eval_many = Bicharacter.eval_many
+
+    def skewed(self, x, y):
+        bend = (x * x).sum(axis=-1) * (y * y).sum(axis=-1)
+        return eval_many(self, x, y) * np.exp(0.3j * bend)
+
+    monkeypatch.setattr(Bicharacter, "eval_many", skewed)
+    result = CRITERIA["associativity"]()
+    assert not result.passed
+    assert result.value > result.tolerance
 
 
 def test_mutation_control_semiclassical(monkeypatch):

@@ -34,14 +34,14 @@ HEISENBERG_7 = """y,phase_re,phase_im
 
 SUITE_TEXT = """\
 PASS delta-relation: worst l1 deviation 0.000e+00 (tol 1e-12) over 200 pairs
-PASS associativity: worst l1 deviation 7.879e-13 (tol 1e-10) over 5 x 100 triples
-PASS involution: worst l1 deviation 3.825e-14 (tol 1e-12) over 100 pairs
+PASS associativity: worst l1 deviation 8.335e-13 (tol 1e-10) over 5 x 100 triples
+PASS involution: worst l1 deviation 4.468e-14 (tol 1e-12) over 100 pairs
 PASS semiclassical-limit: ratio(0.01)=0.5036; ratio(0.001)=0.5000; closed-form gap 4.441e-16 (tol 1e-12)
-PASS iterated-deformation: worst deviation 1.862e-14 (tol 1e-12); undeformation exact: True
-PASS translation-automorphisms: worst deviation 5.880e-15 (tol 1e-12) over 100 draws
+PASS iterated-deformation: worst deviation 9.727e-15 (tol 1e-12); undeformation exact: True
+PASS translation-automorphisms: worst deviation 8.094e-15 (tol 1e-12) over 100 draws
 PASS kasprzak-equivalence: worst homomorphism deviation 8.951e-16 (tol 1e-10); projection idempotence 3.140e-16 (tol 1e-12); fixed-space dimensions exact: True
-PASS rieffel-duality: worst deviation 1.343e-15 (tol 1e-10) over 2 x 50 pairs
-PASS c0x-linearity: worst deviation 3.433e-16 (tol 1e-12) over 50 triples
+PASS rieffel-duality: worst deviation 8.921e-16 (tol 1e-10) over 2 x 50 pairs
+PASS c0x-linearity: worst deviation 2.483e-16 (tol 1e-12) over 50 triples
 PASS heisenberg-field: worst phase deviation 2.220e-16 (tol 1e-12); rational fibers are exact roots of unity: True
 PASS non-principal-model: shear accepted: True; diag(2,1) rejected: True; closure deviation 0.000e+00 (tol 1e-12); negative control deviation 1.445e+00 (> 1e-3)
 PASS norm-oracle: estimate at W=64 is 1.999416 (gap 5.84e-04, tol 1e-3); monotone in W; delta estimates exactly 1: True

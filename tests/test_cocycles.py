@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,20 @@ class TestLinearMap:
     def test_modulus_required(self):
         with pytest.raises(TypeError):
             LinearMap([[1.0]])
+
+    @pytest.mark.parametrize("modulus", [0, -3])
+    def test_modulus_below_one_rejected(self, modulus):
+        # rejected by name before any reduction, so no remainder warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"modulus must be at least 1, got {modulus}"):
+                LinearMap([[1]], modulus)
+
+    def test_modulus_beyond_2_31_accepted(self):
+        # T_map passes the moduli of Z/10**12 cocycles, past check_modulus's cap
+        m = LinearMap([[10**12 + 3]], 10**12)
+        assert m.modulus == 10**12
+        assert m.matrix.tolist() == [[3]]
 
 
 class TestEval:
