@@ -11,7 +11,7 @@ from .abelian import (
     GroupContext,
     GroupPoint,
     fourier,
-    pairing,
+    pairing_many,
 )
 from .cocycles import (
     Bicharacter,
@@ -19,14 +19,12 @@ from .cocycles import (
     SkewForm,
     T_map,
     antisymmetrize,
-    cocycle_check,
     cohomologous_check,
     is_nondegenerate,
     sigma_one,
 )
 from .deform import (
     FourierElement,
-    automorphism_check,
     compose_cocycles,
     involution,
     iterated_star_check,

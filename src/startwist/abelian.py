@@ -22,7 +22,6 @@ __all__ = [
     "GroupContext",
     "GroupPoint",
     "FiniteVector",
-    "pairing",
     "pairing_many",
     "fourier",
 ]
@@ -189,20 +188,12 @@ class FiniteVector:
         return f"FiniteVector({self.context.moduli}, {self.values!r})"
 
 
-def pairing(ctx: GroupContext, u: GroupPoint, xi) -> complex:
-    """Character pairing, a unit complex number, biadditive in both slots.
-
-    Finite mode pairs two group points: exp(2 pi i sum u_j xi_j / N_j).
-    Lattice mode pairs a lattice point with a torus point given as a real
-    vector in [0, 1)^rank: exp(2 pi i sum u_j t_j).
-    """
-    if u.context != ctx:
-        raise ValueError("first argument does not belong to the context")
-    return complex(pairing_many(ctx, (u.coords,), xi)[0])
-
-
 def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
-    """:func:`pairing` of every row of an int coordinate array with one xi."""
+    """Character pairing, a unit complex number biadditive in both slots, of
+    every row u of an int coordinate array with one xi.  Finite mode pairs
+    group points: exp(2 pi i sum u_j xi_j / N_j).  Lattice mode pairs with a
+    torus point, a real vector t in [0, 1)^rank: exp(2 pi i sum u_j t_j).
+    """
     coords = np.asarray(coords)
     if ctx.is_finite:
         if not isinstance(xi, GroupPoint) or xi.context != ctx:
@@ -225,7 +216,7 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
 
 
 def fourier(f: FiniteVector) -> FiniteVector:
-    """Unitary transform f_hat(v) = |V|^(-1/2) sum_xi pairing(v, xi) f(xi).
+    """Unitary transform f_hat(v) = |V|^(-1/2) sum_xi <v, xi> f(xi).
 
     Applied twice it is the reflection f(v) -> f(-v), so applying it three
     more times inverts it.

@@ -299,21 +299,35 @@ def _kasprzak_context(modulus: int, b: int):
 
 
 def check_kasprzak_equivalence() -> CriterionResult:
-    """Fiber averaging intertwines the crossed product with the deformed product."""
+    """Fiber averaging intertwines the crossed product with the deformed product.
+
+    A third route enters ``ok`` only: as e is nondegenerate, the deformed dual
+    action averaged over V (phases, rolls) is ``spectral_project`` (FFTs, a
+    character mask).  Its tables are drawn last, so no printed value moves.
+    """
     rng = _rng()
     tol = 1e-10
     idem_tol = 1e-12
     worst = 0.0
     worst_idem = 0.0
     dims_ok = True
-    for modulus, b in ((5, 1), (7, 3)):
-        ctx, data = _kasprzak_context(modulus, b)
+    contexts = [_kasprzak_context(modulus, b) for modulus, b in ((5, 1), (7, 3))]
+    for ctx, data in contexts:
         for a, bb in crossed.random_projected_pairs(data, rng, 50):
             worst = np.maximum(worst, crossed.verify_I_homomorphism(a, bb, data))
             again = crossed.spectral_project(a, data)
             worst_idem = np.maximum(worst_idem, again.linf_distance(a))
         dims_ok = dims_ok and crossed.fixed_point_dimension(data) == ctx.size
-    ok = worst <= tol and worst_idem <= idem_tol and dims_ok
+    worst_average = 0.0
+    for ctx, data in contexts:
+        shape = tuple(ctx.moduli) * 2
+        for _ in range(3):
+            table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a = crossed.CrossedElement(ctx, table)
+            actions = [crossed.deformed_dual_action(data, xi, a).table for xi in ctx.points()]
+            gap = np.mean(actions, axis=0) - crossed.spectral_project(a, data).table
+            worst_average = np.maximum(worst_average, np.max(np.abs(gap)))
+    ok = worst <= tol and worst_idem <= idem_tol and dims_ok and worst_average <= idem_tol
     return CriterionResult(
         "kasprzak-equivalence", ok, worst, tol,
         f"worst homomorphism deviation {worst:.3e} (tol {tol:g}); "
@@ -480,6 +494,8 @@ def check_norm_oracle() -> CriterionResult:
     Each window compresses delta(1) + delta(-1) to the adjacency matrix of the
     path on 2W + 1 points, whose top value 2 cos(pi/(2W+2)) every row must also
     match to 1e-12 relative; the printed line reports the sup-norm gap only.
+    A delta compresses to a partial isometry, of norm exactly 1, but the dense
+    SVD may round that off (1 + 2**-52 occurs), so 4 ulps of 1 are allowed.
     """
     ctx1 = GroupContext.lattice(1)
     trivial = Bicharacter.trivial(ctx1)
@@ -497,8 +513,7 @@ def check_norm_oracle() -> CriterionResult:
         p = ctx2.point(tuple(rng.integers(-3, 4, size=2)))
         w = int(rng.integers(max(3, max(abs(c) for c in p.coords) + 1), 8))
         est = norms.op_norm_estimate(FourierElement.delta(p), sigma, w)
-        if est != 1.0:
-            deltas_exact = False
+        deltas_exact = deltas_exact and abs(est - 1.0) <= 4 * np.finfo(np.float64).eps
     ok = sup_gap <= 1e-3 and deltas_exact and closed_form
     return CriterionResult(
         "norm-oracle", ok, sup_gap, 1e-3,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "SkewForm",
     "Bicharacter",
     "LinearMap",
-    "cocycle_check",
     "antisymmetrize",
     "cohomologous_check",
     "sigma_one",
@@ -216,35 +214,6 @@ class LinearMap:
             and self.modulus == other.modulus
             and np.array_equal(self.matrix, other.matrix)
         )
-
-
-def cocycle_check(
-    sigma: Bicharacter | Callable[[GroupPoint, GroupPoint], complex],
-    triples: Iterable[tuple[GroupPoint, GroupPoint, GroupPoint]],
-) -> float:
-    """Worst |sigma(x,y) sigma(x+y,z) - sigma(x,y+z) sigma(y,z)| on sample triples.
-
-    NaN if any term is NaN.  Accepts any callable phase table, not only
-    exponent forms, so constructed counterexamples can be measured.
-    """
-    triples = list(triples)
-    if not triples:
-        raise ValueError("cocycle_check needs a nonempty sample")
-    if isinstance(sigma, Bicharacter):
-        # kept batched: with exponent forms sent through the loop below, tier-1 ran 10x slower
-        xs = np.array([x.coords for x, _, _ in triples])
-        ys = np.array([y.coords for _, y, _ in triples])
-        zs = np.array([z.coords for _, _, z in triples])
-        lhs = sigma.eval_many(xs, ys) * sigma.eval_many(xs + ys, zs)
-        rhs = sigma.eval_many(xs, ys + zs) * sigma.eval_many(ys, zs)
-        dev = float(np.max(np.abs(lhs - rhs)))
-    else:
-        dev = 0.0
-        for x, y, z in triples:
-            lhs = sigma(x, y) * sigma(x + y, z)
-            rhs = sigma(x, y + z) * sigma(y, z)
-            dev = float(np.maximum(dev, abs(lhs - rhs)))
-    return dev
 
 
 def antisymmetrize(sigma: Bicharacter) -> Bicharacter:

@@ -17,6 +17,8 @@ translate at a time, so it checks the mask rather than restating it.
 and rejects a context with |V|^2 > 2**20, the entry count of every table here.
 The dual action is ``deformed_dual_action`` at the trivial sigma; a routine
 given an element and the data rejects them unless their contexts agree.
+Averaged over every xi in V, the deformed dual action is ``spectral_project``
+(e is nondegenerate); ``kasprzak-equivalence`` checks the two against each other.
 
 Measure constants: fiber convolution uses plain sums, and both I and the
 matched double-sum product (``deform.rieffel_product_finite``) carry the
@@ -148,7 +150,7 @@ def crossed_conv(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 def deformed_dual_action(
     data: DeformedActionData, xi: GroupPoint, a: CrossedElement
 ) -> CrossedElement:
-    """Twisted dual action: fiber at v becomes pairing(v, xi) alpha_{sigma^1 xi}^{-1}[fiber].
+    """Twisted dual action: fiber at v becomes <v, xi> alpha_{sigma^1 xi}^{-1}[fiber].
 
     At the trivial sigma the shift is zero: the plain dual action, which fixes
     exactly the v = 0 slice.

@@ -54,7 +54,6 @@ __all__ = [
     "compose_cocycles",
     "iterated_star_check",
     "translate",
-    "automorphism_check",
     "rieffel_product_finite",
 ]
 
@@ -99,7 +98,7 @@ class FourierElement:
         self, context: GroupContext, coords: np.ndarray, values: np.ndarray
     ) -> None:
         """Set the fields from sorted distinct coords, dropping exact zeros."""
-        if not values.all():
+        if np.count_nonzero(values) != len(values):
             keep = values != 0
             coords, values = coords[keep], values[keep]
         coords.flags.writeable = False
@@ -475,23 +474,17 @@ def iterated_star_check(
 
 
 def translate(a: FourierElement, v) -> FourierElement:
-    """Translation automorphism: coefficient at p is multiplied by pairing(p, v)."""
+    """Translation automorphism: coefficient at p is multiplied by the pairing of p and v."""
     return FourierElement._wrap(
         a.context, a.coords, a.values * pairing_many(a.context, a.coords, v)
     )
 
 
-def automorphism_check(
-    a: FourierElement, b: FourierElement, sigma: Bicharacter, v
-) -> float:
-    """Deviation of translate(a) * translate(b) from translate(a * b)."""
-    return _automorphism_deviations([(a, b)], [sigma], [v])[0]
-
-
 def _automorphism_deviations(
     pairs: _Pairs, sigmas: Sequence[Bicharacter], vs: Sequence
 ) -> list[float]:
-    """``automorphism_check`` for every pair, each side's products in one batch."""
+    """Deviation of translate(a) * translate(b) from translate(a * b), the
+    twist and translation given per pair; each side's products in one batch."""
     lhs = _star_batch(
         [(translate(a, v), translate(b, v)) for (a, b), v in zip(pairs, vs)], sigmas
     )

@@ -290,17 +290,9 @@ def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
         raise ValueError("matrix is not symplectic")
     if rho.rank != a.context.rank:
         raise ValueError("monodromy rank does not match the context")
-    first = a.fibers[0]
-    last = a.fibers[-1]
-    inv_t = _dual_matrix(rho)
-    ctx = a.context
-    dev = 0.0
-    for p in set(last.support) | {
-        ctx.point(tuple(rho.matrix.T @ q.vector())) for q in first.support
-    }:
-        pulled = first.coeff(ctx.point(tuple(inv_t @ p.vector())))
-        dev = float(np.maximum(dev, abs(last.coeff(p) - pulled)))
-    return dev
+    last = a.fibers[-1]  # pulled back, its coefficient at p sits at rho^{-T} p
+    pulled = FourierElement.from_arrays(a.context, last.coords @ _dual_matrix(rho).T, last.values)
+    return pulled.linf_distance(a.fibers[0])
 
 
 def _is_symplectic_multiple(form: SkewForm) -> bool:

@@ -9,7 +9,7 @@ from startwist.abelian import (
     FiniteVector,
     GroupContext,
     fourier,
-    pairing,
+    pairing_many,
 )
 
 CONTEXTS = [
@@ -74,6 +74,11 @@ class TestContext:
             GroupContext.finite(5).point(1) + GroupContext.finite(7).point(1)
 
 
+def pairing(ctx, u, xi):
+    """The pairing of one point with xi, through ``pairing_many``."""
+    return complex(pairing_many(ctx, [u.coords], xi)[0])
+
+
 class TestPairing:
     def test_z4_generator(self):
         ctx = GroupContext.finite(4)
@@ -92,18 +97,17 @@ class TestPairing:
 
     def test_lattice_torus_pairing(self):
         ctx = GroupContext.lattice(2)
-        value = pairing(ctx, ctx.point(2, -1), [0.25, 0.5])
-        assert value == pytest.approx(np.exp(2j * np.pi * 0.0))
+        values = pairing_many(ctx, [[2, -1], [1, 0], [0, 0]], [0.25, 0.5])
+        assert values == pytest.approx([1.0, 1j, 1.0])
 
     def test_biadditivity_exhaustive_z5(self):
+        # every row u + v against the product of rows u and v, for each xi
         ctx = GroupContext.finite(5)
-        pts = list(ctx.points())
-        for u in pts:
-            for v in pts:
-                for xi in pts:
-                    lhs = pairing(ctx, u + v, xi)
-                    rhs = pairing(ctx, u, xi) * pairing(ctx, v, xi)
-                    assert abs(lhs - rhs) <= 1e-12
+        us, vs = np.divmod(np.arange(25), 5)
+        for xi in ctx.points():
+            lhs = pairing_many(ctx, (us + vs)[:, None] % 5, xi)
+            rhs = pairing_many(ctx, us[:, None], xi) * pairing_many(ctx, vs[:, None], xi)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
@@ -135,14 +139,16 @@ class TestPairing:
 
     def test_dimension_mismatch(self):
         ctx = GroupContext.lattice(2)
-        with pytest.raises(ValueError):
-            pairing(ctx, ctx.point(1, 0), [0.5])
+        with pytest.raises(ValueError, match="torus point"):
+            pairing_many(ctx, [[1, 0]], [0.5])
 
     def test_wrong_context_rejected(self):
+        # coordinate rows carry no context; the second argument must belong to ctx
         ctx5 = GroupContext.finite(5)
         ctx7 = GroupContext.finite(7)
-        with pytest.raises(ValueError):
-            pairing(ctx5, ctx7.point(1), ctx5.point(1))
+        for xi in (ctx7.point(1), [0.5]):
+            with pytest.raises(ValueError, match="second argument"):
+                pairing_many(ctx5, [[1]], xi)
 
 
 class TestFourier:

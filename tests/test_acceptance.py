@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+import startwist.crossed
 import startwist.deform
 import startwist.norms
 from startwist.abelian import GroupContext
 from startwist.acceptance import CRITERIA, _random_elements
-from startwist.cocycles import Bicharacter
+from startwist.cocycles import Bicharacter, LinearMap, sigma_one
 from startwist.deform import FourierElement
 
 
@@ -151,6 +152,35 @@ def test_mutation_control_norm_closed_form(monkeypatch):
     assert not result.passed
     assert result.value <= result.tolerance
     assert result.detail.endswith("delta estimates exactly 1: True")
+
+
+@pytest.mark.parametrize("offset, passes", [(2.0**-52, True), (1e-12, False)])
+def test_norm_oracle_delta_rounding_allowance(monkeypatch, offset, passes):
+    # a delta estimate one ulp above 1 is rounding and passes; 1e-12 above is not
+    estimate = startwist.norms.op_norm_estimate
+
+    def nudged(a, sigma, window):
+        est = estimate(a, sigma, window)
+        return est + offset if len(a.values) == 1 else est
+
+    monkeypatch.setattr(startwist.norms, "op_norm_estimate", nudged)
+    result = CRITERIA["norm-oracle"]()
+    assert result.passed is passes
+    assert result.detail.endswith(f"delta estimates exactly 1: {passes}")
+
+
+def test_mutation_control_deformed_dual_action(monkeypatch):
+    # a negated shift in the deformed dual action moves its average off the
+    # spectral projection; the printed line does not show that route
+    expected = CRITERIA["kasprzak-equivalence"]()
+
+    def negated(sigma):
+        return LinearMap(-sigma_one(sigma).matrix, sigma.context.uniform_modulus)
+
+    monkeypatch.setattr(startwist.crossed, "sigma_one", negated)
+    result = CRITERIA["kasprzak-equivalence"]()
+    assert expected.passed and not result.passed
+    assert result.detail == expected.detail
 
 
 NAN_EXPOSED = [

@@ -1,20 +1,23 @@
 """The public names of the ``startwist`` package, pinned so that every API
-change shows in the diff of this file."""
+change shows in the diff of this file, and each given a caller."""
 
+import ast
+import pathlib
 import types
 
 import startwist
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 PUBLIC_NAMES = {
     # abelian
-    "FiniteVector", "GroupContext", "GroupPoint", "fourier", "pairing",
+    "FiniteVector", "GroupContext", "GroupPoint", "fourier", "pairing_many",
     # cocycles
-    "Bicharacter", "LinearMap", "SkewForm", "T_map", "antisymmetrize", "cocycle_check",
-    "cohomologous_check", "is_nondegenerate", "sigma_one",
+    "Bicharacter", "LinearMap", "SkewForm", "T_map", "antisymmetrize", "cohomologous_check",
+    "is_nondegenerate", "sigma_one",
     # deform
-    "FourierElement", "automorphism_check", "compose_cocycles", "involution",
-    "iterated_star_check", "poisson_bracket", "rieffel_product_finite",
-    "semiclassical_defect", "star", "translate",
+    "FourierElement", "compose_cocycles", "involution", "iterated_star_check",
+    "poisson_bracket", "rieffel_product_finite", "semiclassical_defect", "star", "translate",
     # crossed
     "CrossedElement", "DeformedActionData", "I_map", "crossed_conv", "deformed_dual_action",
     "fixed_point_dimension", "fixed_point_test", "spectral_project", "twisted_crossed_dual",
@@ -40,3 +43,21 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+# Public names that may go without a caller in the package or the benchmark:
+# `antisymmetrize` and `cohomologous_check` are reserved for the cohomology
+# criterion (ROADMAP item 3), `torus_action` for the torus base (item 4).
+UNCALLED = {"antisymmetrize", "cohomologous_check", "torus_action"}
+
+
+def test_every_public_name_has_a_caller():
+    sources = [p for p in (ROOT / "src" / "startwist").glob("*.py") if p.name != "__init__.py"]
+    referenced = set()
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert PUBLIC_NAMES - referenced == UNCALLED

@@ -8,7 +8,6 @@ from startwist.abelian import FiniteVector, GroupContext, fourier
 from startwist.cocycles import Bicharacter, SkewForm, T_map
 from startwist.deform import (
     FourierElement,
-    automorphism_check,
     compose_cocycles,
     involution,
     iterated_star_check,
@@ -430,7 +429,8 @@ class TestBatchedKernel:
         vs = [rng.random(2) for _ in sigmas]
         batched = deform._automorphism_deviations(pairs, sigmas, vs)
         assert batched == [
-            automorphism_check(a, b, s, v) for (a, b), s, v in zip(pairs, sigmas, vs)
+            deform._automorphism_deviations([pair], [s], [v])[0]
+            for pair, s, v in zip(pairs, sigmas, vs)
         ]
         assert max(batched) <= 1e-12
 
@@ -596,19 +596,22 @@ class TestTranslate:
 
     def test_automorphism_property(self):
         rng = np.random.default_rng(13)
-        worst = 0.0
+        sigmas, pairs, vs = [], [], []
         for _ in range(100):
-            sigma = Bicharacter.from_skew(LATTICE2, random_skew(rng), rng.uniform(0.1, 1.3))
-            a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
-            worst = max(worst, automorphism_check(a, b, sigma, rng.random(2)))
-        assert worst <= 1e-12
+            sigmas.append(
+                Bicharacter.from_skew(LATTICE2, random_skew(rng), rng.uniform(0.1, 1.3))
+            )
+            pairs.append((random_element(LATTICE2, rng), random_element(LATTICE2, rng)))
+            vs.append(rng.random(2))
+        assert max(deform._automorphism_deviations(pairs, sigmas, vs)) <= 1e-12
 
     def test_finite_mode_translation(self):
         ctx = GroupContext.finite(5)
         sigma = Bicharacter(ctx, [[2]])
         rng = np.random.default_rng(14)
         a, b = random_element(ctx, rng), random_element(ctx, rng)
-        assert automorphism_check(a, b, sigma, ctx.point(3)) <= 1e-12
+        (dev,) = deform._automorphism_deviations([(a, b)], [sigma], [ctx.point(3)])
+        assert dev <= 1e-12
 
     def test_finite_mode_exact_at_large_modulus(self):
         n = 10**12
