@@ -6,12 +6,9 @@ value of the compression is a certified lower bound of the deformed operator
 norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Boxes
 of up to 289 points (rank 2, W = 8) take a dense SVD, larger ones a
 matrix-free Lanczos estimate: the Rayleigh quotient ||A x|| / ||x|| of its Ritz
-vector x, a lower bound even unconverged.  Lanczos keeps its basis within a
-fixed budget of 2 MiB and reruns the recurrence only for the vectors of x past
-it, so one pass suffices whenever the basis fits.  The boundary sits at the
-measured crossover, where the two cost about the same; at W = 16 in rank 2 the
-SVD is ten to thirty times slower.  ``left_mult_matrix`` plus the SVD stays the
-oracle for every box.
+vector x, a lower bound even unconverged, with its basis kept within 2 MiB.
+The boundary sits above the measured crossover (see ``_DENSE_DIM_LIMIT``).
+``left_mult_matrix`` plus the SVD stays the oracle for every box.
 """
 
 from __future__ import annotations
@@ -35,9 +32,10 @@ __all__ = [
 ]
 
 # Dense SVD up to the 2-d W=8 box, Lanczos on the Gram operator beyond.  With
-# one BLAS thread on a 2-core x86 host, SVD against Lanczos on three elements
-# took 19-20 against 11-21 ms at W=8, the crossover, 152-161 against 15-45 ms
-# at W=12 and 832-857 against 25-89 ms at W=16.
+# one BLAS thread on a 2-core x86 host, at W=8 on the benchmark's window-norms
+# elements the SVD takes 15-20 ms and Lanczos 1.4-8 ms; they tie near W=6.  The
+# limit stays at W=8 as test_criterion's suite values and the W=8 CLI goldens
+# come from the SVD: at 169 the semiclassical-limit gap read 8.674e-19, not 4.441e-16.
 _DENSE_DIM_LIMIT = 289
 # Largest box estimated at all: W = 511 in rank 2.
 _WINDOW_DIM_LIMIT = 2**20
@@ -181,40 +179,57 @@ def _ritz_vector(alphas: list, betas: list, theta: float) -> list:
     return y
 
 
+def _window_operator(a: FourierElement, sigma: Bicharacter, w: int) -> tuple:
+    """x -> A x, x -> A^H x and x -> A^H A x on box-shaped arrays, A the window
+    compression.
+
+    In buffers padded by the support radius, each term p reads one contiguous
+    slice at a fixed offset from the box's flat span.  Over the span it carries
+    a(p) sigma(p, t - p) at t where t and t - p lie in the box, 0 elsewhere, and
+    A^H the conjugates at the opposite offset: one multiply-add per term.
+    """
+    rank, pad = a.context.rank, a.support_radius()
+    side = 2 * (w + pad) + 1
+    grid = _window_grid(rank, w + pad)  # the padded box, in flat order
+    inside = np.all(np.abs(grid) <= w, axis=1)
+    step = side ** np.arange(rank - 1, -1, -1)  # flat offset of a unit step per axis
+    lo, hi = pad * step.sum(), len(grid) - pad * step.sum()  # the box's flat span
+    bufs = np.zeros((3,) + (side,) * rank, dtype=np.complex128)  # x, A x, A^H A x
+    inner, flat = (slice(pad, side - pad),) * rank, bufs.reshape(3, -1)
+    forward, adjoint = [], []
+    for pv, c in zip(a.coords, a.values):
+        offset = pv @ step
+        coef = c * _phase_on_grid(sigma, pv, grid - pv)
+        coef[~(inside & np.roll(inside, offset))] = 0.0
+        forward.append((coef[lo:hi], flat[0, lo - offset : hi - offset]))
+        back = slice(lo + offset, hi + offset)
+        adjoint.append((coef[back].conj(), flat[1, back]))
+    passes = [(forward, flat[1, lo:hi]), (adjoint, flat[2, lo:hi])]
+
+    def apply(x: np.ndarray, first: int, last: int) -> np.ndarray:
+        bufs[first][inner] = x
+        for terms, seg in passes[first:last]:
+            np.multiply(*terms[0], out=seg)
+            for coef, source in terms[1:]:
+                np.add(seg, coef * source, out=seg)
+        return bufs[last][inner].copy()
+
+    return (lambda x: apply(x, 0, 1)), (lambda x: apply(x, 1, 2)), (lambda x: apply(x, 0, 2))
+
+
 def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float, int, float]:
     """Largest singular value by plain Lanczos on the Gram operator A^H A.
 
-    A and its adjoint are applied per support term, clipped at the box boundary.
     Nothing is reorthogonalised: lost orthogonality only repeats converged Ritz
     values (Paige 1980).  The top Ritz value is checkpointed until it settles or
-    the step cap is hit.  The vectors q_0, q_1, ... are kept while they fit
-    ``_BASIS_BUDGET`` (always the first two), and the Ritz vector x sums the
-    kept ones first, then the ones past the budget, which the recurrence
-    regenerates from the last two kept vectors with the recorded alphas and
-    betas; when all fit, that resumed tail is empty.  Returns (s, steps,
-    residual) with s = ||A x|| / ||x||, a Rayleigh quotient and so a lower bound
-    even when unconverged, and residual ||A^H A x - s^2 x|| / ||x||.
+    the step cap is hit.  The Ritz vector x sums the vectors q_0, q_1, ... kept
+    within ``_BASIS_BUDGET`` (always the first two), then the ones past it, which
+    ``resumed`` reruns.  Returns (s, steps, residual) with s = ||A x|| / ||x||, a
+    Rayleigh quotient and so a lower bound even when unconverged, and residual
+    ||A^H A x - s^2 x|| / ||x||.
     """
-    side = 2 * w + 1
-    shape = (side,) * a.context.rank
-    grid = _window_grid(a.context.rank, w)
-    forward = []
-    for pv, c in zip(a.coords, a.values):
-        src = tuple(slice(max(-int(s), 0), side + min(-int(s), 0)) for s in pv)
-        dst = tuple(slice(max(int(s), 0), side + min(int(s), 0)) for s in pv)
-        forward.append((c * _phase_on_grid(sigma, pv, grid).reshape(shape)[src], src, dst))
-    adjoint = [(np.conj(coef), dst, src) for coef, src, dst in forward]
-
-    def apply(x: np.ndarray, terms: list) -> np.ndarray:
-        out = np.zeros(shape, dtype=np.complex128)
-        for coef, src, dst in terms:
-            out[dst] += coef * x[src]
-        return out
-
-    def gram_step(q_prev: np.ndarray, q: np.ndarray, beta_prev: float) -> np.ndarray:
-        """A^H A q_j - beta_{j-1} q_{j-1}, before alpha_j q_j is taken off."""
-        return apply(apply(q, forward), adjoint) - beta_prev * q_prev
-
+    shape = (2 * w + 1,) * a.context.rank
+    forward, adjoint, gram = _window_operator(a, sigma, w)
     rng = np.random.default_rng(20240229)
     q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q /= np.linalg.norm(q)
@@ -222,7 +237,7 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
     alphas, betas, theta, checkpoint = [], [], 0.0, 20
     q_prev, beta = q, 0.0
     while True:
-        v = gram_step(q_prev, q, beta)
+        v = gram(q) - beta * q_prev
         alpha = float(np.vdot(q, v).real)
         v -= alpha * q
         beta = float(np.linalg.norm(v))
@@ -245,17 +260,17 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
         m = len(kept)  # at least 2 unless k = 1, where nothing is rerun
         q_prev, q = kept[m - 2], kept[m - 1]
         for i in range(m - 1, len(alphas) - 1):
-            v = gram_step(q_prev, q, betas[i - 1])
+            v = gram(q) - betas[i - 1] * q_prev
             v -= alphas[i] * q
             q_prev, q = q, v / betas[i]
             yield q
 
     y = _ritz_vector(alphas, betas[:-1], theta)
     x = sum(yj * qj for yj, qj in zip(y, itertools.chain(kept, resumed())))
-    ax = apply(x, forward)
+    ax = forward(x)
     x_norm = np.linalg.norm(x)
     estimate = np.linalg.norm(ax) / x_norm
-    residual = np.linalg.norm(apply(ax, adjoint) - estimate**2 * x) / x_norm
+    residual = np.linalg.norm(adjoint(ax) - estimate**2 * x) / x_norm
     return float(estimate), len(alphas), float(residual)
 
 
@@ -285,11 +300,11 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
 def norm_convergence(
     a: FourierElement, sigma: Bicharacter, windows: Sequence
 ) -> list[tuple[int, float]]:
-    """Estimates per window, asserted nondecreasing in the radius."""
+    """Estimates per window, asserted nondecreasing in the radius to a relative 1e-12."""
     rows = [(w.radius, op_norm_estimate(a, sigma, w)) for w in map(_as_window, windows)]
     rows.sort(key=lambda r: r[0])
     for (w1, e1), (w2, e2) in itertools.pairwise(rows):
-        if e2 < e1 - 1e-12:
+        if e2 < e1 - 1e-12 * e1:
             raise MonotonicityError(
                 f"estimate dropped from {e1} at W={w1} to {e2} at W={w2}"
             )

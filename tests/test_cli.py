@@ -374,6 +374,33 @@ class TestNormCommand:
             exact = 2.0 * np.cos(np.pi / (4 * int(w) + 2))
             assert abs(float(estimate) - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize(
+        "re, im",
+        [
+            ("0.39512206018200824", "0.42986369482223"),
+            ("395122.06018200824", "429863.69482223"),
+            ("395122060182.00824", "429863694822.23"),
+        ],
+        ids=["scale-1", "scale-1e6", "scale-1e12"],
+    )
+    def test_one_term_repeat_across_dense_limit_exits_0(self, tmp_path, re, im):
+        # W = 8 takes the dense SVD, which may round |c| up an ulp, W = 9 the
+        # Lanczos estimate clamped to |c|; a relative guard lets that repeat
+        # pass at every scale (an absolute 1e-12 refused it at 1e6)
+        cfg = {
+            "element": lattice2_doc(([-1, 1], re, im)),
+            "form": [[0.0, 1.0], [-1.0, 0.0]],
+            "hbar": 0.3,
+            "windows": [8, 9],
+        }
+        code, text = run(["norm"], cfg, tmp_path)
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in text.strip().split("\n")]
+        assert [w for w, _ in rows] == ["window", "8", "9"]
+        modulus = abs(complex(float(re), float(im)))
+        assert float(rows[2][1]) == modulus
+        assert abs(float(rows[1][1]) - modulus) <= 2 * np.spacing(modulus)
+
     def test_window_too_small_is_validation_error(self, tmp_path):
         ctx1 = GroupContext.lattice(1)
         a = FourierElement(ctx1, {ctx1.point(3): 1.0})

@@ -8,6 +8,7 @@ from startwist.norms import (
     MonotonicityError,
     Window,
     _lanczos_norm,
+    _window_operator,
     left_mult_matrix,
     norm_convergence,
     op_norm_estimate,
@@ -218,6 +219,61 @@ class TestLanczosKernel:
         assert 0.0 < est <= dense_norm(ROADMAP_ELEMENT, sigma, 8)
 
 
+def _operator_cases():
+    """(id, a, sigma, w) for the flat operator against its dense oracle."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for rank in (1, 2, 3):
+        ctx = GroupContext.lattice(rank)
+        sigma = Bicharacter.from_skew(ctx, SKEW[rank], 0.43)
+        for i in range(3):
+            a = random_element(ctx, rng)
+            # the support touches the box edge (unless it is the origin alone),
+            # then sits inside it
+            edge = max(a.support_radius(), 1)
+            cases.append((f"rank{rank}-edge-{i}", a, sigma, edge))
+            cases.append((f"rank{rank}-inside-{i}", a, sigma, edge + 2))
+        cases.append((f"rank{rank}-origin", FourierElement.delta(ctx.zero(), 2 - 1j), sigma, 2))
+    ctx = GroupContext.lattice(1)
+    a = random_element(ctx, rng)
+    cases.append(("rank1-w150", a, Bicharacter.from_skew(ctx, SKEW[1], 0.43), 150))
+    cases.append(("roadmap-17", ROADMAP_ELEMENT, Bicharacter.from_skew(LATTICE2, J, 0.3), 17))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestWindowOperator:
+    @pytest.mark.parametrize("a, sigma, w", _operator_cases())
+    def test_matches_left_mult_matrix(self, a, sigma, w):
+        forward, adjoint, gram = _window_operator(a, sigma, w)
+        mat = left_mult_matrix(a, sigma, w)
+        shape = (2 * w + 1,) * a.context.rank
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for apply, oracle in ((forward, mat), (adjoint, mat.conj().T)):
+                expected = (oracle @ x.reshape(-1)).reshape(shape)
+                got = apply(x)
+                assert got.shape == shape
+                assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+            # the Gram apply reads A x where the forward pass left it: the same bits
+            assert np.array_equal(gram(x), adjoint(forward(x)))
+
+    @pytest.mark.parametrize(
+        "a, hbar, w, pinned",
+        [
+            (ROADMAP_ELEMENT, 0.3, 17, ("0x1.16b9382118eb7p+1", 821, "0x1.eecbbb2cbbf5ap-46")),
+            (ROADMAP_ELEMENT, 0.3, 20, ("0x1.16ef65399b87ap+1", 577, "0x1.c6c479c33d55bp-27")),
+            (SHIFT_PAIR, 0.0, 17, ("0x1.ff7c04eb738ecp+0", 456, "0x1.04c41d1f59be3p-41")),
+        ],
+        ids=["roadmap-17", "roadmap-20", "shift-pair-17"],
+    )
+    def test_lanczos_results_pinned(self, a, hbar, w, pinned):
+        # (estimate, steps, residual) to the last bit: every operator entry sums
+        # its terms in support order, and these move if that order does
+        est, steps, residual = _lanczos_norm(a, Bicharacter.from_skew(LATTICE2, J, hbar), w)
+        assert (est.hex(), steps, residual.hex()) == pinned
+
+
 def _budget_cases():
     """(id, a, sigma, w, step cap, expected steps) for the budget identity test."""
     rng = np.random.default_rng(13)
@@ -389,6 +445,21 @@ class TestNormConvergence:
         monkeypatch.setattr(norms_mod, "op_norm_estimate", broken)
         with pytest.raises(MonotonicityError):
             norm_convergence(cos_element(), TRIVIAL1, [2, 4])
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    def test_monotonicity_guard_is_relative(self, monkeypatch, scale):
+        # a halving raises at every scale, a one-ulp repeat passes at every scale
+        import startwist.norms as norms_mod
+
+        def stub(values):
+            it = iter(values)
+            monkeypatch.setattr(norms_mod, "op_norm_estimate", lambda *args: next(it))
+
+        stub([scale, 0.5 * scale])
+        with pytest.raises(MonotonicityError):
+            norm_convergence(cos_element(), TRIVIAL1, [2, 4])
+        stub([scale, float(np.nextafter(scale, 0.0))])
+        assert norm_convergence(cos_element(), TRIVIAL1, [2, 4])[1][1] < scale
 
 
 class TestCStarInequality:
