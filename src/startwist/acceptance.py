@@ -494,8 +494,9 @@ def check_norm_oracle() -> CriterionResult:
     Each window compresses delta(1) + delta(-1) to the adjacency matrix of the
     path on 2W + 1 points, whose top value 2 cos(pi/(2W+2)) every row must also
     match to 1e-12 relative; the printed line reports the sup-norm gap only.
-    A delta compresses to a partial isometry, of norm exactly 1, but the dense
-    SVD may round that off (1 + 2**-52 occurs), so 4 ulps of 1 are allowed.
+    A delta compresses to a partial isometry, of norm exactly 1 (4 ulps are
+    allowed).  On four-row rank-2 elements at W <= 4 the estimate must also
+    match a dense SVD of ``left_mult_matrix`` to 1e-12 relative.
     """
     ctx1 = GroupContext.lattice(1)
     trivial = Bicharacter.trivial(ctx1)
@@ -514,7 +515,13 @@ def check_norm_oracle() -> CriterionResult:
         w = int(rng.integers(max(3, max(abs(c) for c in p.coords) + 1), 8))
         est = norms.op_norm_estimate(FourierElement.delta(p), sigma, w)
         deltas_exact = deltas_exact and abs(est - 1.0) <= 4 * np.finfo(np.float64).eps
-    ok = sup_gap <= 1e-3 and deltas_exact and closed_form
+    (sigma,) = _random_lattice_cocycles(ctx2, rng, 1, antisymmetric=True)
+    coords, svd_gaps = rng.integers(-2, 3, size=(16, 2)), []
+    for b in FourierElement._from_rows(ctx2, coords, _unit_disc(rng, 16), [4] * 4):
+        w = int(rng.integers(max(b.support_radius(), 1), 5))
+        dense = np.linalg.svd(norms.left_mult_matrix(b, sigma, w), compute_uv=False)[0]
+        svd_gaps.append(abs(norms.op_norm_estimate(b, sigma, w) - dense) / dense)
+    ok = sup_gap <= 1e-3 and deltas_exact and closed_form and np.max(svd_gaps) <= 1e-12
     return CriterionResult(
         "norm-oracle", ok, sup_gap, 1e-3,
         f"estimate at W=64 is {final:.6f} (gap {sup_gap:.2e}, tol 1e-3); "

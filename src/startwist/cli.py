@@ -18,7 +18,7 @@ or unwritable ``--output`` file.
 Each subcommand maps its config to its output text; ``main`` loads, writes and
 maps exceptions to exit codes: 0 success, 1 validation or command-line usage
 error, 2 assertion or tolerance failure, 3 internal numeric failure (for
-instance an SVD that does not converge, or window estimates that drop).
+instance a window estimate of non-finite coefficients, or estimates that drop).
 """
 
 from __future__ import annotations

@@ -3,12 +3,11 @@
 The left-regular action of an element on square-summable coefficients is
 compressed to the box of indices with max |p_j| <= W.  The largest singular
 value of the compression is a certified lower bound of the deformed operator
-norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Boxes
-of up to 289 points (rank 2, W = 8) take a dense SVD, larger ones a
-matrix-free Lanczos estimate: the Rayleigh quotient ||A x|| / ||x|| of its Ritz
-vector x, a lower bound even unconverged, with its basis kept within 2 MiB.
-The boundary sits above the measured crossover (see ``_DENSE_DIM_LIMIT``).
-``left_mult_matrix`` plus the SVD stays the oracle for every box.
+norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Every
+box takes one matrix-free Lanczos estimate: the Rayleigh quotient
+||A x|| / ||x|| of its Ritz vector x, a lower bound even unconverged, with its
+basis kept within 2 MiB.  ``left_mult_matrix`` plus a dense SVD is the oracle
+for every box.
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ __all__ = [
     "norm_convergence",
 ]
 
-# Dense SVD up to the 2-d W=8 box, Lanczos on the Gram operator beyond.  With
-# one BLAS thread on a 2-core x86 host, at W=8 on the benchmark's window-norms
-# elements the SVD takes 15-20 ms and Lanczos 1.4-8 ms; they tie near W=6.  The
-# limit stays at W=8 as test_criterion's suite values and the W=8 CLI goldens
-# come from the SVD: at 169 the semiclassical-limit gap read 8.674e-19, not 4.441e-16.
-_DENSE_DIM_LIMIT = 289
 # Largest box estimated at all: W = 511 in rank 2.
 _WINDOW_DIM_LIMIT = 2**20
 # Lanczos stops once its top Ritz value moves by at most this, relative,
@@ -73,8 +66,8 @@ def _as_window(window) -> Window:
 
 
 def _checked_window(a: FourierElement, sigma: Bicharacter, window) -> Window:
-    """The window, checked once for both kernels: lattice a, sigma on a's context,
-    a box that covers a's support and holds at most 2**20 points."""
+    """The window, checked once for the matrix and the estimate: lattice a, sigma
+    on a's context, a box that covers a's support and holds at most 2**20 points."""
     window = _as_window(window)
     ctx = a.context
     if ctx.is_finite:
@@ -150,10 +143,17 @@ def _below_spectrum(alpha0: float, pairs: list, mu: float) -> bool:
     return pivot > 0.0
 
 
-def _top_ritz_value(alphas: list, betas: list, low: float) -> float:
-    """Top eigenvalue theta >= ``low`` of T from above, by bisection on Sturm counts."""
-    high = 2.0 * (max(alphas) + 2.0 * max(betas, default=0.0))
+def _top_ritz_value(alphas: list, betas: list, low: float, step: float) -> float:
+    """Top eigenvalue theta >= ``low`` of T from above, by bisection on Sturm counts
+    in a bracket grown up from ``low`` by ``step`` (at least 1e-13 low), four times
+    longer after each failed count, up to 2 (max alpha + 2 max beta) (Gershgorin)."""
+    cap = 2.0 * (max(alphas) + 2.0 * max(betas, default=0.0))
     pairs = [(alpha, beta * beta) for alpha, beta in zip(alphas[1:], betas)]
+    step = max(step, 1e-13 * low)
+    high = min(low + step, cap)
+    while high < cap and not _below_spectrum(alphas[0], pairs, high):
+        low, step = high, 4.0 * step
+        high = min(low + step, cap)
     while high - low > 1e-15 * high:
         mid = 0.5 * (low + high)
         if _below_spectrum(alphas[0], pairs, mid):
@@ -234,7 +234,7 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
     q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q /= np.linalg.norm(q)
     kept, keep = [q], max(2, _BASIS_BUDGET // q.size)
-    alphas, betas, theta, checkpoint = [], [], 0.0, 20
+    alphas, betas, theta, rise, checkpoint = [], [], 0.0, np.inf, 20
     q_prev, beta = q, 0.0
     while True:
         v = gram(q) - beta * q_prev
@@ -246,7 +246,9 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
         # beta ~ 0: the Krylov space is invariant and theta exact
         stop = beta <= _LANCZOS_TOL * alphas[0] or len(alphas) == _LANCZOS_MAX_STEPS
         if stop or len(alphas) == checkpoint:
-            previous, theta = theta, _top_ritz_value(alphas, betas[:-1], theta)
+            # theta only grows with k (interlacing): bracket above the last one
+            previous, theta = theta, _top_ritz_value(alphas, betas[:-1], theta, 4.0 * rise)
+            rise = theta - previous
             if stop or theta - previous <= _LANCZOS_TOL * theta:
                 break
             checkpoint += max(20, checkpoint // 8)
@@ -277,24 +279,25 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
 def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b.
 
-    A dense SVD of ``left_mult_matrix``, which checks the window, or above
-    the dense limit of 289 points the same check and then the Lanczos
-    estimate, clamped into [||a||_2, ||a||_1]: the box covers the support, so
-    ||A delta_0|| = ||a||_2 bounds the compression from below, and the triangle
-    inequality bounds it by ||a||_1.  For one term both ends are |c|.
+    The window is checked as for ``left_mult_matrix``; non-finite coefficients
+    raise ``LinAlgError``.  Lanczos runs on a / 2**e, whose largest real or
+    imaginary part lies in [1/2, 1): exact, and every square stays in range.
+    The estimate is clamped into [||a||_2, ||a||_1]: the box covers the support,
+    so ||A delta_0|| = ||a||_2 bounds it from below, and the triangle inequality
+    by ||a||_1.  For one term both ends are |c|.
     """
-    window = _as_window(window)
-    if window.dim(a.context.rank) <= _DENSE_DIM_LIMIT:
-        mat = left_mult_matrix(a, sigma, window)
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
     window = _checked_window(a, sigma, window)
     if not a.values.size:
         return 0.0
-    if not np.isfinite(a.values).all():  # as the dense SVD fails on them
+    if not np.isfinite(a.values).all():
         raise np.linalg.LinAlgError("non-finite coefficients")
-    moduli = np.abs(a.values)
-    estimate = _lanczos_norm(a, sigma, window.radius)[0]
-    return float(min(max(estimate, np.linalg.norm(moduli)), moduli.sum()))
+    parts = a.values.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    values = np.ldexp(parts, -e).view(np.complex128)
+    moduli = np.abs(values)
+    scaled = FourierElement._wrap(a.context, a.coords, values)
+    estimate = _lanczos_norm(scaled, sigma, window.radius)[0]
+    return float(np.ldexp(min(max(estimate, np.linalg.norm(moduli)), moduli.sum()), e))
 
 
 def norm_convergence(

@@ -1,8 +1,8 @@
 """Pin the BLAS thread count to one for the whole test session.
 
-The CLI goldens pin dense-SVD rows to the last bit, and OpenBLAS splits its
-sums differently for each thread count, so without the pin those rows would
-depend on the host's core count.  OpenBLAS reads these variables once, when
+The CLI goldens pin window-norm rows to the last bit, and OpenBLAS may split
+its sums differently for each thread count, so without the pin those rows
+could depend on the host's core count.  OpenBLAS reads these variables once, when
 numpy is first imported, so they are set here, before any test module loads.
 """
 

@@ -21,15 +21,23 @@ from startwist.deform import FourierElement
 
 @pytest.mark.parametrize("name", list(CRITERIA))
 def test_criterion(monkeypatch, name):
-    # every window in the battery holds at most 289 points, so the printed
-    # norm values are dense SVDs and never come from Lanczos
-    def no_iteration(*args):
-        raise AssertionError("Lanczos started")
+    # every window estimate a criterion takes must match the dense SVD of
+    # its window matrix, the independent route to the same value
+    calls = []
+    estimate = startwist.norms.op_norm_estimate
 
-    monkeypatch.setattr(startwist.norms, "_lanczos_norm", no_iteration)
+    def spy(a, sigma, window):
+        calls.append((a, sigma, window, estimate(a, sigma, window)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(startwist.norms, "op_norm_estimate", spy)
     result = CRITERIA[name]()
     print(result.line())
     assert result.passed, result.detail
+    for a, sigma, window, est in calls:
+        mat = startwist.norms.left_mult_matrix(a, sigma, window)
+        dense = np.linalg.svd(mat, compute_uv=False)[0] if a.values.size else 0.0
+        assert abs(est - dense) <= 1e-12 * dense, (a, window)
 
 
 def spy_collect(monkeypatch) -> list:
@@ -152,6 +160,22 @@ def test_mutation_control_norm_closed_form(monkeypatch):
     assert not result.passed
     assert result.value <= result.tolerance
     assert result.detail.endswith("delta estimates exactly 1: True")
+
+
+def test_mutation_control_norm_dense_oracle(monkeypatch):
+    # a multi-term rank-2 estimate off by 1e-10 keeps every printed value and
+    # the delta and closed-form rows, so only the dense SVD route can catch it
+    expected = CRITERIA["norm-oracle"]()
+    estimate = startwist.norms.op_norm_estimate
+
+    def skewed(a, sigma, window):
+        est = estimate(a, sigma, window)
+        return est * (1.0 + 1e-10) if a.context.rank == 2 and len(a.values) > 1 else est
+
+    monkeypatch.setattr(startwist.norms, "op_norm_estimate", skewed)
+    result = CRITERIA["norm-oracle"]()
+    assert expected.passed and not result.passed
+    assert result.detail == expected.detail
 
 
 @pytest.mark.parametrize("offset, passes", [(2.0**-52, True), (1e-12, False)])

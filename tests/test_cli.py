@@ -36,7 +36,7 @@ SUITE_TEXT = """\
 PASS delta-relation: worst l1 deviation 0.000e+00 (tol 1e-12) over 200 pairs
 PASS associativity: worst l1 deviation 8.335e-13 (tol 1e-10) over 5 x 100 triples
 PASS involution: worst l1 deviation 4.468e-14 (tol 1e-12) over 100 pairs
-PASS semiclassical-limit: ratio(0.01)=0.5036; ratio(0.001)=0.5000; closed-form gap 4.441e-16 (tol 1e-12)
+PASS semiclassical-limit: ratio(0.01)=0.5036; ratio(0.001)=0.5000; closed-form gap 8.674e-19 (tol 1e-12)
 PASS iterated-deformation: worst deviation 9.727e-15 (tol 1e-12); undeformation exact: True
 PASS translation-automorphisms: worst deviation 8.094e-15 (tol 1e-12) over 100 draws
 PASS kasprzak-equivalence: worst homomorphism deviation 8.951e-16 (tol 1e-10); projection idempotence 3.140e-16 (tol 1e-12); fixed-space dimensions exact: True
@@ -89,8 +89,8 @@ SEMICLASSICAL_CONFIG = {
     "window": 4,
 }
 SEMICLASSICAL_TEXT = """hbar,defect
-0.1,0.4921287989987772
-0.01,0.04934666911623655
+0.1,0.49212879899877715
+0.01,0.049346669116236544
 0.001,0.004934800847593776
 """
 NORM_CONFIG = {
@@ -105,9 +105,9 @@ NORM_CONFIG = {
     "windows": [5, 2, 3],
 }
 NORM_TEXT = """window,estimate
-2,1.9892687906815092
+2,1.989268790681508
 3,2.0738118235160194
-5,2.1359313226268206
+5,2.135931322626819
 """
 AUTOMORPHY_CONFIG = {
     "group_table": [[0, 1], [1, 0]],
@@ -357,8 +357,8 @@ class TestNormCommand:
         assert abs(last - 2.0) <= 1e-3
 
     def test_shift_pair_beyond_dense_limit_exits_0(self, tmp_path):
-        # W = 8 takes the dense SVD, W = 16 and 17 Lanczos on a degenerate top
-        # value; the compression has top singular value 2 cos(pi/(4W+2))
+        # Lanczos on a degenerate top value at W = 16 and 17; the compression
+        # has top singular value 2 cos(pi/(4W+2))
         cfg = {
             "element": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, 1], "1.0", "0.0")),
             "form": [[0.0, 0.0], [0.0, 0.0]],
@@ -367,7 +367,7 @@ class TestNormCommand:
         code, text = run(["norm"], cfg, tmp_path)
         assert code == EXIT_OK
         lines = text.strip().split("\n")
-        assert lines[:3] == ["window,estimate", "8,1.9914683525900694", "16,1.997734678366016"]
+        assert lines[:3] == ["window,estimate", "8,1.9914683525900694", "16,1.9977346783660161"]
         rows = [line.split(",") for line in lines[1:]]
         assert [int(w) for w, _ in rows] == [8, 16, 17]
         for w, estimate in rows:
@@ -384,9 +384,8 @@ class TestNormCommand:
         ids=["scale-1", "scale-1e6", "scale-1e12"],
     )
     def test_one_term_repeat_across_dense_limit_exits_0(self, tmp_path, re, im):
-        # W = 8 takes the dense SVD, which may round |c| up an ulp, W = 9 the
-        # Lanczos estimate clamped to |c|; a relative guard lets that repeat
-        # pass at every scale (an absolute 1e-12 refused it at 1e6)
+        # both rows are clamped to |c|, a repeat at every scale (the absolute
+        # 1e-12 guard once refused a one-ulp repeat at 1e6)
         cfg = {
             "element": lattice2_doc(([-1, 1], re, im)),
             "form": [[0.0, 1.0], [-1.0, 0.0]],
@@ -398,8 +397,7 @@ class TestNormCommand:
         rows = [line.split(",") for line in text.strip().split("\n")]
         assert [w for w, _ in rows] == ["window", "8", "9"]
         modulus = abs(complex(float(re), float(im)))
-        assert float(rows[2][1]) == modulus
-        assert abs(float(rows[1][1]) - modulus) <= 2 * np.spacing(modulus)
+        assert float(rows[1][1]) == float(rows[2][1]) == modulus
 
     def test_window_too_small_is_validation_error(self, tmp_path):
         ctx1 = GroupContext.lattice(1)
@@ -522,7 +520,7 @@ class TestSuiteCommand:
         assert capsys.readouterr().err == "error: --only: unknown criteria: nonsense\n"
 
     def test_raising_criterion_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        # NaN products make semiclassical-limit's dense SVD raise LinAlgError,
+        # NaN products make semiclassical-limit's window estimate raise LinAlgError,
         # which is a numeric failure, not a rejected --only value
         import startwist.deform as deform_mod
 

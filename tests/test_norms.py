@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from startwist.deform import FourierElement, involution, star
 from startwist.norms import (
     MonotonicityError,
     Window,
+    _below_spectrum,
     _lanczos_norm,
+    _top_ritz_value,
     _window_operator,
     left_mult_matrix,
     norm_convergence,
@@ -38,7 +42,8 @@ SKEW = {
     2: J,
     3: SkewForm([[0.0, 1.0, 0.5], [-1.0, 0.0, -2.0], [-0.5, 2.0, 0.0]]),
 }
-# per rank, the largest window of at most 289 points (dense SVD) and the next
+# per rank, the largest window of at most 289 points, where the sweeps against
+# the dense SVD stop
 LAST_DENSE = {1: 144, 2: 8, 3: 2}
 
 
@@ -129,8 +134,8 @@ class TestOpNormEstimate:
         assert op_norm_estimate(FourierElement.zero(LATTICE1), TRIVIAL1, 4) == 0.0
 
     def test_large_window_uses_power_iteration_against_oracle(self):
-        # W = 17 in rank 2 exceeds the dense limit, so Lanczos runs; the compressed
-        # bilateral shift sum is a Toeplitz tensor identity, top value 2 cos(pi/36)
+        # at W = 17 the compressed bilateral shift sum is a Toeplitz tensor
+        # identity, top value 2 cos(pi/36)
         a = FourierElement(
             LATTICE2, {LATTICE2.point(1, 0): 1.0, LATTICE2.point(-1, 0): 1.0}
         )
@@ -150,8 +155,8 @@ class TestOpNormEstimate:
         ids=["finite-context", "trivial-rank-mismatch", "cocycle-rank-mismatch"],
     )
     def test_inputs_checked_before_either_kernel(self, monkeypatch, kernel, a, sigma, w):
-        # the same check guards the dense and the iterative kernel, so an
-        # ill-posed window above the dense limit never starts iterating
+        # the same check guards the oracle matrix and the Lanczos estimate, so
+        # an ill-posed window never starts iterating
         def no_iteration(*args):
             raise AssertionError("Lanczos started")
 
@@ -207,7 +212,7 @@ class TestLanczosKernel:
     def test_non_finite_coefficients_fail_like_dense_svd(self):
         coords, values = np.array([[1, 0], [0, 1]]), np.array([1.0, np.nan])
         a = FourierElement.from_arrays(LATTICE2, coords, values)
-        for w in (8, 16, 17):
+        for w in (1, 8, 17):
             with pytest.raises(np.linalg.LinAlgError):
                 op_norm_estimate(a, TRIVIAL2, w)
 
@@ -217,6 +222,79 @@ class TestLanczosKernel:
         est, steps, _ = _lanczos_norm(ROADMAP_ELEMENT, sigma, 8)
         assert steps == 5
         assert 0.0 < est <= dense_norm(ROADMAP_ELEMENT, sigma, 8)
+
+
+def _below_spectrum_exactly(alphas, betas, mu):
+    """Sturm's count of tridiag(betas, alphas, betas) below mu in exact arithmetic."""
+    pivot = mu - Fraction(alphas[0])
+    for alpha, beta in zip(alphas[1:], betas):
+        if pivot <= 0:
+            return False
+        pivot = mu - Fraction(alpha) - Fraction(beta) ** 2 / pivot
+    return pivot > 0
+
+
+class TestTopRitzValue:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clears_spectrum_from_any_valid_bracket(self, seed):
+        # T as Lanczos builds it on a Gram operator: alphas >= 0, betas > 0.
+        # Any top value of a leading block is a lower bound (interlacing), and
+        # the step may be anything from below the floor to unbounded
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 200))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        alphas = list(scale * rng.uniform(0.0, 1.0, k))
+        betas = list(scale * rng.uniform(1e-3, 1.0, k - 1))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        top = np.linalg.eigvalsh(tri)[-1]
+        pairs = [(alpha, beta * beta) for alpha, beta in zip(alphas[1:], betas)]
+        m = int(rng.integers(1, k))
+        lead = float(np.linalg.eigvalsh(tri[:m, :m])[-1])
+        tol = Fraction(1, 10**15)
+        for low, step in ((0.0, np.inf), (lead, np.inf), (lead, 0.0),
+                          (lead, 4.0 * (top - lead)), (lead, 1e-3 * scale), (lead, scale)):
+            theta = _top_ritz_value(alphas, betas, low, step)
+            # the floating-point count the Ritz vector's pivots repeat
+            assert _below_spectrum(alphas[0], pairs, theta)
+            # the top lies within 1e-15 of theta, relative, by exact counts;
+            # eigvalsh itself lands up to 2.2e-15 off on these matrices
+            assert _below_spectrum_exactly(alphas, betas, Fraction(theta) * (1 + tol))
+            assert not _below_spectrum_exactly(alphas, betas, Fraction(theta) * (1 - tol))
+            assert abs(theta - top) <= 4e-15 * top, (low, step)
+
+
+def _scaled(a, k):
+    """2**k a, exactly."""
+    return FourierElement.from_arrays(a.context, a.coords, a.values * 2.0**k)
+
+
+class TestPrescale:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("k", [-900, -300, 300, 900])
+    def test_power_of_two_scale_is_bitwise(self, rank, k):
+        ctx = GroupContext.lattice(rank)
+        sigma = Bicharacter.from_skew(ctx, SKEW[rank], 0.43)
+        rng = np.random.default_rng(30 + rank)
+        for _ in range(3):
+            a = random_element(ctx, rng)
+            w = max(a.support_radius(), 1) + int(rng.integers(0, 3))
+            est = op_norm_estimate(a, sigma, w)
+            assert op_norm_estimate(_scaled(a, k), sigma, w) == 2.0**k * est
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-150, 1e150, 1e200])
+    def test_scaled_roadmap_element_stays_finite(self, scale):
+        # without the power-of-two prescale, Lanczos overflowed at 1e150 and
+        # divided by zero at 1e-170; every warning is an error here.  The coefficients round once when
+        # scaled, and at W = 9 a relative 1e-16 on them moves the estimate by
+        # about 3e-11
+        a = FourierElement.from_arrays(LATTICE2, ROADMAP_ELEMENT.coords,
+                                       ROADMAP_ELEMENT.values * scale)
+        sigma = Bicharacter.from_skew(LATTICE2, J, 0.3)
+        for w, rtol in ((4, 1e-12), (9, 1e-9)):
+            est = op_norm_estimate(a, sigma, w)
+            ref = scale * op_norm_estimate(ROADMAP_ELEMENT, sigma, w)
+            assert abs(est - ref) <= rtol * ref
+        assert abs(est / scale - dense_norm(ROADMAP_ELEMENT, sigma, 9)) <= 1e-9
 
 
 def _operator_cases():
@@ -261,8 +339,8 @@ class TestWindowOperator:
     @pytest.mark.parametrize(
         "a, hbar, w, pinned",
         [
-            (ROADMAP_ELEMENT, 0.3, 17, ("0x1.16b9382118eb7p+1", 821, "0x1.eecbbb2cbbf5ap-46")),
-            (ROADMAP_ELEMENT, 0.3, 20, ("0x1.16ef65399b87ap+1", 577, "0x1.c6c479c33d55bp-27")),
+            (ROADMAP_ELEMENT, 0.3, 17, ("0x1.16b9382118ebbp+1", 821, "0x1.1e1b36f830db1p-45")),
+            (ROADMAP_ELEMENT, 0.3, 20, ("0x1.16ef65399b879p+1", 577, "0x1.c6c46f385c41dp-27")),
             (SHIFT_PAIR, 0.0, 17, ("0x1.ff7c04eb738ecp+0", 456, "0x1.04c41d1f59be3p-41")),
         ],
         ids=["roadmap-17", "roadmap-20", "shift-pair-17"],
@@ -345,9 +423,15 @@ class TestBasisBudget:
 
 
 class TestDenseLimit:
+    """One route on every box: the Lanczos estimate against the dense SVD,
+    up to 289 points and just past them."""
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("side", ["dense", "lanczos"])
     def test_matches_dense_svd_on_both_sides(self, monkeypatch, rank, side):
+        # "dense": every window from the support radius up to 289 points;
+        # "lanczos": the first window beyond.  The rank-1 form is zero, so
+        # there the three draws share the windows between them.
         import startwist.norms as norms_mod
 
         calls = []
@@ -359,29 +443,38 @@ class TestDenseLimit:
 
         monkeypatch.setattr(norms_mod, "_lanczos_norm", counted)
         ctx = GroupContext.lattice(rank)
-        w = LAST_DENSE[rank] + (side == "lanczos")
         rng = np.random.default_rng(7 + rank)
-        for hbar in (0.0, 0.43, 1.0):
+        estimates = 0
+        for i, hbar in enumerate((0.0, 0.43, 1.0)):
             sigma = Bicharacter.from_skew(ctx, SKEW[rank], hbar)
             a = random_element(ctx, rng)
-            dense = dense_norm(a, sigma, w)
-            est = op_norm_estimate(a, sigma, w)
-            assert abs(est - dense) <= 1e-12 * dense
-            assert est <= dense * (1.0 + 1e-12)
-        assert len(calls) == (3 if side == "lanczos" else 0)
+            if side == "dense":
+                windows = range(max(a.support_radius(), 1), LAST_DENSE[rank] + 1)
+                windows = windows[i::3] if rank == 1 else windows
+            else:
+                windows = [LAST_DENSE[rank] + 1]
+            for w in windows:
+                dense = dense_norm(a, sigma, w)
+                est = op_norm_estimate(a, sigma, w)
+                assert abs(est - dense) <= 1e-12 * dense, w
+                assert est <= dense * (1.0 + 1e-12), w
+                estimates += 1
+        assert len(calls) == estimates
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("hbar", [0.0, 0.3, 1.0])
     def test_one_term_is_exact_beyond_dense_limit(self, rank, hbar):
-        # the estimate is clamped into [||a||_2, ||a||_1], both |c| for one term;
+        # the estimate is clamped into [||a||_2, ||a||_1], both |c| for one
+        # term, at every box from the support radius to just past 289 points;
         # unclamped, Lanczos lands an ulp or two off
         ctx = GroupContext.lattice(rank)
         sigma = Bicharacter.from_skew(ctx, SKEW[rank], hbar)
-        w = LAST_DENSE[rank] + 1
+        values = (1.0, -1j, 3 + 4j, 0.75 - 1j, -1.5 + 2j)
         for coords in ((0,) * rank, (1,) + (0,) * (rank - 1), (-3,) + (1,) * (rank - 1)):
-            for c in (1.0, -1j, 3 + 4j, 0.75 - 1j, -1.5 + 2j):
+            for w in range(max(max(map(abs, coords)), 1), LAST_DENSE[rank] + 2):
+                c = values[w % len(values)]
                 a = FourierElement.delta(ctx.point(*coords), c)
-                assert op_norm_estimate(a, sigma, w) == abs(c)
+                assert op_norm_estimate(a, sigma, w) == abs(c), (coords, w)
 
     @pytest.mark.parametrize(
         "rank, windows", [(1, [100, 144, 145, 160]), (2, [6, 8, 9, 12]), (3, [2, 3, 4])]
