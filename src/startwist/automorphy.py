@@ -179,7 +179,7 @@ def tau_cocycle_check(action: GammaAction, tau: TauCocycle) -> float:
         # indexed [k2, k3, x]
         lhs = t[action.mul[k1]] * t[k1][:, action.act]
         rhs = t[k1][action.mul] * t
-        dev = float(np.maximum(dev, np.max(np.abs(lhs - rhs))))
+        dev = float(np.maximum(dev, np.abs(lhs - rhs).max()))
     return dev
 
 
@@ -208,7 +208,7 @@ def _roots_to_exponents(values: np.ndarray, m: int) -> np.ndarray:
     angles = np.angle(values) * m / (2.0 * np.pi)
     exponents = np.round(angles).astype(np.int64) % m
     recon = np.exp(2j * np.pi * exponents / m)
-    err = float(np.max(np.abs(recon - values)))
+    err = float(np.abs(recon - values).max())
     if not err <= 1e-9:
         raise ValueError(f"values are not {m}-th roots of unity (error {err:.3e})")
     return exponents
@@ -231,13 +231,13 @@ def solve_automorphy(
         raise ValueError(f"tau is not a cocycle (deviation {dev:.3e})")
     t = _roots_to_exponents(tau.values, modulus)
     order, n_points = action.order, action.n_points
-    # one row per (k1, k2, x) in C order; unknown j(k, x) is column k * n_points + x
-    k1, k2, x = np.indices((order, order, n_points))
+    # one row per (k1, k2, x) in C order; unknown j(k, x) is column unknown[k, x]
+    unknown = np.arange(order * n_points).reshape(order, n_points)
     rows = np.arange(t.size).reshape(t.shape)
-    a = np.zeros((t.size, order * n_points), dtype=np.int64)
-    np.add.at(a, (rows, k1 * n_points + action.act[k2, x]), 1)
-    np.add.at(a, (rows, k2 * n_points + x), 1)
-    np.add.at(a, (rows, action.mul[k1, k2] * n_points + x), -1)
+    a = np.zeros((t.size, unknown.size), dtype=np.int64)
+    np.add.at(a, (rows, unknown[:, action.act]), 1)  # j(k1, k2 x)
+    np.add.at(a, (rows, unknown), 1)  # j(k2, x)
+    np.add.at(a, (rows, unknown[action.mul]), -1)  # j(k1 k2, x)
     solution = solve_mod_system(a, t.ravel(), modulus)
     if solution is None:
         return None

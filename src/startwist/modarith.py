@@ -7,7 +7,10 @@ integer dtype and finite values otherwise, never truncated.
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M go through one elimination over Z/q in int64 numpy for
 each prime-power factor q of M, with every entry reduced into [0, q); M must
-be below 2**31.  ``matmul_mod`` is exact at every modulus.
+be below 2**31.  Its pivot search reads a cached least gcd per row, recomputed
+only for the rows each update changes, and each update touches only the pivot
+row's nonzero columns, so the pivots are a full scan's at a fraction of the
+cost.  ``matmul_mod`` is exact at every modulus.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 
 def integer_table(values, what: str) -> np.ndarray:
-    """The values as a fresh int64 array; raises unless each one is an integer."""
+    """The values as an int64 array, the input itself if it is one; raises on a non-integer."""
     raw = np.asarray(values)
     if raw.dtype == np.int64:
-        return raw.copy()
+        return raw
     with np.errstate(invalid="ignore"):
         table = raw.astype(np.int64)
     if not np.array_equal(table, raw):
@@ -37,7 +40,7 @@ def checked_array(values, what: str, dtype: type) -> np.ndarray:
     one takes only finite values.
     """
     if issubclass(dtype, np.integer):  # np.dtype(dtype).kind would cost as much as the copy
-        table = integer_table(values, what)
+        table = np.array(integer_table(values, what))
     else:
         table = np.array(values, dtype=dtype)
         if not np.isfinite(table).all():
@@ -104,25 +107,36 @@ def _solve_prime_power(a: np.ndarray, b: np.ndarray, q: int) -> list[int] | None
     p**v, and one rank-1 update clears its column below it.  The other entries
     of its row are multiples of p**v, so back-substitution needs no column
     operations, and a right-hand side it cannot divide means no solution.
+    The pivot, the row-major first such entry, is found from ``rowmin``, each
+    row's least gcd (gcd(row, q) over Z/p**e), recomputed only for the rows an
+    update changes: any other row has 0, gcd q, in the retired column, and a
+    column swap only reorders a row, so the pivots are the full scan's.  An
+    update touches only the columns where the pivot row is nonzero.
     """
     nrows, ncols = a.shape
     m = np.concatenate([a, b[:, None]], axis=1) % q  # [A | b]: row operations reach b
+    rowmin = np.gcd(np.gcd.reduce(m[:, :ncols], axis=1), q)
     perm = list(range(ncols))
     pivots = []
     for k in range(min(nrows, ncols)):
-        g = np.gcd(m[k:, k:ncols], q)
-        i, j = divmod(int(g.argmin()), ncols - k)
-        pivot = int(g[i, j])
+        i = int(rowmin[k:].argmin())
+        pivot = int(rowmin[k + i])
         if pivot == q:
             break
+        j = int(np.gcd(m[k + i, k:ncols], q).argmin())
         if i:
-            m[[k, k + i]] = m[[k + i, k]]
+            m[k], m[k + i] = m[k + i], m[k].copy()
+            rowmin[k], rowmin[k + i] = rowmin[k + i], rowmin[k]
         if j:
-            m[:, [k, k + j]] = m[:, [k + j, k]]
+            m[:, k], m[:, k + j] = m[:, k + j], m[:, k].copy()
             perm[k], perm[k + j] = perm[k + j], perm[k]
         m[k, k:] = m[k, k:] * pow(int(m[k, k]) // pivot, -1, q) % q
-        below = k + 1 + np.flatnonzero(m[k + 1 :, k])
-        m[below, k:] = (m[below, k:] - m[below, k, None] // pivot * m[k, k:]) % q
+        below = k + 1 + m[k + 1 :, k].nonzero()[0]
+        if below.size:
+            cols = k + m[k, k:].nonzero()[0]
+            grid = (below[:, None], cols)
+            m[grid] = (m[grid] - m[below, k, None] // pivot * m[k, cols]) % q
+            rowmin[below] = np.gcd(np.gcd.reduce(m[below, k + 1 : ncols], axis=1), q)
         pivots.append(pivot)
     rank = len(pivots)
     if m[rank:, ncols].any():
@@ -147,16 +161,17 @@ def check_modulus(modulus: int) -> None:
 def solve_mod_system(a_rows, rhs, modulus: int):
     """Solve A x = rhs (mod modulus); returns one solution as ints in [0, modulus), or None.
 
-    ``a_rows`` is a dense integer matrix, a list of rows or a 2-d array, and
-    1 <= modulus < 2**31, so that a product of two reduced entries fits in
-    int64.  Each prime-power factor q of the modulus gets one elimination over
-    Z/q; their solutions are combined by the Chinese remainder theorem.
+    ``a_rows`` is a dense integer matrix (rows or a 2-d array), ``rhs`` one integer
+    per row, and 1 <= modulus < 2**31, so that a product of two reduced entries
+    fits in int64.  Each prime-power factor q of the modulus gets one elimination
+    over Z/q; their solutions are combined by the Chinese remainder theorem.
     """
     check_modulus(modulus)
-    if len(a_rows) == 0:
+    a, b = integer_table(a_rows, "A"), integer_table(rhs, "rhs")
+    if a.shape[:1] == b.shape == (0,):  # no equations; a bare [] reads as 1-d
         return []
-    a = np.asarray(a_rows, dtype=np.int64)
-    b = np.asarray(rhs, dtype=np.int64)
+    if a.ndim != 2 or b.shape != a.shape[:1]:
+        raise ValueError(f"A must be 2-d and rhs 1-d, one entry per row; got {a.shape}, {b.shape}")
     x = [0] * a.shape[1]
     for q in _prime_powers(modulus):
         xq = _solve_prime_power(a, b, q)

@@ -1,7 +1,9 @@
-"""The modular solver against the elimination it replaced.
+"""The modular solver against the eliminations it replaced.
 
 The Smith-over-Z solver is kept here as an oracle: it shares no code with
-``startwist.modarith``.
+``startwist.modarith``.  The full-scan Z/q elimination is kept as the
+reference for the pivot rule: the incremental pivot search must return its
+solutions exactly.
 """
 
 import math
@@ -9,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from startwist.modarith import checked_array, solve_mod_system
+from startwist.automorphy import GammaAction
+from startwist.modarith import _solve_prime_power, checked_array, solve_mod_system
 
 
 class TestCheckedArray:
@@ -192,3 +195,128 @@ class TestSolverAgainstSmith:
         x = [modulus - 7, modulus - 11]
         rhs = [sum(c * v for c, v in zip(row, x)) % modulus for row in a]
         assert solve_mod_system(a, rhs, modulus) == x
+
+
+class TestSolverInput:
+    @pytest.mark.parametrize(
+        "a_rows, rhs, message",
+        [
+            ([[1.5]], [1], "A must hold integers"),
+            ([[1]], [0.5], "rhs must hold integers"),
+            ([[1, 2]], [1, 2], r"rhs 1-d, one entry per row; got \(1, 2\), \(2,\)"),
+            ([[1], [2]], [[1], [2]], r"rhs 1-d, one entry per row; got \(2, 1\), \(2, 1\)"),
+            ([1, 2], [1, 2], r"A must be 2-d .* got \(2,\), \(2,\)"),
+        ],
+    )
+    def test_bad_input_named(self, a_rows, rhs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_mod_system(a_rows, rhs, 5)
+
+    def test_no_equations(self):
+        assert solve_mod_system([], [], 5) == []
+        assert solve_mod_system(np.zeros((0, 3), dtype=np.int64), [], 5) == []
+
+
+# ----------------------------------------------------------------------
+# the full-scan Z/q elimination, kept as the reference for the pivot rule
+
+
+def reference_solve_prime_power(a: np.ndarray, b: np.ndarray, q: int):
+    """The elimination with a gcd scan of the whole remaining submatrix per pivot."""
+    nrows, ncols = a.shape
+    m = np.concatenate([a, b[:, None]], axis=1) % q
+    perm = list(range(ncols))
+    pivots = []
+    for k in range(min(nrows, ncols)):
+        g = np.gcd(m[k:, k:ncols], q)
+        i, j = divmod(int(g.argmin()), ncols - k)
+        pivot = int(g[i, j])
+        if pivot == q:
+            break
+        if i:
+            m[[k, k + i]] = m[[k + i, k]]
+        if j:
+            m[:, [k, k + j]] = m[:, [k + j, k]]
+            perm[k], perm[k + j] = perm[k + j], perm[k]
+        m[k, k:] = m[k, k:] * pow(int(m[k, k]) // pivot, -1, q) % q
+        below = k + 1 + np.flatnonzero(m[k + 1 :, k])
+        m[below, k:] = (m[below, k:] - m[below, k, None] // pivot * m[k, k:]) % q
+        pivots.append(pivot)
+    rank = len(pivots)
+    if m[rank:, ncols].any():
+        return None
+    x = [0] * ncols
+    rows = m[:rank].tolist()
+    for k in reversed(range(rank)):
+        known = sum(c * x[perm[j]] for j, c in enumerate(rows[k][k + 1 : ncols], k + 1))
+        s = (rows[k][ncols] - known) % q
+        if s % pivots[k]:
+            return None
+        x[perm[k]] = s // pivots[k]
+    return x
+
+
+def valuation_system(rng, nrows, ncols, p, e):
+    """A system over Z/p**e: entries p**v times a unit with v spread over 0..e,
+    a zero row and a zero column; consistent half the time."""
+    q = p**e
+    units = rng.integers(1, q, size=(nrows, ncols))
+    a = units * p ** rng.integers(0, e + 1, size=(nrows, ncols)) % q
+    a *= rng.random((nrows, ncols)) < 0.6
+    if nrows > 1:
+        a[rng.integers(nrows)] = 0
+    if ncols > 1:
+        a[:, rng.integers(ncols)] = 0
+    if rng.random() < 0.5:
+        x = rng.integers(0, q, size=ncols)
+        return a, np.array((a.astype(object) @ x.astype(object)) % q, dtype=np.int64)
+    return a, rng.integers(0, q, size=nrows)
+
+
+def coboundary_system(action, modulus, rng):
+    """j(k1, k2 x) + j(k2, x) - j(k1 k2, x) = t(k1, k2, x), t a random coboundary."""
+    n = action.n_points
+    a = np.zeros((action.order**2 * n, action.order * n), dtype=np.int64)
+    for row, (k1, k2, x) in enumerate(np.ndindex(action.order, action.order, n)):
+        a[row, k1 * n + action.act[k2, x]] += 1
+        a[row, k2 * n + x] += 1
+        a[row, action.mul[k1, k2] * n + x] -= 1
+    return a, a @ rng.integers(0, modulus, size=a.shape[1]) % modulus
+
+
+class TestPivotRule:
+    @pytest.mark.parametrize(
+        "p, e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 5), (2**31 - 1, 1)]
+    )
+    def test_random_systems_match_full_scan(self, p, e):
+        q = p**e
+        rng = np.random.default_rng([q, 22])
+        verdicts = set()
+        for trial in range(60):
+            nrows, ncols = (int(v) for v in rng.integers(1, 14, size=2))
+            a, b = valuation_system(rng, nrows, ncols, p, e)
+            expected = reference_solve_prime_power(a, b, q)
+            assert _solve_prime_power(a, b, q) == expected, (trial, a, b)
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p, e", [(2, 2), (3, 3)])
+    def test_wide_and_empty_systems_match_full_scan(self, p, e):
+        q = p**e
+        rng = np.random.default_rng([q, 23])
+        shapes = [(0, 3), (3, 0), (0, 0), (1, 5), (2, 9), (4, 7)]
+        for nrows, ncols in shapes * 5:
+            a, b = valuation_system(rng, nrows, ncols, p, e)
+            assert _solve_prime_power(a, b, q) == reference_solve_prime_power(a, b, q), (a, b)
+
+    @pytest.mark.parametrize(
+        "action",
+        [GammaAction.cyclic_translation(8), GammaAction.cyclic(24, 4)],
+        ids=["cyclic_translation(8)", "cyclic(24, 4)"],
+    )
+    @pytest.mark.parametrize("modulus, q", [(4, 4), (6, 2), (6, 3), (7, 7)])
+    def test_coboundary_systems_match_full_scan(self, action, modulus, q):
+        a, b = coboundary_system(action, modulus, np.random.default_rng(modulus))
+        expected = reference_solve_prime_power(a, b, q)
+        assert expected is not None
+        assert _solve_prime_power(a, b, q) == expected
