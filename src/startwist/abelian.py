@@ -88,9 +88,6 @@ class GroupContext:
             coords = tuple(coords[0])
         return GroupPoint(self, tuple(coords))
 
-    def zero(self) -> "GroupPoint":
-        return GroupPoint(self, (0,) * self.rank)
-
     def points(self) -> Iterator["GroupPoint"]:
         """All group elements in lexicographic order (finite mode only)."""
         if self.moduli is None:

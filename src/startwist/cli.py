@@ -1,8 +1,11 @@
 """Command-line surface: element documents, experiment subcommands, CSV tables.
 
 Documents are JSON with integer coordinate vectors and decimal-string
-coefficient parts, so serialized elements round-trip bit-exactly.  CSV output
-uses '.' decimals, '\\n' line endings and a fixed header per subcommand.  Only
+coefficient parts, so serialized elements round-trip bit-exactly; their rows
+go as two arrays to ``FourierElement.from_arrays``, so to ``_from_rows``, the
+one route of caller data (exact coordinates, a fresh copy, a named range error),
+and a row it rejects is named ``<path>.coefficients``.  CSV output uses '.'
+decimals, '\\n' line endings and a fixed header per subcommand.  Only
 ``kasprzak-verify`` draws random data, from its config's seed (default 0)
 unless ``--seed`` overrides it, so reruns are byte-identical; it alone also
 takes ``--tolerance`` (default 1e-10).  ``suite`` uses the battery's own seed
@@ -18,7 +21,9 @@ or unwritable ``--output`` file.
 Each subcommand maps its config to its output text; ``main`` loads, writes and
 maps exceptions to exit codes: 0 success, 1 validation or command-line usage
 error, 2 assertion or tolerance failure, 3 internal numeric failure (for
-instance a window estimate of non-finite coefficients, or estimates that drop).
+instance a window estimate of non-finite coefficients, estimates that drop, or
+any non-finite result: numpy overflow and invalid operations raise, so NaN
+phases at hbar = 1e308 exit 3 with no output instead of printing ``nan``).
 """
 
 from __future__ import annotations
@@ -164,8 +169,8 @@ def context_from_doc(doc: Any, path: str = "context") -> GroupContext:
 
 def element_to_doc(a: FourierElement) -> dict:
     coefficients = [
-        {"coords": list(p.coords), "re": repr(v.real), "im": repr(v.imag)}
-        for p, v in a.coeffs.items()
+        {"coords": c, "re": repr(v.real), "im": repr(v.imag)}
+        for c, v in zip(a.coords.tolist(), a.values.tolist())
     ]
     return {"context": context_to_doc(a.context), "coefficients": coefficients}
 
@@ -175,19 +180,20 @@ def element_from_doc(doc: Any, path: str = "element") -> FourierElement:
     raw = doc.get("coefficients")
     if not isinstance(raw, list):
         raise InputError(f"{path}.coefficients", "expected a list")
-    coeffs = {}
+    coords, values = [], []
     for i, entry in enumerate(raw):
         epath = f"{path}.coefficients[{i}]"
-        coords = _require(entry, "coords", epath)
-        point = ctx.point(_list(coords, f"{epath}.coords", ctx.rank, _integer))
+        point = _require(entry, "coords", epath)
+        coords.append(_list(point, f"{epath}.coords", ctx.rank, _integer))
         try:
             re, im = (float(str(entry.get(part, "0"))) for part in ("re", "im"))
         except ValueError:
             re = im = math.nan
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InputError(epath, "re/im must be finite decimal strings")
-        coeffs[point] = coeffs.get(point, 0j) + complex(re, im)
-    return FourierElement(ctx, coeffs)
+        values.append(complex(re, im))
+    with _field(f"{path}.coefficients"):
+        return FourierElement.from_arrays(ctx, coords, values)
 
 
 def cocycle_from_doc(doc: Any, ctx: GroupContext, path: str = "cocycle") -> Bicharacter:
@@ -435,13 +441,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             # suite reads no config, so it must not wait on stdin
             cfg = None if args.command == "suite" else _load_config(args)
-            text, code = args.func(cfg, args), EXIT_OK
+            with np.errstate(over="raise", invalid="raise"):
+                text, code = args.func(cfg, args), EXIT_OK
         except ToleranceFailure as exc:
             print(f"failure: {exc}", file=sys.stderr)
             text, code = exc.text, EXIT_TOLERANCE
         _write_output(args, text)
         return code
-    except (np.linalg.LinAlgError, norms.MonotonicityError) as exc:
+    except (np.linalg.LinAlgError, norms.MonotonicityError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # InputError included

@@ -27,9 +27,11 @@ member's coefficients are bit for bit those of the member run alone, so
 batching changes speed only.  The kernel sorts at most ``_TERM_BUDGET`` pair
 terms at once, which bounds its memory whatever the batch.  Callers that
 check an identity keep its two sides in separate batches: batching never
-merges two routes into one accumulation.  Elements built from coordinate
-rows take one route too: ``from_arrays`` is a batch of one of
-``FourierElement._from_rows``.
+merges two routes into one accumulation.  Every element built from caller
+data takes one route, ``FourierElement._from_rows``, of which the mapping
+constructor and ``from_arrays`` are batches of one: it reads coordinates by
+``modarith.checked_array`` into a fresh copy, exactly (1.5 is refused, never
+truncated), and a coordinate out of range, however large, raises the range error.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
 from .cocycles import Bicharacter, LinearMap, SkewForm, is_nondegenerate
+from .modarith import checked_array
 
 __all__ = [
     "SEMICLASSICAL_SCALE",
@@ -75,7 +78,9 @@ class FourierElement:
     rows of shape (k, rank), reduced mod the moduli in finite contexts and
     sorted lexicographically, and ``values``, their nonzero complex128
     coefficients.  ``coeffs`` is the same data as a read-only mapping from
-    :class:`GroupPoint`, in the same order, built on first access.
+    :class:`GroupPoint`, in the same order, built on first access.  Built
+    from caller data (a mapping, ``from_arrays`` or a batch), it takes
+    ``_from_rows``: exact coordinates, a fresh copy, a named range error.
     """
 
     __slots__ = ("context", "coords", "values", "_coeffs")
@@ -83,16 +88,12 @@ class FourierElement:
     def __init__(
         self, context: GroupContext, coeffs: Mapping[GroupPoint, complex]
     ) -> None:
-        points = list(coeffs)
-        if any(point.context != context for point in points):
+        if any(point.context != context for point in coeffs):
             raise ValueError("support point from a different context")
-        try:
-            coords = np.array([point.coords for point in points], dtype=np.int64)
-        except OverflowError:
-            raise ValueError(_RANGE_MESSAGE) from None
-        coords = coords.reshape(len(points), context.rank)
-        values = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
-        self._assign(context, *_collect(context, coords, values)[0])
+        (built,) = self._from_rows(
+            context, [point.coords for point in coeffs], [complex(v) for v in coeffs.values()]
+        )
+        self._assign(context, built.coords, built.values)
 
     def _assign(
         self, context: GroupContext, coords: np.ndarray, values: np.ndarray
@@ -129,24 +130,28 @@ class FourierElement:
     def _from_rows(
         cls, context: GroupContext, coords, values, counts=None
     ) -> list["FourierElement"]:
-        """Elements from a batch of coordinate rows, through one ``_collect``.
+        """Elements from a batch of caller rows, through one ``_collect``.
 
         The first counts[0] rows make member 0, the next counts[1] member 1,
         and so on (without ``counts``, all rows make one member).  Members
         never merge, and each is bit for bit ``from_arrays`` of its own rows.
+        Coordinates are read exactly into a fresh copy (see the module docstring).
         """
-        coords = np.array(coords, dtype=np.int64)
+        try:
+            coords = checked_array(coords, "coordinates", np.int64)
+        except OverflowError:
+            raise ValueError(
+                "coordinates must fit in int64" if context.is_finite else _RANGE_MESSAGE
+            ) from None
         values = np.array(values, dtype=np.complex128)
+        if not coords.size:  # no rows, as from an empty mapping
+            coords = coords.reshape(0, context.rank)
         if values.ndim != 1 or coords.shape != (len(values), context.rank):
             raise ValueError(
                 f"need coords of shape ({len(values)}, {context.rank}) for "
                 f"{len(values)} values, got {coords.shape}"
             )
         return [cls._wrap(context, c, v) for c, v in _collect(context, coords, values, counts)]
-
-    @classmethod
-    def zero(cls, context: GroupContext) -> "FourierElement":
-        return cls(context, {})
 
     @classmethod
     def delta(cls, point: GroupPoint, value: complex = 1.0) -> "FourierElement":
@@ -162,10 +167,6 @@ class FourierElement:
             })
         return self._coeffs
 
-    @property
-    def support(self) -> list[GroupPoint]:
-        return list(self.coeffs)
-
     def coeff(self, point: GroupPoint) -> complex:
         return self.coeffs.get(point, 0j)
 
@@ -178,12 +179,7 @@ class FourierElement:
             raise ValueError("elements from different contexts")
 
     def __add__(self, other: "FourierElement") -> "FourierElement":
-        self._check_same(other)
-        return FourierElement.from_arrays(
-            self.context,
-            np.concatenate([self.coords, other.coords]),
-            np.concatenate([self.values, other.values]),
-        )
+        return _differences([(self, other)], negate=False)[0]
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return _differences([(self, other)])[0]
@@ -216,9 +212,6 @@ class FourierElement:
 
     def l1_norm(self) -> float:
         return float(np.abs(self.values).sum())
-
-    def l1_distance(self, other: "FourierElement") -> float:
-        return _l1_distances([(self, other)])[0]
 
     def linf_distance(self, other: "FourierElement") -> float:
         return _linf_distances([(self, other)])[0]
@@ -347,14 +340,14 @@ def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[Fourie
     return out
 
 
-def _differences(pairs: _Pairs) -> list[FourierElement]:
-    """x + (-1) y for every pair (x, y), collected as one batch."""
+def _differences(pairs: _Pairs, negate: bool = True) -> list[FourierElement]:
+    """x + (-1) y for every pair (x, y), or x + y without ``negate``, as one batch."""
     ctx = _batch_context(pairs)
     if not pairs:
         return []
     coords = np.concatenate([c for x, y in pairs for c in (x.coords, y.coords)])
     values = np.concatenate([
-        v for x, y in pairs for v in (x.values, y.values * complex(-1.0))
+        v for x, y in pairs for v in (x.values, y.values * complex(-1.0) if negate else y.values)
     ])
     counts = [len(x.values) + len(y.values) for x, y in pairs]
     return [

@@ -21,13 +21,17 @@ __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 
 def integer_table(values, what: str) -> np.ndarray:
-    """The values as an int64 array, the input itself if it is one; raises on a non-integer."""
+    """The values as an int64 array, the input itself if it is one; raises
+    ``ValueError`` on a non-integer and ``OverflowError`` on an integer beyond int64."""
     raw = np.asarray(values)
     if raw.dtype == np.int64:
         return raw
     with np.errstate(invalid="ignore"):
-        table = raw.astype(np.int64)
+        table = raw.astype(np.int64)  # Python ints beyond int64 raise OverflowError
     if not np.array_equal(table, raw):
+        # numpy holds an integer >= 2**63 as uint64 or float64, each an integer that large
+        if raw.dtype.kind in "uf" and (abs(raw[np.isfinite(raw)]) >= 2.0**63).any():
+            raise OverflowError(f"{what} must fit in int64")
         raise ValueError(f"{what} must hold integers")
     return table
 

@@ -279,8 +279,8 @@ def _lanczos_norm(a: FourierElement, sigma: Bicharacter, w: int) -> tuple[float,
 def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b.
 
-    The window is checked as for ``left_mult_matrix``; non-finite coefficients
-    raise ``LinAlgError``.  Lanczos runs on a / 2**e, whose largest real or
+    The window is checked as for ``left_mult_matrix``; non-finite coefficients,
+    or a non-finite estimate (from non-finite phases), raise ``LinAlgError``.  Lanczos runs on a / 2**e, whose largest real or
     imaginary part lies in [1/2, 1): exact, and every square stays in range.
     The estimate is clamped into [||a||_2, ||a||_1]: the box covers the support,
     so ||A delta_0|| = ||a||_2 bounds it from below, and the triangle inequality
@@ -297,6 +297,8 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     moduli = np.abs(values)
     scaled = FourierElement._wrap(a.context, a.coords, values)
     estimate = _lanczos_norm(scaled, sigma, window.radius)[0]
+    if not np.isfinite(estimate):
+        raise np.linalg.LinAlgError("non-finite window estimate")
     return float(np.ldexp(min(max(estimate, np.linalg.norm(moduli)), moduli.sum()), e))
 
 

@@ -51,7 +51,8 @@ def test_public_names_are_pinned():
 UNCALLED = {"antisymmetrize", "cohomologous_check", "torus_action"}
 
 
-def test_every_public_name_has_a_caller():
+def referenced_names():
+    """Every name and attribute used in the package (without ``__init__.py``) or the benchmark."""
     sources = [p for p in (ROOT / "src" / "startwist").glob("*.py") if p.name != "__init__.py"]
     referenced = set()
     for path in sources + sorted((ROOT / "bench").glob("*.py")):
@@ -60,4 +61,28 @@ def test_every_public_name_has_a_caller():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert PUBLIC_NAMES - referenced == UNCALLED
+    return referenced
+
+
+def test_every_public_name_has_a_caller():
+    assert PUBLIC_NAMES - referenced_names() == UNCALLED
+
+
+# Public methods and properties that may go without a caller, by the same
+# name-based scan: `Bicharacter.is_antisymmetric` is reserved for the cohomology
+# criterion (ROADMAP item 3).
+UNCALLED_METHODS = {"Bicharacter.is_antisymmetric"}
+
+
+def test_every_public_method_has_a_caller():
+    referenced = referenced_names()
+    uncalled = set()
+    for name in PUBLIC_NAMES:
+        cls = getattr(startwist, name)
+        if not isinstance(cls, type):
+            continue
+        for attr, value in vars(cls).items():
+            method = callable(value) or isinstance(value, (property, classmethod, staticmethod))
+            if method and not attr.startswith("_") and attr not in referenced:
+                uncalled.add(f"{name}.{attr}")
+    assert uncalled == UNCALLED_METHODS

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,19 @@ class TestSerialization:
             LATTICE2, {LATTICE2.point(1, -2): complex(0.125, -3.5)}
         )
         assert element_from_doc(element_to_doc(a)) == a
+
+    def test_round_trip_bitwise(self):
+        rng = np.random.default_rng(1)
+        for ctx in (LATTICE2, GroupContext.finite([4, 4])):
+            for _ in range(100):
+                a = random_element(ctx, rng)
+                back = element_from_doc(json.loads(json.dumps(element_to_doc(a))))
+                assert back.coords.tobytes() == a.coords.tobytes()
+                assert back.values.tobytes() == a.values.tobytes()
+        # a lone coefficient keeps a signed zero part as written
+        a = FourierElement.from_arrays(LATTICE2, [[2, -1]], [complex(-0.0, 0.5)])
+        back = element_from_doc(element_to_doc(a))
+        assert back.values.tobytes() == a.values.tobytes()
 
     def test_context_doc_round_trip(self):
         for ctx in (LATTICE2, GroupContext.finite([3, 9])):
@@ -330,7 +344,7 @@ class TestHeisenbergCommand:
 class TestNormCommand:
     def test_constant_element_flat_column(self, tmp_path):
         cfg = {
-            "element": element_to_doc(FourierElement.delta(LATTICE2.zero(), 2.0)),
+            "element": element_to_doc(FourierElement.delta(LATTICE2.point(0, 0), 2.0)),
             "form": [[0.0, 1.0], [-1.0, 0.0]],
             "hbar": 0.5,
             "windows": [2, 4, 6],
@@ -421,12 +435,21 @@ class TestNormCommand:
 
         monkeypatch.setattr(norms_mod, "op_norm_estimate", broken)
         cfg = {
-            "element": element_to_doc(FourierElement.delta(LATTICE2.zero())),
+            "element": element_to_doc(FourierElement.delta(LATTICE2.point(0, 0))),
             "form": [[0.0, 0.0], [0.0, 0.0]],
             "windows": [2, 4],
         }
         code, _ = run(["norm"], cfg, tmp_path)
         assert code == EXIT_NUMERIC
+
+    def test_out_of_range_coordinate_named(self, tmp_path, capsys):
+        cfg = _set(NORM_CONFIG, COEFF0 + ("coords",), [4294967296, 0])
+        code, text = run(["norm"], cfg, tmp_path)
+        assert code == EXIT_VALIDATION and text == ""
+        assert capsys.readouterr().err == (
+            "error: input.element.coefficients: "
+            "lattice coordinates must stay below 2**31 in magnitude\n"
+        )
 
     def test_linalg_failure_exits_3(self, tmp_path, monkeypatch):
         # raised inside the block that reads input.windows, yet not a rejected value
@@ -437,7 +460,7 @@ class TestNormCommand:
 
         monkeypatch.setattr(norms_mod, "op_norm_estimate", broken)
         cfg = {
-            "element": element_to_doc(FourierElement.delta(LATTICE2.zero())),
+            "element": element_to_doc(FourierElement.delta(LATTICE2.point(0, 0))),
             "form": [[0.0, 0.0], [0.0, 0.0]],
             "windows": [2],
         }
@@ -619,6 +642,11 @@ BAD_FIELDS = [
     ("norm", NORM_CONFIG, COEFF0 + ("re",), "nan", "input.element.coefficients[0]"),
     ("norm", NORM_CONFIG, COEFF0 + ("im",), "inf", "input.element.coefficients[0]"),
     ("norm", NORM_CONFIG, COEFF0 + ("re",), "1e999", "input.element.coefficients[0]"),
+    ("norm", NORM_CONFIG, COEFF0 + ("coords",), [2**31, 0], "input.element.coefficients"),
+    ("norm", NORM_CONFIG, COEFF0 + ("coords",), [0, 2**63], "input.element.coefficients"),
+    ("norm", NORM_CONFIG, COEFF0 + ("coords",), [-(2**70), 0], "input.element.coefficients"),
+    ("star", STAR_FINITE_CONFIG, ("a", "coefficients", 1, "coords"), [2**70, 0],
+     "input.a.coefficients"),
     ("kasprzak-verify", KASPRZAK_CONFIG, ("moduli",), [True], "input.moduli[0]"),
     ("kasprzak-verify", KASPRZAK_CONFIG, ("cocycle_matrix",), [[True]],
      "input.cocycle_matrix[0][0]"),
@@ -706,6 +734,31 @@ class TestBadFields:
         out = tmp_path / "out.txt"
         assert main(["suite", "--only", "delta-relation", "--output", str(out)]) == EXIT_OK
         assert out.read_text().startswith("PASS delta-relation")
+
+
+# at hbar = 1e308 the lattice phases overflow to NaN
+NONFINITE_CONFIGS = {
+    "norm": {
+        "element": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, 1], "1.0", "0.0")),
+        "form": [[0.0, 1.0], [-1.0, 0.0]],
+        "hbar": 1e308,
+        "windows": [2, 3],
+    },
+    "star": _set(STAR_CONFIG, ("cocycle", "hbar"), 1e308),
+}
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("command", NONFINITE_CONFIGS)
+    def test_exits_3_without_output(self, tmp_path, capsys, command, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)  # as PYTHONWARNINGS would set it
+            code, text = run([command], NONFINITE_CONFIGS[command], tmp_path)
+        assert code == EXIT_NUMERIC
+        assert text == "" and not (tmp_path / "out.txt").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -60,7 +60,7 @@ class TestCrossedConv:
     def test_lambda_zero_is_two_sided_unit(self):
         rng = np.random.default_rng(0)
         a = random_crossed(Z5, rng)
-        unit = lambda_element(Z5.zero())
+        unit = lambda_element(Z5.point(0))
         assert crossed_conv(unit, a).linf_distance(a) <= 1e-14
         assert crossed_conv(a, unit).linf_distance(a) <= 1e-14
 
@@ -88,7 +88,7 @@ class TestDualAction:
     def test_trivial_character_is_identity(self):
         rng = np.random.default_rng(3)
         a = random_crossed(Z5, rng)
-        assert dual_action(Z5.zero(), a).linf_distance(a) == 0.0
+        assert dual_action(Z5.point(0), a).linf_distance(a) == 0.0
 
     def test_fixes_zero_supported_elements(self):
         rng = np.random.default_rng(4)
@@ -268,7 +268,7 @@ class TestFixedPoints:
 
 class TestIMap:
     def test_lambda_zero_maps_to_scaled_unit_fiber(self):
-        out = I_map(lambda_element(Z5.zero()))
+        out = I_map(lambda_element(Z5.point(0)))
         expected = FiniteVector(Z5, np.full(5, Z5.norm_const))
         assert out.linf_distance(expected) == 0.0
 
@@ -336,7 +336,7 @@ class TestIHomomorphism:
 CONTEXT_CHECKED = {
     "fixed_point_test": fixed_point_test,
     "spectral_project": spectral_project,
-    "deformed_dual_action": lambda a, data: deformed_dual_action(data, data.context.zero(), a),
+    "deformed_dual_action": lambda a, data: deformed_dual_action(data, data.context.point((0,) * data.context.rank), a),
 }
 
 
@@ -367,7 +367,7 @@ class TestUndeformedPicture:
         assert all(
             np.max(np.abs(proj.table[v.coords])) <= 1e-15
             for v in Z5.points()
-            if v != Z5.zero()
+            if v != Z5.point(0)
         )
         for _ in range(5):
             a = spectral_project(random_crossed(Z5, rng), triv)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from startwist import deform
-from startwist.abelian import FiniteVector, GroupContext, fourier
+from startwist.abelian import FiniteVector, GroupContext, GroupPoint, fourier
 from startwist.cocycles import Bicharacter, SkewForm, T_map
 from startwist.deform import (
     FourierElement,
@@ -73,7 +73,7 @@ TINY_TO_HUGE = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
 class TestFourierElement:
     def test_tiny_coefficient_is_kept(self):
         p = LATTICE2.point(0, 0)
-        assert FourierElement.delta(p, 1e-16).support == [p]
+        assert list(FourierElement.delta(p, 1e-16).coeffs) == [p]
         assert (0.1 * FourierElement.delta(p, 2e-15)).coeff(p) == 0.1 * 2e-15
 
     @settings(max_examples=60, deadline=None)
@@ -89,16 +89,16 @@ class TestFourierElement:
     def test_scaling_is_homogeneous(self, raw, c):
         a = FourierElement(LATTICE2, {LATTICE2.point(p): v for p, v in raw.items()})
         scaled = c * a
-        assert scaled.support == a.support
-        for p in a.support:
+        assert list(scaled.coeffs) == list(a.coeffs)
+        for p in a.coeffs:
             assert scaled.coeff(p) == c * a.coeff(p)
 
     def test_exact_zeros_dropped(self):
         p, q = LATTICE2.point(1, 0), LATTICE2.point(0, 1)
         a = FourierElement(LATTICE2, {p: 1.0, q: 0.0})
-        assert a.support == [p]
-        assert (a - a).support == []
-        assert (0 * a).support == []
+        assert list(a.coeffs) == [p]
+        assert list((a - a).coeffs) == []
+        assert list((0 * a).coeffs) == []
 
     def test_arrays_sorted_and_read_only(self):
         a = FourierElement(
@@ -122,7 +122,7 @@ class TestFourierElement:
         }
         a = FourierElement(ctx, raw)
         assert a.coeffs == raw
-        rows = [p.coords for p in a.support]
+        rows = [p.coords for p in a.coeffs]
         assert rows == sorted(rows)
 
     def test_from_arrays_sums_repeats_and_reduces(self):
@@ -160,6 +160,106 @@ class TestFourierElement:
         assert a.support_radius() == 3
 
 
+def forged_point(ctx, coords):
+    """A GroupPoint built past its own checks, which refuse 1.5 and a wrong
+    length first, so that the mapping constructor's reader sees the coordinates."""
+    point = object.__new__(GroupPoint)
+    object.__setattr__(point, "context", ctx)
+    object.__setattr__(point, "coords", tuple(coords))
+    return point
+
+
+# The three ways caller rows become an element; each returns one element.
+ROUTES = {
+    "mapping": lambda ctx, rows, values: FourierElement(
+        ctx, {forged_point(ctx, r): v for r, v in zip(rows, values)}
+    ),
+    "from_arrays": FourierElement.from_arrays,
+    "_from_rows": lambda ctx, rows, values: FourierElement._from_rows(ctx, rows, values)[0],
+}
+RANGE = "lattice coordinates must stay below 2**31 in magnitude"
+
+
+def assert_same_bits(got, want):
+    assert got.context == want.context
+    assert got.coords.dtype == want.coords.dtype == np.int64
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1.5, 0), "coordinates must hold integers"),
+            ((2**31, 0), RANGE),
+            ((0, -(2**31)), RANGE),
+            ((2**63, 0), RANGE),  # numpy's uint64
+            ((-1, 2**63), RANGE),  # numpy's float64
+            ((2**70, 0), RANGE),
+            ((1, 2, 3), "need coords of shape (1, 2) for 1 values, got (1, 3)"),
+        ],
+        ids=["1.5", "2**31", "-2**31", "2**63", "-1,2**63", "2**70", "shape"],
+    )
+    def test_same_error_on_every_route(self, route, row, message):
+        with pytest.raises(ValueError) as err:
+            ROUTES[route](LATTICE2, [row], [1.0])
+        assert str(err.value) == message
+
+    def test_finite_coordinate_beyond_int64_rejected(self):
+        z5 = GroupContext.finite(5)
+        for route in ROUTES.values():
+            with pytest.raises(ValueError, match="coordinates must fit in int64"):
+                route(z5, [(2**70,)], [1.0])
+
+    @pytest.mark.parametrize("ctx", [LATTICE2, GroupContext.finite([3, 4])], ids=str)
+    def test_routes_agree_bitwise_on_repeats(self, ctx):
+        rng = np.random.default_rng(7)
+        merged = 0
+        for _ in range(50):
+            rows = rng.integers(-2, 3, size=(int(rng.integers(1, 12)), 2))
+            values = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+            # a mapping holds each point once, so it gets the repeats summed in row order
+            summed = {}
+            for r, v in zip(rows.tolist(), values.tolist()):
+                key = tuple(r % np.array(ctx.moduli)) if ctx.is_finite else tuple(r)
+                summed[key] = summed.get(key, 0j) + v
+            want = FourierElement.from_arrays(ctx, rows, values)
+            assert_same_bits(ROUTES["_from_rows"](ctx, rows, values), want)
+            assert_same_bits(ROUTES["mapping"](ctx, list(summed), list(summed.values())), want)
+            merged += len(rows) - len(summed)
+        assert merged > 0  # repeated points were drawn
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_caller_array_changes_do_not_reach_the_element(self, count):
+        rows = np.arange(2 * count, dtype=np.int64).reshape(count, 2)
+        values = np.ones(count, dtype=np.complex128)
+        built = [
+            FourierElement.from_arrays(LATTICE2, rows, values),
+            *FourierElement._from_rows(LATTICE2, rows, values, [count]),
+        ]
+        want = [(e.coords.copy(), e.values.copy()) for e in built]
+        rows[:] = 7
+        values[:] = 2.0
+        for e, (coords, vals) in zip(built, want):
+            assert np.array_equal(e.coords, coords) and np.array_equal(e.values, vals)
+            assert not e.coords.flags.writeable and not np.shares_memory(e.coords, rows)
+
+    def test_empty_rows_are_the_zero_element(self):
+        zero = FourierElement(LATTICE2, {})
+        assert zero.coords.shape == (0, 2) and zero.values.shape == (0,)
+        assert_same_bits(FourierElement.from_arrays(LATTICE2, [], []), zero)
+
+    def test_sum_adds_values_unscaled(self):
+        # x + y concatenates the values as they are: a multiply by 1 + 0j would
+        # turn this -0.0 into 0.0 (and an infinite part into NaN)
+        a = FourierElement.from_arrays(LATTICE2, [[1, 0]], [complex(-0.0, -1.0)])
+        zero = FourierElement(LATTICE2, {})
+        assert_same_bits(a + zero, a)
+        assert_same_bits(zero + a, a)
+
+
 class TestStar:
     def test_delta_relation(self):
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
@@ -182,11 +282,11 @@ class TestStar:
         rng = np.random.default_rng(0)
         sigma = Bicharacter.from_skew(LATTICE2, random_skew(rng), 0.8)
         a, b, c = (random_element(LATTICE2, rng) for _ in range(3))
-        sums = {p + q for p in a.support for q in b.support}
-        assert set(star(a, b, sigma).support) <= sums
+        sums = {p + q for p in a.coeffs for q in b.coeffs}
+        assert set(star(a, b, sigma).coeffs) <= sums
         lhs = star(a + 2j * c, b, sigma)
         rhs = star(a, b, sigma) + 2j * star(c, b, sigma)
-        assert lhs.l1_distance(rhs) <= 1e-12
+        assert (lhs - rhs).l1_norm() <= 1e-12
 
     def test_associativity_per_context(self):
         rng = np.random.default_rng(1)
@@ -204,7 +304,7 @@ class TestStar:
                 a, b, c = (random_element(ctx, rng) for _ in range(3))
                 lhs = star(star(a, b, sigma), c, sigma)
                 rhs = star(a, star(b, c, sigma), sigma)
-                worst = max(worst, lhs.l1_distance(rhs))
+                worst = max(worst, (lhs - rhs).l1_norm())
             assert worst <= 1e-10
 
     def test_hbar_zero_is_exactly_convolution(self):
@@ -246,7 +346,7 @@ KERNEL_CASES = [
 
 
 def assert_same_coefficients(got, want, tol):
-    assert set(got.support) == set(want)
+    assert set(got.coeffs) == set(want)
     rows = [tuple(r) for r in got.coords.tolist()]
     assert rows == sorted(set(rows))
     assert sum(abs(got.coeff(p) - v) for p, v in want.items()) <= tol
@@ -259,7 +359,7 @@ def assert_kernel_matches(a, b, sigma, gamma=None):
     if gamma is not None:
         # the bracket weights are not unimodular: scale by their largest size
         weight = 4 * np.pi**2 * max(
-            (abs(gamma(p, q)) for p in a.support for q in b.support), default=0.0
+            (abs(gamma(p, q)) for p in a.coeffs for q in b.coeffs), default=0.0
         )
         assert_same_coefficients(
             poisson_bracket(a, b, gamma), reference_bracket(a, b, gamma), bound * weight
@@ -287,12 +387,12 @@ class TestKernelAgainstReference:
 
     def test_empty_and_single_point_operands(self):
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.6)
-        zero = FourierElement.zero(LATTICE2)
+        zero = FourierElement(LATTICE2, {})
         a = random_element(LATTICE2, np.random.default_rng(41))
         single = FourierElement.delta(LATTICE2.point(2, -1), 0.5 - 1j)
         for x, y in ((zero, a), (a, zero), (zero, zero), (single, a), (a, single)):
             assert_kernel_matches(x, y, sigma, J)
-        assert star(zero, a, sigma).support == []
+        assert list(star(zero, a, sigma).coeffs) == []
 
     def test_cancelling_pair(self):
         # (d_x + d_y)(d_y - d_x) in the commutative product: the two cross
@@ -302,7 +402,7 @@ class TestKernelAgainstReference:
         b = FourierElement(LATTICE2, {y: 1.0, x: -1.0})
         trivial = Bicharacter.trivial(LATTICE2)
         assert_kernel_matches(a, b, trivial)
-        assert set(star(a, b, trivial).support) == {x + x, y + y}
+        assert set(star(a, b, trivial).coeffs) == {x + x, y + y}
 
 
 def assert_bitwise_equal(got, want):
@@ -331,7 +431,7 @@ class TestBatchedKernel:
     def test_zero_single_point_and_mixed_sizes(self):
         rng = np.random.default_rng(50)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.6)
-        zero = FourierElement.zero(LATTICE2)
+        zero = FourierElement(LATTICE2, {})
         d1 = FourierElement.delta(LATTICE2.point(2, -1), 0.5 - 1j)
         d2 = FourierElement.delta(LATTICE2.point(-3, 0), 2j)
         a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
@@ -362,7 +462,7 @@ class TestBatchedKernel:
         c = FourierElement.delta(x)
         trivial = Bicharacter.trivial(LATTICE2)
         cancelled, kept = assert_batch_matches_lone_calls([(a, b), (c, b)], trivial)
-        assert set(cancelled.support) == {x + x, y + y}
+        assert set(cancelled.coeffs) == {x + x, y + y}
         assert kept.coeff(x + y) == 1.0 and len(kept.values) == 2
 
     def test_overlapping_supports_stay_separate(self):
@@ -415,12 +515,12 @@ class TestBatchedKernel:
         rng = np.random.default_rng(54)
         x = [random_element(LATTICE2, rng) for _ in range(10)]
         y = [random_element(LATTICE2, rng) for _ in range(10)]
-        pairs = list(zip(x, y)) + [(x[0], x[0]), (FourierElement.zero(LATTICE2), x[1])]
+        pairs = list(zip(x, y)) + [(x[0], x[0]), (FourierElement(LATTICE2, {}), x[1])]
         for (a, b), d in zip(pairs, deform._differences(pairs)):
             assert_bitwise_equal(d, a - b)
         assert deform._differences([]) == []
         assert deform._linf_distances(pairs) == [a.linf_distance(b) for a, b in pairs]
-        assert deform._l1_distances(pairs) == [a.l1_distance(b) for a, b in pairs]
+        assert deform._l1_distances(pairs) == [(a - b).l1_norm() for a, b in pairs]
 
     def test_batched_automorphism_deviations_equal_lone_checks(self):
         rng = np.random.default_rng(55)
@@ -438,7 +538,7 @@ class TestBatchedKernel:
 class TestInvolution:
     def test_real_delta_at_zero_fixed(self):
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.9)
-        a = FourierElement.delta(LATTICE2.zero(), 2.5)
+        a = FourierElement.delta(LATTICE2.point(0, 0), 2.5)
         assert involution(a, sigma) == a
 
     def test_antisymmetric_conjugates_and_flips(self):
@@ -455,14 +555,14 @@ class TestInvolution:
             a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
             lhs = involution(star(a, b, sigma), sigma)
             rhs = star(involution(b, sigma), involution(a, sigma), sigma)
-            worst = max(worst, lhs.l1_distance(rhs))
+            worst = max(worst, (lhs - rhs).l1_norm())
         assert worst <= 1e-12
 
     def test_involutive_even_for_general_cocycles(self):
         rng = np.random.default_rng(5)
         sigma = Bicharacter(LATTICE2, rng.uniform(-2, 2, (2, 2)), hbar=0.8)
         a = random_element(LATTICE2, rng)
-        assert involution(involution(a, sigma), sigma).l1_distance(a) <= 1e-12
+        assert (involution(involution(a, sigma), sigma) - a).l1_norm() <= 1e-12
 
 
 class TestPoissonBracket:
@@ -482,7 +582,7 @@ class TestPoissonBracket:
     def test_bracket_with_unit_vanishes(self):
         rng = np.random.default_rng(7)
         a = random_element(LATTICE2, rng)
-        unit = FourierElement.delta(LATTICE2.zero())
+        unit = FourierElement.delta(LATTICE2.point(0, 0))
         assert poisson_bracket(a, unit, random_skew(rng)).l1_norm() == 0.0
 
     def test_antisymmetry(self):
@@ -491,7 +591,7 @@ class TestPoissonBracket:
         a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
         lhs = poisson_bracket(a, b, gamma)
         rhs = -1.0 * poisson_bracket(b, a, gamma)
-        assert lhs.l1_distance(rhs) <= 1e-12
+        assert (lhs - rhs).l1_norm() <= 1e-12
 
     def test_jacobi_on_deltas(self):
         # integer form and points: the only roundoff is the shared pi^2 factor,
@@ -551,7 +651,7 @@ class TestIteratedDeformation:
         sigma = Bicharacter.from_skew(LATTICE2, random_skew(rng), 0.77)
         composed = compose_cocycles(sigma, sigma.conjugate())
         a, b = random_element(LATTICE2, rng), random_element(LATTICE2, rng)
-        assert star(a, b, composed).l1_distance(star(a, b, Bicharacter.trivial(LATTICE2))) == 0.0
+        assert (star(a, b, composed) - star(a, b, Bicharacter.trivial(LATTICE2))).l1_norm() == 0.0
 
     def test_exponent_addition(self):
         # composing the symplectic twist with itself doubles the scalar

@@ -63,7 +63,7 @@ def random_element(ctx, rng, max_support=5, box=2):
 class TestLeftMultMatrix:
     def test_scaled_unit_is_scaled_identity(self):
         c = 1.5 - 2.0j
-        a = FourierElement.delta(LATTICE2.zero(), c)
+        a = FourierElement.delta(LATTICE2.point(0, 0), c)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
         mat = left_mult_matrix(a, sigma, Window(2))
         assert np.array_equal(mat, c * np.eye(25))
@@ -105,7 +105,7 @@ class TestLeftMultMatrix:
 class TestOpNormEstimate:
     def test_scaled_unit(self):
         c = 0.3 + 0.4j
-        a = FourierElement.delta(LATTICE2.zero(), c)
+        a = FourierElement.delta(LATTICE2.point(0, 0), c)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.8)
         for w in (1, 3, 6):
             assert op_norm_estimate(a, sigma, w) == pytest.approx(abs(c))
@@ -131,7 +131,7 @@ class TestOpNormEstimate:
             assert op_norm_estimate(cos_element(), TRIVIAL1, w) <= 2.0 + 1e-12
 
     def test_zero_element(self):
-        assert op_norm_estimate(FourierElement.zero(LATTICE1), TRIVIAL1, 4) == 0.0
+        assert op_norm_estimate(FourierElement(LATTICE1, {}), TRIVIAL1, 4) == 0.0
 
     def test_large_window_uses_power_iteration_against_oracle(self):
         # at W = 17 the compressed bilateral shift sum is a Toeplitz tensor
@@ -215,6 +215,15 @@ class TestLanczosKernel:
         for w in (1, 8, 17):
             with pytest.raises(np.linalg.LinAlgError):
                 op_norm_estimate(a, TRIVIAL2, w)
+
+    def test_non_finite_phases_raise(self):
+        # at hbar = 1e308 every phase off the axes is NaN; the estimate would be too
+        a = FourierElement.from_arrays(LATTICE2, [[1, 0], [0, 1]], [1.0, 1.0])
+        sigma = Bicharacter.from_skew(LATTICE2, J, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in (2, 3):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite window estimate"):
+                    op_norm_estimate(a, sigma, w)
 
     def test_step_cap_returns_certified_value(self, monkeypatch):
         monkeypatch.setattr("startwist.norms._LANCZOS_MAX_STEPS", 5)
@@ -311,7 +320,7 @@ def _operator_cases():
             edge = max(a.support_radius(), 1)
             cases.append((f"rank{rank}-edge-{i}", a, sigma, edge))
             cases.append((f"rank{rank}-inside-{i}", a, sigma, edge + 2))
-        cases.append((f"rank{rank}-origin", FourierElement.delta(ctx.zero(), 2 - 1j), sigma, 2))
+        cases.append((f"rank{rank}-origin", FourierElement.delta(ctx.point((0,) * rank), 2 - 1j), sigma, 2))
     ctx = GroupContext.lattice(1)
     a = random_element(ctx, rng)
     cases.append(("rank1-w150", a, Bicharacter.from_skew(ctx, SKEW[1], 0.43), 150))
@@ -492,7 +501,7 @@ class TestDenseLimit:
 
 class TestNormConvergence:
     def test_constant_row_for_scaled_unit(self):
-        a = FourierElement.delta(LATTICE1.zero(), 2.5)
+        a = FourierElement.delta(LATTICE1.point(0), 2.5)
         rows = norm_convergence(a, TRIVIAL1, [2, 4, 8])
         assert all(est == pytest.approx(2.5) for _, est in rows)
 
