@@ -90,9 +90,8 @@ class FourierElement:
     ) -> None:
         if any(point.context != context for point in coeffs):
             raise ValueError("support point from a different context")
-        (built,) = self._from_rows(
-            context, [point.coords for point in coeffs], [complex(v) for v in coeffs.values()]
-        )
+        rows = [point.coords for point in coeffs]
+        (built,) = self._from_rows(context, rows, [complex(v) for v in coeffs.values()])
         self._assign(context, built.coords, built.values)
 
     def _assign(
@@ -140,9 +139,8 @@ class FourierElement:
         try:
             coords = checked_array(coords, "coordinates", np.int64)
         except OverflowError:
-            raise ValueError(
-                "coordinates must fit in int64" if context.is_finite else _RANGE_MESSAGE
-            ) from None
+            limit = "coordinates must fit in int64" if context.is_finite else _RANGE_MESSAGE
+            raise ValueError(limit) from None
         values = np.array(values, dtype=np.complex128)
         if not coords.size:  # no rows, as from an empty mapping
             coords = coords.reshape(0, context.rank)

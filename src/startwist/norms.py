@@ -280,8 +280,9 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     """Largest singular value of the window compression of b -> a * b.
 
     The window is checked as for ``left_mult_matrix``; non-finite coefficients,
-    or a non-finite estimate (from non-finite phases), raise ``LinAlgError``.  Lanczos runs on a / 2**e, whose largest real or
-    imaginary part lies in [1/2, 1): exact, and every square stays in range.
+    or a non-finite estimate (from non-finite phases), raise ``LinAlgError``.
+    Lanczos runs on a / 2**e, whose largest real or imaginary part lies in
+    [1/2, 1): exact, and every square stays in range.
     The estimate is clamped into [||a||_2, ||a||_1]: the box covers the support,
     so ||A delta_0|| = ||a||_2 bounds it from below, and the triangle inequality
     by ||a||_1.  For one term both ends are |c|.

@@ -736,8 +736,9 @@ class TestBadFields:
         assert out.read_text().startswith("PASS delta-relation")
 
 
-# at hbar = 1e308 the lattice phases overflow to NaN
+# at hbar = 1e308 the lattice and circle phases overflow to NaN
 NONFINITE_CONFIGS = {
+    "heisenberg": {"grid_size": 4, "hbar": 1e308},
     "norm": {
         "element": lattice2_doc(([1, 0], "1.0", "0.0"), ([0, 1], "1.0", "0.0")),
         "form": [[0.0, 1.0], [-1.0, 0.0]],

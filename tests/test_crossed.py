@@ -336,7 +336,9 @@ class TestIHomomorphism:
 CONTEXT_CHECKED = {
     "fixed_point_test": fixed_point_test,
     "spectral_project": spectral_project,
-    "deformed_dual_action": lambda a, data: deformed_dual_action(data, data.context.point((0,) * data.context.rank), a),
+    "deformed_dual_action": lambda a, data: deformed_dual_action(
+        data, data.context.point((0,) * data.context.rank), a
+    ),
 }
 
 

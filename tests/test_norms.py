@@ -320,7 +320,8 @@ def _operator_cases():
             edge = max(a.support_radius(), 1)
             cases.append((f"rank{rank}-edge-{i}", a, sigma, edge))
             cases.append((f"rank{rank}-inside-{i}", a, sigma, edge + 2))
-        cases.append((f"rank{rank}-origin", FourierElement.delta(ctx.point((0,) * rank), 2 - 1j), sigma, 2))
+        origin = FourierElement.delta(ctx.point((0,) * rank), 2 - 1j)
+        cases.append((f"rank{rank}-origin", origin, sigma, 2))
     ctx = GroupContext.lattice(1)
     a = random_element(ctx, rng)
     cases.append(("rank1-w150", a, Bicharacter.from_skew(ctx, SKEW[1], 0.43), 150))
