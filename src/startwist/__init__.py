@@ -64,7 +64,6 @@ from .paramdeform import (
 )
 from .norms import (
     MonotonicityError,
-    Window,
     left_mult_matrix,
     norm_convergence,
     op_norm_estimate,

@@ -113,24 +113,12 @@ class GroupPoint:
             coords = tuple(c % m for c, m in zip(coords, self.context.moduli))
         object.__setattr__(self, "coords", coords)
 
-    def _check_same(self, other: "GroupPoint") -> None:
+    def __add__(self, other: "GroupPoint") -> "GroupPoint":
         if self.context != other.context:
             raise ValueError("group points from different contexts")
-
-    def __add__(self, other: "GroupPoint") -> "GroupPoint":
-        self._check_same(other)
         return GroupPoint(
             self.context, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
-
-    def __sub__(self, other: "GroupPoint") -> "GroupPoint":
-        self._check_same(other)
-        return GroupPoint(
-            self.context, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "GroupPoint":
-        return GroupPoint(self.context, tuple(-c for c in self.coords))
 
     def vector(self) -> np.ndarray:
         return np.array(self.coords, dtype=np.int64)
@@ -150,35 +138,9 @@ class FiniteVector:
         self.context = context
         self.values = arr
 
-    def __getitem__(self, point: GroupPoint) -> complex:
-        return complex(self.values[point.coords])
-
-    def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        self._check_same(other)
-        return FiniteVector(self.context, self.values + other.values)
-
-    def __sub__(self, other: "FiniteVector") -> "FiniteVector":
-        self._check_same(other)
-        return FiniteVector(self.context, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "FiniteVector":
-        return FiniteVector(self.context, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteVector)
-            and self.context == other.context
-            and np.array_equal(self.values, other.values)
-        )
-
-    def _check_same(self, other: "FiniteVector") -> None:
+    def linf_distance(self, other: "FiniteVector") -> float:
         if self.context != other.context:
             raise ValueError("finite vectors from different contexts")
-
-    def linf_distance(self, other: "FiniteVector") -> float:
-        self._check_same(other)
         return float(np.max(np.abs(self.values - other.values)))
 
     def __repr__(self) -> str:

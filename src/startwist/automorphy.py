@@ -131,10 +131,6 @@ class TauCocycle:
             raise ValueError("tau table must have shape (order, order, points)")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def trivial(cls, action: GammaAction) -> "TauCocycle":
-        return cls(np.ones((action.order, action.order, action.n_points)))
-
 
 @dataclass(frozen=True, eq=False)
 class AutomorphyFactor:
@@ -148,10 +144,6 @@ class AutomorphyFactor:
         if values.ndim != 2:
             raise ValueError("factor table must have shape (order, points)")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def trivial(cls, action: GammaAction) -> "AutomorphyFactor":
-        return cls(np.ones((action.order, action.n_points)))
 
 
 def _check_shapes(action: GammaAction, tau: TauCocycle | None, jhat=None) -> None:

@@ -73,20 +73,12 @@ class SkewForm:
     def rank(self) -> int:
         return self.matrix.shape[0]
 
-    def __call__(self, p: GroupPoint, q: GroupPoint) -> float:
-        return float(self.eval_many((p.coords,), (q.coords,))[0])
-
     def eval_many(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on coordinate arrays of shape (k, rank)."""
         return _quadratic(ps, self.matrix, qs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SkewForm) and np.array_equal(self.matrix, other.matrix)
-
-    def __mul__(self, scalar: float) -> "SkewForm":
-        return SkewForm(self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 class Bicharacter:
@@ -125,9 +117,8 @@ class Bicharacter:
 
     @classmethod
     def trivial(cls, context: GroupContext) -> "Bicharacter":
-        if context.is_finite:
-            return cls(context, np.zeros((context.rank, context.rank), dtype=np.int64))
-        return cls(context, np.zeros((context.rank, context.rank)), hbar=0.0)
+        hbar = None if context.is_finite else 0.0
+        return cls(context, np.zeros((context.rank, context.rank), dtype=np.int64), hbar)
 
     @classmethod
     def from_skew(
@@ -172,9 +163,7 @@ class Bicharacter:
 
     def conjugate(self) -> "Bicharacter":
         """Pointwise complex conjugate cocycle (negated exponent)."""
-        if self.context.is_finite:
-            return Bicharacter(self.context, -self.matrix)
-        return Bicharacter(self.context, -self.matrix, hbar=self.hbar)
+        return Bicharacter(self.context, -self.matrix, self.hbar)
 
     def __repr__(self) -> str:
         mode = "finite" if self.context.is_finite else f"lattice, hbar={self.hbar}"

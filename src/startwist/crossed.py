@@ -76,19 +76,6 @@ class CrossedElement:
         self.context = context
         self.table = arr
 
-    def __add__(self, other: "CrossedElement") -> "CrossedElement":
-        self._check_same(other)
-        return CrossedElement(self.context, self.table + other.table)
-
-    def __sub__(self, other: "CrossedElement") -> "CrossedElement":
-        self._check_same(other)
-        return CrossedElement(self.context, self.table - other.table)
-
-    def __mul__(self, scalar: complex) -> "CrossedElement":
-        return CrossedElement(self.context, self.table * scalar)
-
-    __rmul__ = __mul__
-
     def _check_same(self, other: "CrossedElement") -> None:
         if self.context != other.context:
             raise ValueError("crossed elements from different contexts")

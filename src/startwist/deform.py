@@ -176,9 +176,6 @@ class FourierElement:
         if self.context != other.context:
             raise ValueError("elements from different contexts")
 
-    def __add__(self, other: "FourierElement") -> "FourierElement":
-        return _differences([(self, other)], negate=False)[0]
-
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return _differences([(self, other)])[0]
 
@@ -236,8 +233,10 @@ def _collect(
     one member).  The member sorts ahead of the coordinates, so members never
     merge, and the result is one (coords, values) pair per member.
     ``bincount`` adds its weights in index order, so every output coefficient
-    is accumulated in the order its terms appear in ``values``, whatever the
-    batch around it.
+    is the left-to-right sum of its terms in the order they appear in
+    ``values``, whatever the batch around it.  Its sums start at 0.0, which
+    differs from starting at the first term only where every term is -0.0, so
+    zero parts are mended to -0.0 there, and a lone term keeps its bits.
     """
     if ctx.is_finite:
         coords = coords % np.array(ctx.moduli)
@@ -266,8 +265,11 @@ def _collect(
         inverse[order] = ends - 1
         n = int(ends[-1])
         summed = np.empty(n, dtype=np.complex128)
-        summed.real = np.bincount(inverse, values.real, n)
-        summed.imag = np.bincount(inverse, values.imag, n)
+        for terms, part in ((values.real, summed.real), (values.imag, summed.imag)):
+            part[:] = np.bincount(inverse, terms, n)
+            if not part.all():
+                negative_zero = (terms == 0) & np.signbit(terms)
+                part[np.bincount(inverse[~negative_zero], minlength=n) == 0] = -0.0
         coords, values = coords[starts], summed
         # row bounds become point bounds: ends[r - 1] points start before row r
         bounds = [int(ends[r - 1]) if r else 0 for r in bounds]
@@ -338,15 +340,13 @@ def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[Fourie
     return out
 
 
-def _differences(pairs: _Pairs, negate: bool = True) -> list[FourierElement]:
-    """x + (-1) y for every pair (x, y), or x + y without ``negate``, as one batch."""
+def _differences(pairs: _Pairs) -> list[FourierElement]:
+    """x + (-1) y for every pair (x, y), as one batch."""
     ctx = _batch_context(pairs)
     if not pairs:
         return []
     coords = np.concatenate([c for x, y in pairs for c in (x.coords, y.coords)])
-    values = np.concatenate([
-        v for x, y in pairs for v in (x.values, y.values * complex(-1.0) if negate else y.values)
-    ])
+    values = np.concatenate([v for x, y in pairs for v in (x.values, y.values * complex(-1.0))])
     counts = [len(x.values) + len(y.values) for x, y in pairs]
     return [
         FourierElement._wrap(ctx, c, v) for c, v in _collect(ctx, coords, values, counts)
@@ -433,14 +433,12 @@ def semiclassical_defect(
 
 
 def compose_cocycles(sigma1: Bicharacter, sigma2: Bicharacter) -> Bicharacter:
-    """Pointwise product cocycle: exponent matrices add."""
+    """Pointwise product cocycle: exponent matrices add (hbar is None in finite mode)."""
     if sigma1.context != sigma2.context:
         raise ValueError("cocycles from different contexts")
-    if sigma1.context.is_finite:
-        return Bicharacter(sigma1.context, sigma1.matrix + sigma2.matrix)
     if sigma1.hbar != sigma2.hbar:
         raise ValueError("composing lattice cocycles with different hbar")
-    return Bicharacter(sigma1.context, sigma1.matrix + sigma2.matrix, hbar=sigma1.hbar)
+    return Bicharacter(sigma1.context, sigma1.matrix + sigma2.matrix, sigma1.hbar)
 
 
 def iterated_star_check(

@@ -22,10 +22,13 @@ __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 def integer_table(values, what: str) -> np.ndarray:
     """The values as an int64 array, the input itself if it is one; raises
-    ``ValueError`` on a non-integer and ``OverflowError`` on an integer beyond int64."""
+    ``ValueError`` on a non-integer (a complex one too, even 1+0j) and
+    ``OverflowError`` on an integer beyond int64."""
     raw = np.asarray(values)
     if raw.dtype == np.int64:
         return raw
+    if raw.dtype.kind == "c":  # the cast would drop the imaginary part with a warning
+        raise ValueError(f"{what} must hold integers")
     with np.errstate(invalid="ignore"):
         table = raw.astype(np.int64)  # Python ints beyond int64 raise OverflowError
     if not np.array_equal(table, raw):

@@ -1,20 +1,20 @@
 """Operator-norm estimates for deformed left multiplication on coefficient windows.
 
 The left-regular action of an element on square-summable coefficients is
-compressed to the box of indices with max |p_j| <= W.  The largest singular
-value of the compression is a certified lower bound of the deformed operator
-norm and is nondecreasing in W; no upper bounds are claimed anywhere.  Every
-box takes one matrix-free Lanczos estimate: the Rayleigh quotient
-||A x|| / ||x|| of its Ritz vector x, a lower bound even unconverged, with its
-basis kept within 2 MiB.  ``left_mult_matrix`` plus a dense SVD is the oracle
-for every box.
+compressed to the box of indices with max |p_j| <= W; a window is that int
+radius W >= 1, read by ``operator.index`` (so 2.5 raises ``TypeError``).  The
+largest singular value of the compression is a certified lower bound of the
+deformed operator norm and is nondecreasing in W; no upper bounds are claimed
+anywhere.  Every box takes one matrix-free Lanczos estimate: the Rayleigh
+quotient ||A x|| / ||x|| of its Ritz vector x, a lower bound even unconverged,
+with its basis kept within 2 MiB.  ``left_mult_matrix`` plus a dense SVD is the
+oracle for every box.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .cocycles import Bicharacter
 from .deform import FourierElement
 
 __all__ = [
-    "Window",
     "MonotonicityError",
     "left_mult_matrix",
     "op_norm_estimate",
@@ -46,46 +45,29 @@ class MonotonicityError(RuntimeError):
     """Raised when window estimates fail to be nondecreasing."""
 
 
-@dataclass(frozen=True)
-class Window:
-    """Box truncation radius for the coefficient representation."""
-
-    radius: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", operator.index(self.radius))
-        if self.radius < 1:
-            raise ValueError("window radius must be >= 1")
-
-    def dim(self, rank: int) -> int:
-        return (2 * self.radius + 1) ** rank
-
-
-def _as_window(window) -> Window:
-    return window if isinstance(window, Window) else Window(window)
-
-
-def _checked_window(a: FourierElement, sigma: Bicharacter, window) -> Window:
-    """The window, checked once for the matrix and the estimate: lattice a, sigma
-    on a's context, a box that covers a's support and holds at most 2**20 points."""
-    window = _as_window(window)
+def _checked_window(a: FourierElement, sigma: Bicharacter, window) -> int:
+    """The radius, read by ``operator.index`` and checked once for the matrix and
+    the estimate: at least 1, lattice a, sigma on a's context, a box that covers
+    a's support and holds at most 2**20 points."""
+    w = operator.index(window)
+    if w < 1:
+        raise ValueError("window radius must be >= 1")
     ctx = a.context
     if ctx.is_finite:
         raise ValueError("window compressions are defined on lattice contexts")
     if sigma.context != ctx:
         raise ValueError("cocycle from a different context")
-    if window.radius < a.support_radius():
+    if w < a.support_radius():
         raise ValueError(
-            f"window radius {window.radius} is smaller than the support radius "
-            f"{a.support_radius()}"
+            f"window radius {w} is smaller than the support radius {a.support_radius()}"
         )
-    dim = window.dim(ctx.rank)
+    dim = (2 * w + 1) ** ctx.rank
     if dim > _WINDOW_DIM_LIMIT:
         raise ValueError(
-            f"window radius {window.radius} in rank {ctx.rank} spans a box of {dim} "
+            f"window radius {w} in rank {ctx.rank} spans a box of {dim} "
             f"points, above the limit of {_WINDOW_DIM_LIMIT}"
         )
-    return window
+    return w
 
 
 def _window_grid(rank: int, w: int) -> np.ndarray:
@@ -114,13 +96,10 @@ def left_mult_matrix(
     Entry (p + r, r) holds a(p) sigma(p, r) whenever both r and p + r lie in
     the box; everything else is zero.
     """
-    window = _checked_window(a, sigma, window)
-    ctx = a.context
-    w = window.radius
-    grid = _window_grid(ctx.rank, w)
+    w = _checked_window(a, sigma, window)
+    grid = _window_grid(a.context.rank, w)
     cols = _window_index(grid, w)
-    dim = window.dim(ctx.rank)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat = np.zeros((len(grid), len(grid)), dtype=np.complex128)
     for pv, c in zip(a.coords, a.values):
         shifted = grid + pv
         mask = np.all(np.abs(shifted) <= w, axis=1)
@@ -287,7 +266,7 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     so ||A delta_0|| = ||a||_2 bounds it from below, and the triangle inequality
     by ||a||_1.  For one term both ends are |c|.
     """
-    window = _checked_window(a, sigma, window)
+    w = _checked_window(a, sigma, window)
     if not a.values.size:
         return 0.0
     if not np.isfinite(a.values).all():
@@ -297,7 +276,7 @@ def op_norm_estimate(a: FourierElement, sigma: Bicharacter, window) -> float:
     values = np.ldexp(parts, -e).view(np.complex128)
     moduli = np.abs(values)
     scaled = FourierElement._wrap(a.context, a.coords, values)
-    estimate = _lanczos_norm(scaled, sigma, window.radius)[0]
+    estimate = _lanczos_norm(scaled, sigma, w)[0]
     if not np.isfinite(estimate):
         raise np.linalg.LinAlgError("non-finite window estimate")
     return float(np.ldexp(min(max(estimate, np.linalg.norm(moduli)), moduli.sum()), e))
@@ -307,7 +286,7 @@ def norm_convergence(
     a: FourierElement, sigma: Bicharacter, windows: Sequence
 ) -> list[tuple[int, float]]:
     """Estimates per window, asserted nondecreasing in the radius to a relative 1e-12."""
-    rows = [(w.radius, op_norm_estimate(a, sigma, w)) for w in map(_as_window, windows)]
+    rows = [(operator.index(w), op_norm_estimate(a, sigma, w)) for w in windows]
     rows.sort(key=lambda r: r[0])
     for (w1, e1), (w2, e2) in itertools.pairwise(rows):
         if e2 < e1 - 1e-12 * e1:

@@ -158,10 +158,6 @@ class ScalarField:
         if len(values) != len(self.grid):
             raise ValueError("need exactly one value per grid sample")
 
-    @classmethod
-    def constant(cls, grid: BaseGrid, value: complex = 1.0) -> "ScalarField":
-        return cls(grid, (value,) * len(grid))
-
 
 @dataclass(frozen=True, eq=False)
 class MonodromyData:

@@ -27,8 +27,7 @@ PUBLIC_NAMES = {
     "equivariant_product_closure", "equivariant_test", "heisenberg_field", "linearity_check",
     "monodromy_check", "monodromy_transport", "param_star", "torus_action",
     # norms
-    "MonotonicityError", "Window", "left_mult_matrix", "norm_convergence",
-    "op_norm_estimate",
+    "MonotonicityError", "left_mult_matrix", "norm_convergence", "op_norm_estimate",
     # automorphy
     "AutomorphyFactor", "GammaAction", "TauCocycle", "automorphy_check", "coboundary",
     "solve_automorphy", "tau_cocycle_check", "u_cocycle_check", "u_transform",
@@ -51,12 +50,18 @@ def test_public_names_are_pinned():
 UNCALLED = {"antisymmetrize", "cohomologous_check", "torus_action"}
 
 
+def source_trees():
+    """The parsed modules of the package (without ``__init__.py``) and the benchmark."""
+    sources = [p for p in (ROOT / "src" / "startwist").glob("*.py") if p.name != "__init__.py"]
+    for path in sorted(sources) + sorted((ROOT / "bench").glob("*.py")):
+        yield ast.parse(path.read_text(), str(path))
+
+
 def referenced_names():
     """Every name and attribute used in the package (without ``__init__.py``) or the benchmark."""
-    sources = [p for p in (ROOT / "src" / "startwist").glob("*.py") if p.name != "__init__.py"]
     referenced = set()
-    for path in sources + sorted((ROOT / "bench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in source_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -86,3 +91,43 @@ def test_every_public_method_has_a_caller():
             if method and not attr.startswith("_") and attr not in referenced:
                 uncalled.add(f"{name}.{attr}")
     assert uncalled == UNCALLED_METHODS
+
+
+def owner_references():
+    """Every ``Owner.attr`` in the package or the benchmark as (owner, attr), the
+    owner a bare or module-qualified name, and ``cls.attr`` inside a class body
+    as (that class, attr)."""
+    referenced = set()
+    for tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    referenced.add((owner.id, node.attr))
+                elif isinstance(owner, ast.Attribute):
+                    referenced.add((owner.attr, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                for inner in ast.walk(node):
+                    if (
+                        isinstance(inner, ast.Attribute)
+                        and isinstance(inner.value, ast.Name)
+                        and inner.value.id == "cls"
+                    ):
+                        referenced.add((node.name, inner.attr))
+    return referenced
+
+
+def test_every_public_classmethod_is_called_through_its_owner():
+    # a name-based scan lets `Bicharacter.trivial` stand in for another class's
+    # `trivial`; here each classmethod or staticmethod needs its own owner
+    referenced = owner_references()
+    uncalled = set()
+    for name in PUBLIC_NAMES:
+        cls = getattr(startwist, name)
+        if not isinstance(cls, type):
+            continue
+        for attr, value in vars(cls).items():
+            bound = isinstance(value, (classmethod, staticmethod))
+            if bound and not attr.startswith("_") and (name, attr) not in referenced:
+                uncalled.add(f"{name}.{attr}")
+    assert uncalled == set()

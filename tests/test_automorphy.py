@@ -29,6 +29,14 @@ def s3_action():
     return GammaAction(mul, act)
 
 
+def trivial_tau(action):
+    return TauCocycle(np.ones((action.order, action.order, action.n_points)))
+
+
+def trivial_factor(action):
+    return AutomorphyFactor(np.ones((action.order, action.n_points)))
+
+
 def random_factor(action, rng):
     return AutomorphyFactor(
         np.exp(2j * np.pi * rng.random((action.order, action.n_points)))
@@ -132,7 +140,7 @@ class TestGammaAction:
 class TestTauCocycleCheck:
     def test_trivial_passes(self):
         for action in BATTERY:
-            assert tau_cocycle_check(action, TauCocycle.trivial(action)) == 0.0
+            assert tau_cocycle_check(action, trivial_tau(action)) == 0.0
 
     def test_coboundaries_pass_exhaustively(self):
         rng = np.random.default_rng(0)
@@ -170,7 +178,7 @@ class TestAutomorphyCheck:
     def test_trivial_pair_passes(self):
         for action in BATTERY[:3]:
             dev = automorphy_check(
-                action, TauCocycle.trivial(action), AutomorphyFactor.trivial(action)
+                action, trivial_tau(action), trivial_factor(action)
             )
             assert dev == 0.0
 
@@ -192,9 +200,9 @@ class TestAutomorphyCheck:
 class TestSolver:
     def test_trivial_tau_solves_with_trivial_factor_among_solutions(self):
         action = GammaAction.cyclic(3)
-        solved = solve_automorphy(action, TauCocycle.trivial(action), 3)
+        solved = solve_automorphy(action, trivial_tau(action), 3)
         assert solved is not None
-        assert automorphy_check(action, TauCocycle.trivial(action), solved) <= 1e-9
+        assert automorphy_check(action, trivial_tau(action), solved) <= 1e-9
 
     def test_obstructed_class_needs_bigger_root_order(self):
         action = GammaAction.cyclic(2)
@@ -247,7 +255,7 @@ class TestSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="modulus 0"):
-                solve_automorphy(action, TauCocycle.trivial(action), 0)
+                solve_automorphy(action, trivial_tau(action), 0)
 
     def test_agrees_with_exhaustive_search_on_tiny_instances(self):
         # independent oracle: enumerate all exponent tables over Z/M
@@ -278,8 +286,8 @@ def _brute_force(action, tau, modulus):
 class TestUTransform:
     def test_trivial_everything(self):
         action = GammaAction.cyclic(4, 3)
-        u = u_transform(action, AutomorphyFactor.trivial(action))
-        assert u_cocycle_check(action, TauCocycle.trivial(action), u) == 0.0
+        u = u_transform(action, trivial_factor(action))
+        assert u_cocycle_check(action, trivial_tau(action), u) == 0.0
 
     def test_identity_for_every_valid_pair(self):
         rng = np.random.default_rng(7)

@@ -163,10 +163,16 @@ class TestSerialization:
                 back = element_from_doc(json.loads(json.dumps(element_to_doc(a))))
                 assert back.coords.tobytes() == a.coords.tobytes()
                 assert back.values.tobytes() == a.values.tobytes()
-        # a lone coefficient keeps a signed zero part as written
-        a = FourierElement.from_arrays(LATTICE2, [[2, -1]], [complex(-0.0, 0.5)])
-        back = element_from_doc(element_to_doc(a))
-        assert back.values.tobytes() == a.values.tobytes()
+        # signed zero parts are kept as written: a lone coefficient's, and the
+        # -0.0 of -1 * (1j d_0 + d_e1) at the origin through the reader's sums
+        for a in (
+            FourierElement.from_arrays(LATTICE2, [[2, -1]], [complex(-0.0, 0.5)]),
+            -1 * FourierElement.from_arrays(LATTICE2, [[0, 0], [1, 0]], [1j, 1.0]),
+        ):
+            assert np.signbit(a.values[0].real)
+            back = element_from_doc(json.loads(json.dumps(element_to_doc(a))))
+            assert back.coords.tobytes() == a.coords.tobytes()
+            assert back.values.tobytes() == a.values.tobytes()
 
     def test_context_doc_round_trip(self):
         for ctx in (LATTICE2, GroupContext.finite([3, 9])):

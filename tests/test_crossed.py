@@ -43,6 +43,11 @@ def lambda_element(v):
     return CrossedElement(ctx, table)
 
 
+def difference(u, v):
+    """The point u - v of their context, reduced by ``GroupPoint``."""
+    return u.context.point(u.vector() - v.vector())
+
+
 def character(v, xi):
     """exp(2 pi i v . xi / N), written out rather than read from ``pairing_many``."""
     n = v.context.uniform_modulus
@@ -102,7 +107,7 @@ class TestDualAction:
         for v in Z5.points():
             for xi in Z5.points():
                 got = dual_action(xi, lambda_element(v))
-                expected = character(v, xi) * lambda_element(v)
+                expected = CrossedElement(Z5, character(v, xi) * lambda_element(v).table)
                 assert got.linf_distance(expected) <= 1e-15
 
     def test_only_zero_support_is_fixed(self):
@@ -177,7 +182,7 @@ class TestDeformedDualAction:
         for v in Z5.points():
             for xi in Z5.points():
                 got = deformed_dual_action(data, xi, lambda_element(v))
-                expected = character(v, xi) * lambda_element(v)
+                expected = CrossedElement(Z5, character(v, xi) * lambda_element(v).table)
                 assert got.linf_distance(expected) <= 1e-15
 
     def test_group_law_exhaustive_small(self):
@@ -283,8 +288,8 @@ class TestIMap:
     def test_linearity(self):
         rng = np.random.default_rng(16)
         a, b = random_crossed(Z5, rng), random_crossed(Z5, rng)
-        lhs = I_map(a) + 2j * I_map(b)
-        rhs = I_map(a + 2j * b)
+        lhs = FiniteVector(Z5, I_map(a).values + 2j * I_map(b).values)
+        rhs = I_map(CrossedElement(Z5, a.table + 2j * b.table))
         assert lhs.linf_distance(rhs) <= 1e-13
 
 
@@ -389,7 +394,7 @@ def lift(x, data):
     fiber assignment x, projected and rescaled by |V|^{1/2}."""
     ctx = x.context
     constant = CrossedElement(ctx, np.broadcast_to(x.values, tuple(ctx.moduli) * 2))
-    return spectral_project(constant, data) * np.sqrt(ctx.size)
+    return CrossedElement(ctx, spectral_project(constant, data).table * np.sqrt(ctx.size))
 
 
 class TestLift:
@@ -429,7 +434,8 @@ class TestTwistedCrossedDual:
                 got = twisted_crossed_dual(
                     lambda_element(u), lambda_element(w), sigma_hat
                 )
-                expected = sigma_hat(-w, u) * lambda_element(u + w)
+                phase = sigma_hat(Z5.point(-w.vector()), u)
+                expected = CrossedElement(Z5, phase * lambda_element(u + w).table)
                 assert got.linf_distance(expected) <= 1e-14
 
     def test_associativity(self):
@@ -476,7 +482,7 @@ def reference_dimension(data):
             weight = np.conj(data.e(u, v)) / ctx.size
             # alpha_{Tu} sends the basis function at xi to the one at xi - Tu
             for xi in points:
-                proj[index[(xi - tu).coords], index[xi.coords]] += weight
+                proj[index[difference(xi, tu).coords], index[xi.coords]] += weight
         total += int(np.linalg.matrix_rank(proj, tol=1e-8))
     return total
 
@@ -490,8 +496,8 @@ def reference_twisted(a, b, sigma_hat):
         if not fiber_a.any():
             continue
         for v in ctx.points():
-            shifted = _alpha(b.table[(v - u).coords], u.vector(), ctx.rank)
-            out[v.coords] += sigma_hat(u - v, u) * fiber_a * shifted
+            shifted = _alpha(b.table[difference(v, u).coords], u.vector(), ctx.rank)
+            out[v.coords] += sigma_hat(difference(u, v), u) * fiber_a * shifted
     return out
 
 
@@ -500,7 +506,8 @@ def reference_conv(a, b):
     out = np.zeros_like(a.table)
     for u in ctx.points():
         for v in ctx.points():
-            out[v.coords] += a.table[u.coords] * _alpha(b.table[(v - u).coords], u.vector(), ctx.rank)
+            shifted = _alpha(b.table[difference(v, u).coords], u.vector(), ctx.rank)
+            out[v.coords] += a.table[u.coords] * shifted
     return out
 
 

@@ -24,7 +24,7 @@ class TestCheckedArray:
         assert out.dtype == dtype and not out.flags.writeable
         assert not np.shares_memory(out, source) and np.array_equal(out, source)
 
-    @pytest.mark.parametrize("entry", [1.5, np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [1.5, np.nan, np.inf, 1 + 0j])
     def test_integer_dtype_takes_integers_only(self, entry):
         with pytest.raises(ValueError, match="table must hold integers"):
             checked_array([[1.0, entry]], "table", np.int64)
@@ -206,6 +206,9 @@ class TestSolverInput:
             ([[1, 2]], [1, 2], r"rhs 1-d, one entry per row; got \(1, 2\), \(2,\)"),
             ([[1], [2]], [[1], [2]], r"rhs 1-d, one entry per row; got \(2, 1\), \(2, 1\)"),
             ([1, 2], [1, 2], r"A must be 2-d .* got \(2,\), \(2,\)"),
+            # complex input is refused by name, not cast to 1 with a ComplexWarning
+            ([[1 + 0j]], [1], "A must hold integers"),
+            ([[1]], [1 + 0j], "rhs must hold integers"),
         ],
     )
     def test_bad_input_named(self, a_rows, rhs, message):

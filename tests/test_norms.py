@@ -8,7 +8,6 @@ from startwist.cocycles import Bicharacter, SkewForm
 from startwist.deform import FourierElement, involution, star
 from startwist.norms import (
     MonotonicityError,
-    Window,
     _below_spectrum,
     _lanczos_norm,
     _top_ritz_value,
@@ -65,12 +64,12 @@ class TestLeftMultMatrix:
         c = 1.5 - 2.0j
         a = FourierElement.delta(LATTICE2.point(0, 0), c)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
-        mat = left_mult_matrix(a, sigma, Window(2))
+        mat = left_mult_matrix(a, sigma, 2)
         assert np.array_equal(mat, c * np.eye(25))
 
     def test_shift_matrix_for_generator(self):
         a = FourierElement.delta(LATTICE1.point(1))
-        mat = left_mult_matrix(a, TRIVIAL1, Window(2))
+        mat = left_mult_matrix(a, TRIVIAL1, 2)
         expected = np.zeros((5, 5))
         for r in range(-2, 2):
             expected[r + 1 + 2, r + 2] = 1.0
@@ -81,7 +80,7 @@ class TestLeftMultMatrix:
         p = LATTICE2.point(1, 0)
         a = FourierElement.delta(p)
         w = 2
-        mat = left_mult_matrix(a, sigma, Window(w))
+        mat = left_mult_matrix(a, sigma, w)
         side = 2 * w + 1
         for rx in range(-w, w):
             for ry in range(-w, w + 1):
@@ -93,13 +92,13 @@ class TestLeftMultMatrix:
     def test_window_too_small_rejected(self):
         a = FourierElement.delta(LATTICE1.point(3))
         with pytest.raises(ValueError):
-            left_mult_matrix(a, TRIVIAL1, Window(2))
+            left_mult_matrix(a, TRIVIAL1, 2)
 
     def test_finite_context_rejected(self):
         ctx = GroupContext.finite(5)
         a = FourierElement.delta(ctx.point(1))
         with pytest.raises(ValueError):
-            left_mult_matrix(a, Bicharacter(ctx, [[1]]), Window(2))
+            left_mult_matrix(a, Bicharacter(ctx, [[1]]), 2)
 
 
 class TestOpNormEstimate:
@@ -393,7 +392,7 @@ class TestBasisBudget:
 
         if cap is not None:
             monkeypatch.setattr(norms_mod, "_LANCZOS_MAX_STEPS", cap)
-        dim = Window(w).dim(a.context.rank)
+        dim = (2 * w + 1) ** a.context.rank
         results = []
         for budget in (2 * dim, norms_mod._BASIS_BUDGET, 2**62):
             monkeypatch.setattr(norms_mod, "_BASIS_BUDGET", budget)
@@ -425,7 +424,7 @@ class TestBasisBudget:
             finally:
                 tracemalloc.stop()
 
-        floor = traced_peak(2 * Window(64).dim(2))
+        floor = traced_peak(2 * 129**2)
         slack = 1.05 * 16 * budget  # 16 B per complex value
         assert traced_peak(budget) - floor <= slack
         # all 140 vectors, 37 MB, would show: the bound can fail
@@ -516,7 +515,12 @@ class TestNormConvergence:
         rng = np.random.default_rng(3)
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
         a = random_element(LATTICE2, rng)
-        sa = a + involution(a, sigma)
+        adjoint = involution(a, sigma)
+        sa = FourierElement.from_arrays(
+            LATTICE2,
+            np.concatenate([a.coords, adjoint.coords]),
+            np.concatenate([a.values, adjoint.values]),
+        )
         for w, est in norm_convergence(sa, sigma, [3, 5, 7]):
             flipped = op_norm_estimate(involution(sa, sigma), sigma, w)
             assert abs(est - flipped) <= 1e-12
@@ -580,26 +584,36 @@ class TestCStarInequality:
 
 class TestWindow:
     def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            Window(0)
+        for route in (left_mult_matrix, op_norm_estimate):
+            with pytest.raises(ValueError, match="window radius must be >= 1"):
+                route(cos_element(), TRIVIAL1, 0)
+        with pytest.raises(ValueError, match="window radius must be >= 1"):
+            norm_convergence(cos_element(), TRIVIAL1, [2, -1])
 
     def test_dim(self):
-        assert Window(3).dim(2) == 49
+        # a radius-3 box in rank 2 holds 7**2 points
+        unit = FourierElement.delta(LATTICE2.point(0, 0))
+        assert left_mult_matrix(unit, TRIVIAL2, 3).shape == (49, 49)
 
     def test_non_integer_radius_rejected(self):
+        for route in (left_mult_matrix, op_norm_estimate):
+            with pytest.raises(TypeError):
+                route(cos_element(), TRIVIAL1, 2.5)
         with pytest.raises(TypeError):
-            Window(2.5)
-        with pytest.raises(TypeError):
-            op_norm_estimate(cos_element(), TRIVIAL1, 2.5)
+            norm_convergence(cos_element(), TRIVIAL1, [2, 2.5])
 
     def test_numpy_integer_radius(self):
-        assert Window(np.int64(3)) == Window(3)
-        assert type(Window(np.int64(3)).radius) is int
+        a = cos_element()
+        same = left_mult_matrix(a, TRIVIAL1, np.int64(3)) == left_mult_matrix(a, TRIVIAL1, 3)
+        assert same.all()
+        ((radius, estimate),) = norm_convergence(a, TRIVIAL1, [np.int64(3)])
+        assert type(radius) is int and radius == 3
+        assert estimate == op_norm_estimate(a, TRIVIAL1, 3)
 
     def test_box_cap_raises_before_allocating(self):
         a = FourierElement.delta(LATTICE2.point(1, 0))
         sigma = Bicharacter.trivial(LATTICE2)
-        assert op_norm_estimate(a, sigma, Window(4)) == 1.0
+        assert op_norm_estimate(a, sigma, 4) == 1.0
         with pytest.raises(ValueError, match=r"radius 512 in rank 2 .* 1050625"):
             op_norm_estimate(a, sigma, 512)
         with pytest.raises(ValueError, match="radius 100000"):

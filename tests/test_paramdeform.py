@@ -134,16 +134,18 @@ class TestParamStar:
 
 
 def _iterated_fiber(fa, fb, f1, f2, i):
-    ctx = fa.context
     s1 = f1.bicharacters[i]
     s2 = f2.bicharacters[i]
-    out = FourierElement(ctx, {})
-    for p1, c1 in fa.coeffs.items():
-        for p2, c2 in fb.coeffs.items():
-            out = out + (c1 * c2 * s2(p1, p2)) * star(
-                FourierElement.delta(p1), FourierElement.delta(p2), s1
-            )
-    return out
+    terms = [
+        (c1 * c2 * s2(p1, p2)) * star(FourierElement.delta(p1), FourierElement.delta(p2), s1)
+        for p1, c1 in fa.coeffs.items()
+        for p2, c2 in fb.coeffs.items()
+    ]
+    return FourierElement.from_arrays(
+        fa.context,
+        np.concatenate([t.coords for t in terms]),
+        np.concatenate([t.values for t in terms]),
+    )
 
 
 class TestC0XAction:
@@ -151,7 +153,7 @@ class TestC0XAction:
         rng = np.random.default_rng(5)
         grid = BaseGrid.interval(4)
         a = random_param(grid, LATTICE2, rng)
-        assert c0x_action(ScalarField.constant(grid), a).linf_distance(a) == 0.0
+        assert c0x_action(ScalarField(grid, (1.0,) * len(grid)), a).linf_distance(a) == 0.0
 
     def test_point_supported_field_kills_other_fibers(self):
         rng = np.random.default_rng(6)
@@ -286,7 +288,10 @@ class TestMonodromy:
         base = random_element(LATTICE2, rng)
         good = equivariant(base, grid, SHEAR)
         assert equivariant_test(good, SHEAR) == 0.0
-        bad = ParamElement(grid, (base, base, base + FourierElement.delta(LATTICE2.point(5, 5))))
+        moved = FourierElement.from_arrays(
+            LATTICE2, np.vstack([base.coords, [[5, 5]]]), np.append(base.values, 1.0)
+        )
+        bad = ParamElement(grid, (base, base, moved))
         assert equivariant_test(bad, SHEAR) > 0.5
 
     def test_non_symplectic_rejected_by_test(self):
