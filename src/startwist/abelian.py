@@ -152,8 +152,14 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
     every row u of an int coordinate array with one xi.  Finite mode pairs
     group points: exp(2 pi i sum u_j xi_j / N_j).  Lattice mode pairs with a
     torus point, a real vector t in [0, 1)^rank: exp(2 pi i sum u_j t_j).
+    The rows are read exactly, as ``checked_array`` reads integers (1.5 is
+    refused, never truncated), and must have shape (k, rank).
     """
-    coords = np.asarray(coords)
+    coords = checked_array(coords, "coordinates", np.int64)
+    if coords.ndim != 2 or coords.shape[1] != ctx.rank:
+        raise ValueError(
+            f"need coordinate rows of shape (k, {ctx.rank}), got {coords.shape}"
+        )
     if ctx.is_finite:
         if not isinstance(xi, GroupPoint) or xi.context != ctx:
             raise ValueError("second argument does not belong to the context")

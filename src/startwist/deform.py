@@ -22,16 +22,19 @@ any nonzero scalar keeps its support.
 Every product runs through one kernel, ``_convolve``, which takes a batch of
 operand pairs; ``star`` and the other public products are batches of one,
 and ``_star_batch`` twists a whole batch, each member by its own cocycle or
-all by one.  Batched distances subtract through one ``_collect`` call.  A
-member's coefficients are bit for bit those of the member run alone, so
-batching changes speed only.  The kernel sorts at most ``_TERM_BUDGET`` pair
-terms at once, which bounds its memory whatever the batch.  Callers that
-check an identity keep its two sides in separate batches: batching never
-merges two routes into one accumulation.  Every element built from caller
-data takes one route, ``FourierElement._from_rows``, of which the mapping
-constructor and ``from_arrays`` are batches of one: it reads coordinates by
-``modarith.checked_array`` into a fresh copy, exactly (1.5 is refused, never
-truncated), and a coordinate out of range, however large, raises the range error.
+all by one.  Batched distances subtract through one ``_collect`` call.
+``_collect`` sorts stably by (member, point), starts each coefficient from
+its first term and adds the rest in row order (a one-row batch skips the
+sort), so a member's coefficients are bit for bit those of the member run
+alone, and batching changes speed only.  The kernel sorts at most
+``_TERM_BUDGET`` pair terms at once, which bounds its memory whatever the
+batch.  Callers that check an identity keep its two sides in separate
+batches: batching never merges two routes into one accumulation.  Every
+element built from caller data takes one route, ``FourierElement._from_rows``,
+of which the mapping constructor and ``from_arrays`` are batches of one: it
+reads coordinates by ``modarith.checked_array`` into a fresh copy, exactly
+(1.5 is refused, never truncated), and a coordinate out of range, however
+large, raises the range error.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ class FourierElement:
                 f"need coords of shape ({len(values)}, {context.rank}) for "
                 f"{len(values)} values, got {coords.shape}"
             )
-        return [cls._wrap(context, c, v) for c, v in _collect(context, coords, values, counts)]
+        return _collect(context, coords, values, counts)
 
     @classmethod
     def delta(cls, point: GroupPoint, value: complex = 1.0) -> "FourierElement":
@@ -171,10 +174,6 @@ class FourierElement:
     def support_radius(self) -> int:
         """Largest coordinate magnitude over the support (0 for the zero element)."""
         return int(np.abs(self.coords).max(initial=0))
-
-    def _check_same(self, other: "FourierElement") -> None:
-        if self.context != other.context:
-            raise ValueError("elements from different contexts")
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return _differences([(self, other)])[0]
@@ -225,18 +224,18 @@ _Pairs = Sequence[tuple[FourierElement, FourierElement]]
 
 def _collect(
     ctx: GroupContext, coords: np.ndarray, values: np.ndarray, counts=None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sum the values at each distinct point and sort the points lexicographically.
+) -> list[FourierElement]:
+    """Sum the values at each distinct point into one element per batch member.
 
-    The rows are a batch: the first counts[0] rows belong to member 0, the
-    next counts[1] to member 1, and so on (without ``counts``, all rows are
-    one member).  The member sorts ahead of the coordinates, so members never
-    merge, and the result is one (coords, values) pair per member.
-    ``bincount`` adds its weights in index order, so every output coefficient
-    is the left-to-right sum of its terms in the order they appear in
-    ``values``, whatever the batch around it.  Its sums start at 0.0, which
-    differs from starting at the first term only where every term is -0.0, so
-    zero parts are mended to -0.0 there, and a lone term keeps its bits.
+    The first counts[0] rows belong to member 0, the next counts[1] to member
+    1, and so on (without ``counts``, all rows are one member).  A stable sort
+    by (member, coords) keeps each point's terms in row order and members
+    apart.  Each coefficient starts from its point's first term, and the
+    unbuffered ``np.add.at`` adds the rest in row order, so it is the
+    left-to-right sum of its terms whatever the batch around it, and a lone
+    term keeps its bits (a -0.0 part too).  A batch of at most one row is
+    summed and sorted already, so it skips the sort, which one-row elements
+    built in bulk would otherwise each pay for.
     """
     if ctx.is_finite:
         coords = coords % np.array(ctx.moduli)
@@ -244,36 +243,22 @@ def _collect(
         -_COORD_LIMIT < coords.min() and coords.max() < _COORD_LIMIT
     ):
         raise ValueError(_RANGE_MESSAGE)
-    rows = len(values)
     if counts is None:
-        counts = [rows]
+        counts = [len(values)]
     bounds = [0, *accumulate(counts)]
-    if rows > 1:
-        # the member is nondecreasing already, so its rows keep their
-        # positions bounds[m]:bounds[m + 1] through the sort
-        members = np.arange(len(counts)).repeat(counts)
-        order = np.lexsort((*coords.T[::-1], members))
-        coords = coords[order]
-        starts = np.empty(rows, dtype=bool)
-        starts[0] = True
-        np.any(coords[1:] != coords[:-1], axis=1, out=starts[1:])
-        for lo in bounds[1:-1]:
-            if lo < rows:
-                starts[lo] = True  # a member's first point is always new
-        ends = np.cumsum(starts)
-        inverse = np.empty(rows, dtype=np.intp)
-        inverse[order] = ends - 1
-        n = int(ends[-1])
-        summed = np.empty(n, dtype=np.complex128)
-        for terms, part in ((values.real, summed.real), (values.imag, summed.imag)):
-            part[:] = np.bincount(inverse, terms, n)
-            if not part.all():
-                negative_zero = (terms == 0) & np.signbit(terms)
-                part[np.bincount(inverse[~negative_zero], minlength=n) == 0] = -0.0
-        coords, values = coords[starts], summed
-        # row bounds become point bounds: ends[r - 1] points start before row r
-        bounds = [int(ends[r - 1]) if r else 0 for r in bounds]
-    return [(coords[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    if len(values) > 1:
+        keys = np.column_stack((np.arange(len(counts)).repeat(counts), coords))
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
+        starts = np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+        summed = values[starts]
+        np.add.at(summed, np.cumsum(starts)[~starts] - 1, values[~starts])
+        coords, values = keys[starts, 1:], summed
+        bounds = [0, *accumulate(np.bincount(keys[starts, 0], minlength=len(counts)).tolist())]
+    return [
+        FourierElement._wrap(ctx, coords[lo:hi], values[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _batch_context(pairs: _Pairs) -> GroupContext | None:
@@ -332,10 +317,7 @@ def _convolve(pairs: _Pairs, weight: _Weight | Sequence[_Weight]) -> list[Fourie
                 for fn, lo, hi in zip(weight[start:stop], bounds, bounds[1:])
             ])
         terms = values[i] * values[j] * w
-        out += [
-            FourierElement._wrap(ctx, c, v)
-            for c, v in _collect(ctx, x + y, terms, counts)
-        ]
+        out += _collect(ctx, x + y, terms, counts)
         start = stop
     return out
 
@@ -348,9 +330,7 @@ def _differences(pairs: _Pairs) -> list[FourierElement]:
     coords = np.concatenate([c for x, y in pairs for c in (x.coords, y.coords)])
     values = np.concatenate([v for x, y in pairs for v in (x.values, y.values * complex(-1.0))])
     counts = [len(x.values) + len(y.values) for x, y in pairs]
-    return [
-        FourierElement._wrap(ctx, c, v) for c, v in _collect(ctx, coords, values, counts)
-    ]
+    return _collect(ctx, coords, values, counts)
 
 
 def _l1_distances(pairs: _Pairs) -> list[float]:
@@ -398,7 +378,6 @@ def poisson_bracket(
     a: FourierElement, b: FourierElement, gamma: SkewForm
 ) -> FourierElement:
     """{a, b}(p) = -4 pi^2 sum_{p1+p2=p} a(p1) b(p2) gamma(p1, p2); lattice only."""
-    a._check_same(b)
     if a.context.is_finite:
         raise ValueError("the bracket is defined on lattice contexts only")
     if gamma.rank != a.context.rank:

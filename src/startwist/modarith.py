@@ -22,15 +22,20 @@ __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 def integer_table(values, what: str) -> np.ndarray:
     """The values as an int64 array, the input itself if it is one; raises
-    ``ValueError`` on a non-integer (a complex one too, even 1+0j) and
-    ``OverflowError`` on an integer beyond int64."""
+    ``ValueError`` on a non-integer (1.5, 1+0j, a string, None) and
+    ``OverflowError`` on an integer beyond int64, each naming ``what``."""
     raw = np.asarray(values)
     if raw.dtype == np.int64:
         return raw
-    if raw.dtype.kind == "c":  # the cast would drop the imaginary part with a warning
+    if raw.dtype.kind not in "biufO":  # complex or not numbers: no cast is exact
         raise ValueError(f"{what} must hold integers")
-    with np.errstate(invalid="ignore"):
-        table = raw.astype(np.int64)  # Python ints beyond int64 raise OverflowError
+    try:
+        with np.errstate(invalid="ignore"):
+            table = raw.astype(np.int64)
+    except OverflowError:  # a Python int (or float, in an object array) beyond int64
+        raise OverflowError(f"{what} must fit in int64") from None
+    except (TypeError, ValueError):  # an object array holding None, a string, ...
+        raise ValueError(f"{what} must hold integers") from None
     if not np.array_equal(table, raw):
         # numpy holds an integer >= 2**63 as uint64 or float64, each an integer that large
         if raw.dtype.kind in "uf" and (abs(raw[np.isfinite(raw)]) >= 2.0**63).any():

@@ -72,16 +72,7 @@ def _checked_window(a: FourierElement, sigma: Bicharacter, window) -> int:
 
 def _window_grid(rank: int, w: int) -> np.ndarray:
     """All box points in lexicographic order, shape (dim, rank)."""
-    axes = [np.arange(-w, w + 1)] * rank
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, rank)
-
-
-def _window_index(points: np.ndarray, w: int) -> np.ndarray:
-    side = 2 * w + 1
-    idx = np.zeros(points.shape[0], dtype=np.int64)
-    for j in range(points.shape[1]):
-        idx = idx * side + (points[:, j] + w)
-    return idx
+    return np.indices((2 * w + 1,) * rank).reshape(rank, -1).T - w
 
 
 def _phase_on_grid(sigma: Bicharacter, p: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -98,12 +89,13 @@ def left_mult_matrix(
     """
     w = _checked_window(a, sigma, window)
     grid = _window_grid(a.context.rank, w)
-    cols = _window_index(grid, w)
+    box = (2 * w + 1,) * a.context.rank
+    cols = np.ravel_multi_index(tuple((grid + w).T), box)
     mat = np.zeros((len(grid), len(grid)), dtype=np.complex128)
     for pv, c in zip(a.coords, a.values):
         shifted = grid + pv
         mask = np.all(np.abs(shifted) <= w, axis=1)
-        rows = _window_index(shifted[mask], w)
+        rows = np.ravel_multi_index(tuple((shifted[mask] + w).T), box)
         mat[rows, cols[mask]] += c * _phase_on_grid(sigma, pv, grid[mask])
     return mat
 

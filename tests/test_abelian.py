@@ -142,6 +142,26 @@ class TestPairing:
         with pytest.raises(ValueError, match="torus point"):
             pairing_many(ctx, [[1, 0]], [0.5])
 
+    @pytest.mark.parametrize(
+        "ctx, rows, xi, message",
+        [
+            (GroupContext.finite(5), [[1.5]], 1, "coordinates must hold integers"),
+            (GroupContext.lattice(1), [[0.5]], [0.5], "coordinates must hold integers"),
+            (GroupContext.lattice(1), [[1, 2]], [0.5],
+             "need coordinate rows of shape (k, 1), got (1, 2)"),
+            (GroupContext.lattice(2), [1, 2], [0.5, 0.5],
+             "need coordinate rows of shape (k, 2), got (2,)"),
+        ],
+        ids=["Z5:1.5", "Z:0.5", "Z:two-columns", "Z2:one-row-flat"],
+    )
+    def test_rows_read_exactly(self, ctx, rows, xi, message):
+        # neither truncated (1.5 would pair as 1) nor broadcast against xi
+        if ctx.is_finite:
+            xi = ctx.point(xi)
+        with pytest.raises(ValueError) as err:
+            pairing_many(ctx, rows, xi)
+        assert str(err.value) == message
+
     def test_wrong_context_rejected(self):
         # coordinate rows carry no context; the second argument must belong to ctx
         ctx5 = GroupContext.finite(5)

@@ -131,3 +131,26 @@ def test_every_public_classmethod_is_called_through_its_owner():
             if bound and not attr.startswith("_") and (name, attr) not in referenced:
                 uncalled.add(f"{name}.{attr}")
     assert uncalled == set()
+
+
+def unused_imports(paths):
+    """Every name a module imports and never reads, as "module: name"."""
+    unused = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}: {name}" for name in imported if name not in read}
+    return unused
+
+
+def test_no_unused_imports():
+    # deleting a function can leave its imports behind, and neither compiling
+    # nor running the tests notices; ``__init__.py`` imports to re-export
+    sources = (ROOT / "src" / "startwist").glob("*.py")
+    assert unused_imports(p for p in sources if p.name != "__init__.py") == set()

@@ -693,6 +693,24 @@ class TestBadFields:
         assert err.startswith(f"error: {path}:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, config, keys, line",
+        [
+            ("automorphy-solve", AUTOMORPHY_CONFIG, ("tau_exponents", 1, 1, 0),
+             "error: input.tau_exponents: tau exponents must fit in int64"),
+            ("automorphy-solve", AUTOMORPHY_CONFIG, ("group_table", 1, 1),
+             "error: input.group_table: multiplication table must fit in int64"),
+            ("kasprzak-verify", KASPRZAK_CONFIG, ("cocycle_matrix", 0, 0),
+             "error: input.cocycle_matrix: exponent matrix must fit in int64"),
+        ],
+        ids=["tau_exponents", "group_table", "cocycle_matrix"],
+    )
+    def test_integer_beyond_int64_named(self, tmp_path, capsys, command, config, keys, line):
+        # the table's own name, not the cast's "Python int too large to convert to C long"
+        code, text = run([command], _set(config, keys, 2**70), tmp_path)
+        assert (code, text) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == line + "\n"
+
     def test_base_configs_are_valid(self, tmp_path):
         for command, config, *_ in BAD_FIELDS:
             assert run([command], config, tmp_path)[0] == EXIT_OK, command

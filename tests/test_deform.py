@@ -528,6 +528,52 @@ class TestBatchedKernel:
         for x, y in zip(natural, tiny):
             assert_bitwise_equal(x, y)
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            GroupContext.lattice(1),
+            LATTICE2,
+            GroupContext.lattice(4),
+            GroupContext.finite([3, 4]),
+            GroupContext.finite([5, 5]),
+            GroupContext.finite(7),
+        ],
+        ids=str,
+    )
+    def test_batch_matches_in_order_dict_sums(self, ctx):
+        # each member is a dict that starts every point at its first value and
+        # adds the rest in row order; long sums (where a pairwise sum would
+        # give other bits), signed-zero parts and empty members are all drawn
+        rng = np.random.default_rng(60)
+        box = 2 if ctx.rank < 4 else 1  # small enough for points of 9 terms and more
+        long_sums = 0
+        for _ in range(8):
+            counts = rng.integers(0, 40, int(rng.integers(1, 20)))
+            counts[rng.integers(len(counts))] = 400
+            rows = rng.integers(-box, box + 1, (counts.sum(), ctx.rank))
+            parts = rng.standard_normal((2, len(rows)))
+            signed_zeros = rng.random(parts.shape) < 0.4
+            parts[signed_zeros] = rng.choice([0.0, -0.0], signed_zeros.sum())
+            values = parts[0] + 1j * parts[1]
+            members = FourierElement._from_rows(ctx, rows, values, counts.tolist())
+            assert len(members) == len(counts)
+            bounds = np.cumsum([0, *counts])
+            for got, lo, hi in zip(members, bounds, bounds[1:]):
+                sums, terms = {}, {}
+                for r, v in zip(rows[lo:hi].tolist(), values[lo:hi].tolist()):
+                    key = tuple(np.mod(r, ctx.moduli).tolist()) if ctx.is_finite else tuple(r)
+                    sums[key] = sums[key] + v if key in sums else v
+                    terms.setdefault(key, []).append(v)
+                kept = sorted(key for key, v in sums.items() if v != 0)
+                assert got.coords.tolist() == [list(key) for key in kept]
+                want = np.array([sums[key] for key in kept], dtype=np.complex128)
+                assert got.values.tobytes() == want.tobytes()
+                long_sums += sum(
+                    len(t) >= 9 and np.sum(t).tobytes() != np.complex128(sums[k]).tobytes()
+                    for k, t in terms.items()
+                )
+        assert long_sums > 0
+
     def test_mixed_contexts_rejected(self):
         sigma = Bicharacter.from_skew(LATTICE2, J, 0.5)
         z5 = GroupContext.finite(5)
@@ -646,6 +692,15 @@ class TestPoissonBracket:
         ctx = GroupContext.finite(5)
         with pytest.raises(ValueError):
             poisson_bracket(delta(ctx, 0), delta(ctx, 0), SkewForm([[0.0]]))
+
+    def test_mixed_contexts_rejected(self):
+        # the kernel's context check names mixed lattices; a finite first
+        # factor is refused as finite before the contexts are compared
+        a = delta(LATTICE2, 1, 0)
+        with pytest.raises(ValueError, match="^elements from different contexts$"):
+            poisson_bracket(a, delta(GroupContext.lattice(1), 1), J)
+        with pytest.raises(ValueError, match="^the bracket is defined on lattice contexts only$"):
+            poisson_bracket(delta(GroupContext.finite([5, 5]), 1, 0), a, J)
 
 
 class TestSemiclassical:

@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from startwist.abelian import GroupContext
 from startwist.automorphy import GammaAction
+from startwist.cocycles import Bicharacter
 from startwist.modarith import _solve_prime_power, checked_array, solve_mod_system
 
 
@@ -214,6 +216,35 @@ class TestSolverInput:
     def test_bad_input_named(self, a_rows, rhs, message):
         with pytest.raises(ValueError, match=message):
             solve_mod_system(a_rows, rhs, 5)
+
+    # every integer reader names what it cannot read, a string or None as a
+    # non-integer and an integer beyond int64 however numpy holds it
+    READERS = {
+        "solve_mod_system": (lambda table: solve_mod_system(table, [1], 5), "A"),
+        "GammaAction": (lambda table: GammaAction(table, [[0]]), "multiplication table"),
+        "Bicharacter": (
+            lambda table: Bicharacter(GroupContext.finite(5), table), "exponent matrix"
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ("1.5", ValueError, "must hold integers"),
+            ("1", ValueError, "must hold integers"),
+            (None, ValueError, "must hold integers"),
+            (2**63, OverflowError, "must fit in int64"),
+            (2**64, OverflowError, "must fit in int64"),
+            (-(2**70), OverflowError, "must fit in int64"),
+        ],
+        ids=["'1.5'", "'1'", "None", "2**63", "2**64", "-2**70"],
+    )
+    def test_unreadable_entry_named(self, reader, entry, error, message):
+        read, what = self.READERS[reader]
+        with pytest.raises(error) as err:
+            read([[entry]])
+        assert str(err.value) == f"{what} {message}"
 
     def test_no_equations(self):
         assert solve_mod_system([], [], 5) == []
