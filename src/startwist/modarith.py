@@ -7,10 +7,8 @@ integer dtype and finite values otherwise, never truncated.
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M go through one elimination over Z/q in int64 numpy for
 each prime-power factor q of M, with every entry reduced into [0, q); M must
-be below 2**31.  Its pivot search reads a cached least gcd per row, recomputed
-only for the rows each update changes, and each update touches only the pivot
-row's nonzero columns, so the pivots are a full scan's at a fraction of the
-cost.  ``matmul_mod`` is exact at every modulus.
+be below 2**31.  Each pivot is found by a full scan of the remaining
+submatrix.  ``matmul_mod`` is exact at every modulus.
 """
 
 from __future__ import annotations
@@ -119,36 +117,26 @@ def _solve_prime_power(a: np.ndarray, b: np.ndarray, q: int) -> list[int] | None
     p**v, and one rank-1 update clears its column below it.  The other entries
     of its row are multiples of p**v, so back-substitution needs no column
     operations, and a right-hand side it cannot divide means no solution.
-    The pivot, the row-major first such entry, is found from ``rowmin``, each
-    row's least gcd (gcd(row, q) over Z/p**e), recomputed only for the rows an
-    update changes: any other row has 0, gcd q, in the retired column, and a
-    column swap only reorders a row, so the pivots are the full scan's.  An
-    update touches only the columns where the pivot row is nonzero.
+    The pivot is the row-major first such entry, found by a full scan.
     """
     nrows, ncols = a.shape
     m = np.concatenate([a, b[:, None]], axis=1) % q  # [A | b]: row operations reach b
-    rowmin = np.gcd(np.gcd.reduce(m[:, :ncols], axis=1), q)
     perm = list(range(ncols))
     pivots = []
     for k in range(min(nrows, ncols)):
-        i = int(rowmin[k:].argmin())
-        pivot = int(rowmin[k + i])
+        g = np.gcd(m[k:, k:ncols], q)
+        i, j = divmod(int(g.argmin()), ncols - k)
+        pivot = int(g[i, j])
         if pivot == q:
             break
-        j = int(np.gcd(m[k + i, k:ncols], q).argmin())
         if i:
-            m[k], m[k + i] = m[k + i], m[k].copy()
-            rowmin[k], rowmin[k + i] = rowmin[k + i], rowmin[k]
+            m[[k, k + i]] = m[[k + i, k]]
         if j:
-            m[:, k], m[:, k + j] = m[:, k + j], m[:, k].copy()
+            m[:, [k, k + j]] = m[:, [k + j, k]]
             perm[k], perm[k + j] = perm[k + j], perm[k]
         m[k, k:] = m[k, k:] * pow(int(m[k, k]) // pivot, -1, q) % q
-        below = k + 1 + m[k + 1 :, k].nonzero()[0]
-        if below.size:
-            cols = k + m[k, k:].nonzero()[0]
-            grid = (below[:, None], cols)
-            m[grid] = (m[grid] - m[below, k, None] // pivot * m[k, cols]) % q
-            rowmin[below] = np.gcd(np.gcd.reduce(m[below, k + 1 : ncols], axis=1), q)
+        below = k + 1 + np.flatnonzero(m[k + 1 :, k])
+        m[below, k:] = (m[below, k:] - m[below, k, None] // pivot * m[k, k:]) % q
         pivots.append(pivot)
     rank = len(pivots)
     if m[rank:, ncols].any():

@@ -153,4 +153,6 @@ def test_no_unused_imports():
     # deleting a function can leave its imports behind, and neither compiling
     # nor running the tests notices; ``__init__.py`` imports to re-export
     sources = (ROOT / "src" / "startwist").glob("*.py")
-    assert unused_imports(p for p in sources if p.name != "__init__.py") == set()
+    tests, bench = (ROOT / "tests").glob("*.py"), (ROOT / "bench").glob("*.py")
+    modules = [p for p in sources if p.name != "__init__.py"] + [*tests, *bench]
+    assert unused_imports(modules) == set()

@@ -1,9 +1,12 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
+from test_modarith import coboundary_rows
 
+from startwist import automorphy
 from startwist.automorphy import (
     AutomorphyFactor,
     GammaAction,
@@ -353,7 +356,7 @@ class TestModularSolver:
                         assert ((a @ np.array(solved, dtype=np.int64) - rhs) % modulus == 0).all()
 
     def test_translation_twelve_coboundary(self):
-        # 144 unknowns and 1728 rows over Z/6, so both prime factors eliminate
+        # 144 unknowns and 156 generator rows over Z/6, so both prime factors eliminate
         action = GammaAction.cyclic_translation(12)
         rng = np.random.default_rng(12)
         exponents = rng.integers(0, 6, size=(action.order, action.n_points))
@@ -361,6 +364,99 @@ class TestModularSolver:
         solved = solve_automorphy(action, tau, 6)
         assert solved is not None
         assert automorphy_check(action, tau, solved) <= 1e-9
+
+
+def s3_on_itself():
+    mul = s3_action().mul
+    return GammaAction(mul, mul)
+
+
+def klein_on_itself():
+    mul = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+    return GammaAction(mul, mul)
+
+
+def carry(action):
+    """The carry cocycle [a + b >= n] of Z/n, the same at every point."""
+    a = np.arange(action.order)
+    shape = (action.order, action.order, action.n_points)
+    return np.broadcast_to((a[:, None] + a >= action.order)[..., None], shape)
+
+
+# (action, exponent table added to a seeded coboundary); the first three
+# need two generators, the trivial group none
+GENERATOR_BATTERY = {
+    "S3 on 3 points": (s3_action, None),
+    "S3 on itself": (s3_on_itself, None),
+    "Klein on itself": (klein_on_itself, None),
+    "trivial on 3 points, omega^x": (
+        lambda: GammaAction.cyclic(1, 3), lambda action: np.arange(3)[None, None]
+    ),
+    "Z/4 on 2 points, carry": (lambda: GammaAction.cyclic(4, 2), carry),
+    "Z/6, carry": (lambda: GammaAction.cyclic(6), carry),
+}
+MODULI = (2, 3, 4, 6, 8, 9)
+
+
+class TestGeneratorRows:
+    @pytest.mark.parametrize("name", list(GENERATOR_BATTERY))
+    def test_verdicts_match_every_row(self, name):
+        build, extra = GENERATOR_BATTERY[name]
+        action = build()
+        dense = coboundary_rows(action)
+        rng = np.random.default_rng(26)
+        verdicts = []
+        for modulus in MODULI:
+            j = rng.integers(0, modulus, size=(action.order, action.n_points))
+            t = j[:, action.act] + j - j[action.mul] + (0 if extra is None else extra(action))
+            tau = TauCocycle(np.exp(2j * np.pi * (t % modulus) / modulus))
+            solved = solve_automorphy(action, tau, modulus)
+            expected = solve_mod_system(dense, t.ravel() % modulus, modulus)
+            assert (solved is None) == (expected is None), modulus
+            if solved is not None:
+                assert automorphy_check(action, tau, solved) <= 1e-9
+            verdicts.append(solved is not None)
+        # the carry class of Z/n dies over Z/M exactly when gcd(n, M) = 1
+        coprime = [extra is not carry or math.gcd(action.order, m) == 1 for m in MODULI]
+        assert verdicts == coprime
+
+    def test_exact_check_catches_what_the_generator_rows_miss(self, monkeypatch):
+        # (2, 1, 0) is not a row of the system: Z/3 is generated by 1 alone
+        action = GammaAction.cyclic_translation(3)
+        j = np.random.default_rng(3).integers(0, 6, size=(3, 3))
+        t = (j[:, action.act] + j - j[action.mul]) % 6
+        t[2, 1, 0] = (t[2, 1, 0] + 1) % 6
+        tau = TauCocycle(np.exp(2j * np.pi * t / 6))
+        with pytest.raises(ValueError, match="tau is not a cocycle"):
+            solve_automorphy(action, tau, 6)
+        monkeypatch.setattr(automorphy, "tau_cocycle_check", lambda action, tau: 0.0)
+        with pytest.raises(ValueError, match="the solution fails a coboundary equation"):
+            solve_automorphy(action, tau, 6)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "order, n_points, entries", [(129, 1, 129**3), (2, 2**19 + 1, 4 * (2**19 + 1))]
+    )
+    def test_group_tables_above_limit_rejected(self, order, n_points, entries):
+        message = f"= {entries} entries, above the limit of {2**21}"
+        with pytest.raises(ValueError, match=message):
+            GammaAction.cyclic(order, n_points)
+
+    def test_largest_group_below_limit_accepted(self):
+        assert GammaAction.cyclic(128).order == 128
+
+    def test_system_above_limit_rejected_before_the_cocycle_check(self, monkeypatch):
+        # Z/2 on 419 points: (2 + 1) * 419 rows and 2 * 419 unknowns
+        action = GammaAction.cyclic(2, 419)
+
+        def unreachable(action, tau):
+            raise AssertionError("the size is checked first")
+
+        monkeypatch.setattr(automorphy, "tau_cocycle_check", unreachable)
+        message = f"coboundary system of {3 * 419 * 2 * 419} entries, above the limit of {2**20}"
+        with pytest.raises(ValueError, match=message):
+            solve_automorphy(action, trivial_tau(action), 2)
 
 
 # ----------------------------------------------------------------------

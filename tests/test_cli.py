@@ -517,6 +517,28 @@ class TestAutomorphySolveCommand:
         named = "input.group_table" if field == "action" else f"input.{field}"
         assert capsys.readouterr().err.startswith(f"error: {named}:")
 
+    @pytest.mark.parametrize(
+        "order, n_points, line",
+        [
+            (129, 1, "input.group_table: group tables of order**2 * max(order, points) = "
+             f"{129**3} entries, above the limit of {2**21}"),
+            (2, 419, "input.tau_exponents: coboundary system of "
+             f"{3 * 419 * 2 * 419} entries, above the limit of {2**20}"),
+        ],
+        ids=["group_table", "system"],
+    )
+    def test_size_limits_named(self, tmp_path, capsys, order, n_points, line):
+        g = np.arange(order)
+        cfg = {
+            "group_table": ((g[:, None] + g) % order).tolist(),
+            "action": [list(range(n_points))] * order,
+            "tau_exponents": np.zeros((order, order, n_points), dtype=int).tolist(),
+            "modulus": 2,
+        }
+        code, text = run(["automorphy-solve"], cfg, tmp_path)
+        assert (code, text) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_integer_valued_floats_accepted(self, tmp_path):
         cfg = {
             "group_table": [[0.0, 1.0], [1.0, 0.0]],

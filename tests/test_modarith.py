@@ -1,9 +1,10 @@
-"""The modular solver against the eliminations it replaced.
+"""The modular solver against independent eliminations.
 
 The Smith-over-Z solver is kept here as an oracle: it shares no code with
-``startwist.modarith``.  The full-scan Z/q elimination is kept as the
-reference for the pivot rule: the incremental pivot search must return its
-solutions exactly.
+``startwist.modarith``.  A copy of the full-scan Z/q elimination pins the
+pivot rule: the solver must return its solutions exactly.  The dense
+coboundary system, one row per (k1, k2, x), is the reference for
+``solve_automorphy``'s generator rows.
 """
 
 import math
@@ -307,14 +308,20 @@ def valuation_system(rng, nrows, ncols, p, e):
     return a, rng.integers(0, q, size=nrows)
 
 
-def coboundary_system(action, modulus, rng):
-    """j(k1, k2 x) + j(k2, x) - j(k1 k2, x) = t(k1, k2, x), t a random coboundary."""
+def coboundary_rows(action):
+    """j(k1, k2 x) + j(k2, x) - j(k1 k2, x), one row per (k1, k2, x) in C order."""
     n = action.n_points
     a = np.zeros((action.order**2 * n, action.order * n), dtype=np.int64)
     for row, (k1, k2, x) in enumerate(np.ndindex(action.order, action.order, n)):
         a[row, k1 * n + action.act[k2, x]] += 1
         a[row, k2 * n + x] += 1
         a[row, action.mul[k1, k2] * n + x] -= 1
+    return a
+
+
+def coboundary_system(action, modulus, rng):
+    """The coboundary rows with right-hand side a random coboundary t."""
+    a = coboundary_rows(action)
     return a, a @ rng.integers(0, modulus, size=a.shape[1]) % modulus
 
 
