@@ -152,8 +152,8 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
     every row u of an int coordinate array with one xi.  Finite mode pairs
     group points: exp(2 pi i sum u_j xi_j / N_j).  Lattice mode pairs with a
     torus point, a real vector t in [0, 1)^rank: exp(2 pi i sum u_j t_j).
-    The rows are read exactly, as ``checked_array`` reads integers (1.5 is
-    refused, never truncated), and must have shape (k, rank).
+    ``checked_array`` reads the rows exactly, as integers of shape (k, rank) (1.5
+    is refused, never truncated), and a torus point as finite reals, never text.
     """
     coords = checked_array(coords, "coordinates", np.int64)
     if coords.ndim != 2 or coords.shape[1] != ctx.rank:
@@ -171,7 +171,7 @@ def pairing_many(ctx: GroupContext, coords, xi) -> np.ndarray:
         )
         angle = matmul_mod(coords, weights, period).astype(np.float64) / period
     else:
-        t = np.asarray(xi, dtype=np.float64)
+        t = checked_array(xi, "torus point", np.float64)
         if t.shape != (ctx.rank,):
             raise ValueError(
                 f"torus point of shape {t.shape} in rank-{ctx.rank} context"

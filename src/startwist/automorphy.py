@@ -124,11 +124,13 @@ class GammaAction:
         return cls.cyclic(order, order, (g[:, None] + g[None, :]) % order)
 
 
-def _check_unit(values, what: str) -> None:
-    # written as "all within" so that NaN and inf fail it; run before
-    # checked_array, it reports a non-finite entry as off the unit circle
-    if not np.all(np.abs(np.abs(values) - 1.0) <= _UNIT_TOL):
+def _unit_table(values, what: str) -> np.ndarray:
+    # "all within" fails NaN and inf, so a non-finite entry is reported as off the
+    # unit circle; text and other non-numbers are left to checked_array to refuse
+    raw = np.asarray(values)
+    if raw.dtype.kind in "biufc" and not np.all(np.abs(np.abs(raw) - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} values must have modulus 1")
+    return checked_array(raw, what, np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +140,7 @@ class TauCocycle:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_unit(self.values, "tau")
-        values = checked_array(self.values, "tau", np.complex128)
+        values = _unit_table(self.values, "tau")
         if values.ndim != 3 or values.shape[0] != values.shape[1]:
             raise ValueError("tau table must have shape (order, order, points)")
         object.__setattr__(self, "values", values)
@@ -152,8 +153,7 @@ class AutomorphyFactor:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_unit(self.values, "factor")
-        values = checked_array(self.values, "factor", np.complex128)
+        values = _unit_table(self.values, "factor")
         if values.ndim != 2:
             raise ValueError("factor table must have shape (order, points)")
         object.__setattr__(self, "values", values)

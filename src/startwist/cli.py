@@ -49,7 +49,7 @@ EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 EXIT_NUMERIC = 3
 
-# A Heisenberg sample costs about 2 KB and 0.1 ms: 2**16 take about 160 MB and 7 s.
+# A Heisenberg sample costs about 1.5 KB and 0.05 ms: 2**16 take about 125 MB and 3 s.
 _GRID_SIZE_LIMIT = 2**16
 
 

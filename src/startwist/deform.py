@@ -81,12 +81,12 @@ class FourierElement:
     rows of shape (k, rank), reduced mod the moduli in finite contexts and
     sorted lexicographically, and ``values``, their nonzero complex128
     coefficients.  ``coeffs`` is the same data as a read-only mapping from
-    :class:`GroupPoint`, in the same order, built on first access.  Built
+    :class:`GroupPoint`, in the same order, built anew on each access.  Built
     from caller data (a mapping, ``from_arrays`` or a batch), it takes
     ``_from_rows``: exact coordinates, a fresh copy, a named range error.
     """
 
-    __slots__ = ("context", "coords", "values", "_coeffs")
+    __slots__ = ("context", "coords", "values")
 
     def __init__(
         self, context: GroupContext, coeffs: Mapping[GroupPoint, complex]
@@ -109,7 +109,6 @@ class FourierElement:
         self.context = context
         self.coords = coords
         self.values = values
-        self._coeffs = None
 
     @classmethod
     def _wrap(
@@ -160,13 +159,8 @@ class FourierElement:
 
     @property
     def coeffs(self) -> Mapping[GroupPoint, complex]:
-        if self._coeffs is None:
-            ctx = self.context
-            self._coeffs = MappingProxyType({
-                GroupPoint(ctx, tuple(c)): v
-                for c, v in zip(self.coords.tolist(), self.values.tolist())
-            })
-        return self._coeffs
+        points = (GroupPoint(self.context, tuple(c)) for c in self.coords.tolist())
+        return MappingProxyType(dict(zip(points, self.values.tolist())))
 
     def coeff(self, point: GroupPoint) -> complex:
         return self.coeffs.get(point, 0j)

@@ -2,7 +2,7 @@
 
 ``checked_array`` is how every value type turns what a caller passes into
 its stored array: a fresh read-only copy, checked to hold integers for an
-integer dtype and finite values otherwise, never truncated.
+integer dtype and finite numbers otherwise, never truncated; text is refused.
 
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M go through one elimination over Z/q in int64 numpy for
@@ -47,12 +47,19 @@ def checked_array(values, what: str, dtype: type) -> np.ndarray:
 
     ``dtype`` is a numpy scalar type.  An integer one takes only integers, by
     ``integer_table``'s exact check (so the array is int64); a float or complex
-    one takes only finite values.
+    one takes only finite numbers, real ones for a float dtype, and never text.
     """
     if issubclass(dtype, np.integer):  # np.dtype(dtype).kind would cost as much as the copy
         table = np.array(integer_table(values, what))
     else:
-        table = np.array(values, dtype=dtype)
+        raw = np.asarray(values)
+        kinds = {raw.dtype.kind}
+        if raw.dtype == object:  # None, an int beyond uint64, a Fraction: read entry by entry
+            kinds = {np.asarray(v).dtype.kind for v in raw.flat}
+        real = issubclass(dtype, np.floating)
+        if not kinds <= set("biufO" if real else "biufcO"):
+            raise ValueError(f"{what} must hold {'real numbers' if real else 'numbers'}")
+        table = np.array(raw, dtype=dtype)
         if not np.isfinite(table).all():
             raise ValueError(f"{what} entries must be finite")
     table.flags.writeable = False
@@ -168,8 +175,8 @@ def solve_mod_system(a_rows, rhs, modulus: int):
     """
     check_modulus(modulus)
     a, b = integer_table(a_rows, "A"), integer_table(rhs, "rhs")
-    if a.shape[:1] == b.shape == (0,):  # no equations; a bare [] reads as 1-d
-        return []
+    if a.shape == (0,):  # a bare [] reads as 1-d: no equations in no unknowns
+        a = a.reshape(0, 0)
     if a.ndim != 2 or b.shape != a.shape[:1]:
         raise ValueError(f"A must be 2-d and rhs 1-d, one entry per row; got {a.shape}, {b.shape}")
     x = [0] * a.shape[1]

@@ -212,7 +212,6 @@ def linearity_check(
 
 def torus_action(t, a: ParamElement) -> ParamElement:
     """Fibrewise torus translation: coefficient at p gains the phase of p . t."""
-    t = np.asarray(t, dtype=np.float64)
     return ParamElement(a.grid, tuple(translate(fiber, t) for fiber in a.fibers))
 
 

@@ -162,6 +162,12 @@ class TestPairing:
             pairing_many(ctx, rows, xi)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_torus_point_rejected(self, entry):
+        # a NaN would pair as nan+nanj, and an inf warn inside the multiply
+        with pytest.raises(ValueError, match="^torus point entries must be finite$"):
+            pairing_many(GroupContext.lattice(2), [[1, 0]], [0.5, entry])
+
     def test_wrong_context_rejected(self):
         # coordinate rows carry no context; the second argument must belong to ctx
         ctx5 = GroupContext.finite(5)

@@ -156,3 +156,38 @@ def test_no_unused_imports():
     tests, bench = (ROOT / "tests").glob("*.py"), (ROOT / "bench").glob("*.py")
     modules = [p for p in sources if p.name != "__init__.py"] + [*tests, *bench]
     assert unused_imports(modules) == set()
+
+
+def unread_definitions(paths):
+    """Every module-level function, class or constant of the modules that none
+    of them reads, as "module: name".  A name is read where it is loaded,
+    imported or named as a function argument (which is how a test asks for a
+    fixture); pytest itself collects ``test_*`` functions and ``Test*`` classes."""
+    defined, read = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, ast.Assign):
+                defined |= {(path.stem, t.id) for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
+    return {
+        f"{module}: {name}"
+        for module, name in defined
+        if name not in read and not name.startswith(("test_", "Test"))
+    }
+
+
+def test_no_unread_test_helpers():
+    # a helper whose last caller goes, a reference copy say, still compiles
+    # and runs nowhere; every helper the tests define must have a reader
+    assert unread_definitions((ROOT / "tests").glob("*.py")) == set()

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_modarith import coboundary_rows
+from test_modarith import check_solution, coboundary_rows, solvable_by_enumeration
 
 from startwist import automorphy
 from startwist.automorphy import (
@@ -344,16 +344,10 @@ class TestModularSolver:
                     else:
                         rhs = rng.integers(0, modulus, size=nrows)
                     solved = solve_mod_system(a.tolist(), rhs.tolist(), modulus)
-                    # every x in (Z/M)^ncols, one row each
-                    grid = np.array(
-                        list(itertools.product(range(modulus), repeat=ncols)), dtype=np.int64
-                    ).reshape(modulus**ncols, ncols)
-                    hits = ((grid @ a.T - rhs) % modulus == 0).all(axis=1)
-                    assert (solved is not None) == hits.any(), (a, rhs, modulus)
+                    expected = solvable_by_enumeration(a, rhs, modulus)
+                    assert (solved is not None) == expected, (a, rhs, modulus)
                     if solved is not None:
-                        assert len(solved) == ncols
-                        assert all(type(v) is int and 0 <= v < modulus for v in solved)
-                        assert ((a @ np.array(solved, dtype=np.int64) - rhs) % modulus == 0).all()
+                        check_solution(a, rhs, modulus, solved)
 
     def test_translation_twelve_coboundary(self):
         # 144 unknowns and 156 generator rows over Z/6, so both prime factors eliminate

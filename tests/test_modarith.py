@@ -1,20 +1,24 @@
 """The modular solver against independent eliminations.
 
 The Smith-over-Z solver is kept here as an oracle: it shares no code with
-``startwist.modarith``.  A copy of the full-scan Z/q elimination pins the
-pivot rule: the solver must return its solutions exactly.  The dense
-coboundary system, one row per (k1, k2, x), is the reference for
-``solve_automorphy``'s generator rows.
+``startwist.modarith``.  The Z/q elimination is checked by routes that share
+none either: each solution is substituted back in Python integers, a system
+consistent by construction must be solved, and a small system's verdict must
+match the enumeration of every candidate.  The dense coboundary system, one
+row per (k1, k2, x), is the reference for ``solve_automorphy``'s generator rows.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from startwist.abelian import GroupContext
-from startwist.automorphy import GammaAction
-from startwist.cocycles import Bicharacter
+from startwist.abelian import FiniteVector, GroupContext, pairing_many
+from startwist.automorphy import AutomorphyFactor, GammaAction, TauCocycle
+from startwist.cocycles import Bicharacter, SkewForm
+from startwist.crossed import CrossedElement
 from startwist.modarith import _solve_prime_power, checked_array, solve_mod_system
 
 
@@ -37,6 +41,49 @@ class TestCheckedArray:
     def test_float_dtypes_take_finite_values_only(self, dtype, entry):
         with pytest.raises(ValueError, match="table entries must be finite"):
             checked_array([1.0, entry], "table", dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_numbers_read_as_numpy_casts_them(self, dtype):
+        # an int beyond uint64 or a Fraction makes an object array, read entry by entry
+        values = [[Fraction(1, 3), 2**70 + 1], [True, np.uint64(2**64 - 1)]]
+        out = checked_array(values, "table", dtype)
+        assert np.array_equal(out, np.array(values, dtype=dtype))
+
+    # every real or complex reader names text, never parsing it, even in an
+    # object array, and a real one names complex input
+    READERS = {
+        "SkewForm": (SkewForm, "skew form matrix", True),
+        "Bicharacter": (
+            lambda table: Bicharacter(GroupContext.lattice(1), table, 0.5), "exponent matrix", True
+        ),
+        "pairing_many": (
+            lambda table: pairing_many(GroupContext.lattice(1), [[1]], table), "torus point", True
+        ),
+        "FiniteVector": (
+            lambda table: FiniteVector(GroupContext.finite(2), table), "FiniteVector", False
+        ),
+        "CrossedElement": (
+            lambda table: CrossedElement(GroupContext.finite(2), table), "crossed table", False
+        ),
+        "TauCocycle": (TauCocycle, "tau", False),
+        "AutomorphyFactor": (AutomorphyFactor, "factor", False),
+    }
+
+    TABLES = {"'1'": ["1"], "b'1'": [b"1"], "'0.5',2**70": ["0.5", 2**70], "1j": [1j]}
+
+    @pytest.mark.parametrize(
+        "reader, table",
+        [
+            (reader, table)
+            for (reader, (_, _, real)), table in itertools.product(READERS.items(), TABLES)
+            if real or table != "1j"  # a complex reader takes 1j
+        ],
+    )
+    def test_unreadable_entry_named(self, reader, table):
+        read, what, real = self.READERS[reader]
+        with pytest.raises(ValueError) as err:
+            read(self.TABLES[table])
+        assert str(err.value) == f"{what} must hold {'real numbers' if real else 'numbers'}"
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +228,7 @@ class TestSolverAgainstSmith:
             expected = reference_solve_mod_system(a.tolist(), rhs.tolist(), modulus)
             assert (solved is None) == (expected is None), (trial, a, rhs)
             if solved is not None:
-                assert all(0 <= v < modulus for v in solved)
-                assert ((a @ np.array(solved, dtype=np.int64) - rhs) % modulus == 0).all()
+                check_solution(a, rhs, modulus, solved)
             verdicts.append(solved is not None)
         assert any(verdicts) and not all(verdicts)
 
@@ -248,52 +294,36 @@ class TestSolverInput:
         assert str(err.value) == f"{what} {message}"
 
     def test_no_equations(self):
+        # no equations leave every unknown free, as one zero row does
         assert solve_mod_system([], [], 5) == []
-        assert solve_mod_system(np.zeros((0, 3), dtype=np.int64), [], 5) == []
+        assert solve_mod_system(np.zeros((0, 3), dtype=np.int64), [], 5) == [0, 0, 0]
+        assert solve_mod_system([[0, 0, 0]], [0], 5) == [0, 0, 0]
 
 
 # ----------------------------------------------------------------------
-# the full-scan Z/q elimination, kept as the reference for the pivot rule
+# the Z/q elimination, checked by substitution and by enumeration
 
 
-def reference_solve_prime_power(a: np.ndarray, b: np.ndarray, q: int):
-    """The elimination with a gcd scan of the whole remaining submatrix per pivot."""
-    nrows, ncols = a.shape
-    m = np.concatenate([a, b[:, None]], axis=1) % q
-    perm = list(range(ncols))
-    pivots = []
-    for k in range(min(nrows, ncols)):
-        g = np.gcd(m[k:, k:ncols], q)
-        i, j = divmod(int(g.argmin()), ncols - k)
-        pivot = int(g[i, j])
-        if pivot == q:
-            break
-        if i:
-            m[[k, k + i]] = m[[k + i, k]]
-        if j:
-            m[:, [k, k + j]] = m[:, [k + j, k]]
-            perm[k], perm[k + j] = perm[k + j], perm[k]
-        m[k, k:] = m[k, k:] * pow(int(m[k, k]) // pivot, -1, q) % q
-        below = k + 1 + np.flatnonzero(m[k + 1 :, k])
-        m[below, k:] = (m[below, k:] - m[below, k, None] // pivot * m[k, k:]) % q
-        pivots.append(pivot)
-    rank = len(pivots)
-    if m[rank:, ncols].any():
-        return None
-    x = [0] * ncols
-    rows = m[:rank].tolist()
-    for k in reversed(range(rank)):
-        known = sum(c * x[perm[j]] for j, c in enumerate(rows[k][k + 1 : ncols], k + 1))
-        s = (rows[k][ncols] - known) % q
-        if s % pivots[k]:
-            return None
-        x[perm[k]] = s // pivots[k]
-    return x
+def solvable_by_enumeration(a, rhs, modulus: int) -> bool:
+    """Whether some x in (Z/modulus)^ncols has A x = rhs (mod modulus), by trying each."""
+    ncols = a.shape[1]
+    grid = np.array(
+        list(itertools.product(range(modulus), repeat=ncols)), dtype=np.int64
+    ).reshape(modulus**ncols, ncols)
+    return bool(((grid @ a.T - rhs) % modulus == 0).all(axis=1).any())
+
+
+def check_solution(a, b, q: int, x) -> None:
+    """x holds one int in [0, q) per column and solves A x = b (mod q) in Python integers."""
+    assert len(x) == a.shape[1] and all(type(v) is int and 0 <= v < q for v in x), x
+    for row, rhs in zip(a.tolist(), b.tolist()):
+        assert (sum(c * v for c, v in zip(row, x)) - rhs) % q == 0, (row, rhs, x)
 
 
 def valuation_system(rng, nrows, ncols, p, e):
     """A system over Z/p**e: entries p**v times a unit with v spread over 0..e,
-    a zero row and a zero column; consistent half the time."""
+    a zero row and a zero column; consistent by construction half the time,
+    which the third value tells."""
     q = p**e
     units = rng.integers(1, q, size=(nrows, ncols))
     a = units * p ** rng.integers(0, e + 1, size=(nrows, ncols)) % q
@@ -304,8 +334,8 @@ def valuation_system(rng, nrows, ncols, p, e):
         a[:, rng.integers(ncols)] = 0
     if rng.random() < 0.5:
         x = rng.integers(0, q, size=ncols)
-        return a, np.array((a.astype(object) @ x.astype(object)) % q, dtype=np.int64)
-    return a, rng.integers(0, q, size=nrows)
+        return a, np.array((a.astype(object) @ x.astype(object)) % q, dtype=np.int64), True
+    return a, rng.integers(0, q, size=nrows), False
 
 
 def coboundary_rows(action):
@@ -326,6 +356,20 @@ def coboundary_system(action, modulus, rng):
 
 
 class TestPivotRule:
+    """Each solution is substituted back, a system consistent by construction
+    must be solved, and wherever q**ncols <= 4096 the verdict must match the
+    full scan of (Z/q)^ncols."""
+
+    @staticmethod
+    def solves(q, a, b, consistent):
+        x = _solve_prime_power(a, b, q)
+        if x is not None:
+            check_solution(a, b, q, x)
+        assert x is not None or not consistent, (a, b)
+        if q ** a.shape[1] <= 4096:
+            assert (x is not None) == solvable_by_enumeration(a, b, q), (a, b)
+        return x is not None
+
     @pytest.mark.parametrize(
         "p, e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 5), (2**31 - 1, 1)]
     )
@@ -333,12 +377,9 @@ class TestPivotRule:
         q = p**e
         rng = np.random.default_rng([q, 22])
         verdicts = set()
-        for trial in range(60):
+        for _ in range(60):
             nrows, ncols = (int(v) for v in rng.integers(1, 14, size=2))
-            a, b = valuation_system(rng, nrows, ncols, p, e)
-            expected = reference_solve_prime_power(a, b, q)
-            assert _solve_prime_power(a, b, q) == expected, (trial, a, b)
-            verdicts.add(expected is None)
+            verdicts.add(self.solves(q, *valuation_system(rng, nrows, ncols, p, e)))
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("p, e", [(2, 2), (3, 3)])
@@ -347,8 +388,7 @@ class TestPivotRule:
         rng = np.random.default_rng([q, 23])
         shapes = [(0, 3), (3, 0), (0, 0), (1, 5), (2, 9), (4, 7)]
         for nrows, ncols in shapes * 5:
-            a, b = valuation_system(rng, nrows, ncols, p, e)
-            assert _solve_prime_power(a, b, q) == reference_solve_prime_power(a, b, q), (a, b)
+            self.solves(q, *valuation_system(rng, nrows, ncols, p, e))
 
     @pytest.mark.parametrize(
         "action",
@@ -358,6 +398,4 @@ class TestPivotRule:
     @pytest.mark.parametrize("modulus, q", [(4, 4), (6, 2), (6, 3), (7, 7)])
     def test_coboundary_systems_match_full_scan(self, action, modulus, q):
         a, b = coboundary_system(action, modulus, np.random.default_rng(modulus))
-        expected = reference_solve_prime_power(a, b, q)
-        assert expected is not None
-        assert _solve_prime_power(a, b, q) == expected
+        assert self.solves(q, a, b, True)
