@@ -125,12 +125,12 @@ class GammaAction:
 
 
 def _unit_table(values, what: str) -> np.ndarray:
-    # "all within" fails NaN and inf, so a non-finite entry is reported as off the
-    # unit circle; text and other non-numbers are left to checked_array to refuse
+    # a numeric table is checked before checked_array, so NaN and inf read as off the circle
     raw = np.asarray(values)
-    if raw.dtype.kind in "biufc" and not np.all(np.abs(np.abs(raw) - 1.0) <= _UNIT_TOL):
+    table = raw if raw.dtype.kind in "biufc" else checked_array(raw, what, np.complex128)
+    if not np.all(np.abs(np.abs(table) - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} values must have modulus 1")
-    return checked_array(raw, what, np.complex128)
+    return checked_array(table, what, np.complex128)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +177,22 @@ class TestTauCocycleCheck:
         factor[1, 0] = bad
         with pytest.raises(ValueError, match="modulus 1"):
             AutomorphyFactor(factor)
+
+    # an int beyond uint64, a Fraction or a Decimal makes an object array; the
+    # unit check reads it as the complex table it is stored as
+    @pytest.mark.parametrize("bad", [2**70, Fraction(2), Fraction(1, 2), Decimal(2)])
+    def test_numbers_held_as_objects_checked_for_modulus(self, bad):
+        with pytest.raises(ValueError) as err:
+            TauCocycle([[[1, bad]]])
+        assert str(err.value) == "tau values must have modulus 1"
+        with pytest.raises(ValueError) as err:
+            AutomorphyFactor([[bad]])
+        assert str(err.value) == "factor values must have modulus 1"
+
+    def test_unit_numbers_held_as_objects_read(self):
+        values = [[Fraction(1), Fraction(-1), 2**70 // 2**70, 1j]]
+        factor = AutomorphyFactor(values)
+        assert np.array_equal(factor.values, np.array(values, dtype=np.complex128))
 
 
 class TestAutomorphyCheck:
