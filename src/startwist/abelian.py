@@ -54,8 +54,13 @@ class GroupContext:
 
     @classmethod
     def finite(cls, moduli: int | Sequence[int]) -> "GroupContext":
-        """Finite context; ``finite(5)`` is Z/5, ``finite([4, 4])`` is (Z/4)^2."""
-        moduli = (moduli,) if isinstance(moduli, int) else tuple(moduli)
+        """Finite context; ``finite(5)`` is Z/5, ``finite([4, 4])`` is (Z/4)^2.
+
+        One modulus is any value ``operator.index`` reads, ``np.int64(5)`` too."""
+        try:
+            moduli = (operator.index(moduli),)
+        except TypeError:  # a sequence of moduli
+            moduli = tuple(moduli)
         return cls(len(moduli), moduli)
 
     @property
@@ -125,7 +130,11 @@ class GroupPoint:
 
 
 class FiniteVector:
-    """A complex function on a finite context, stored as a shaped array."""
+    """A complex function on a finite context, stored as a shaped array.
+
+    The values come in the context's shape, or as a flat vector of |V| values
+    in ``GroupContext.points`` order; any other shape is refused.
+    """
 
     __slots__ = ("context", "values")
 
@@ -133,8 +142,11 @@ class FiniteVector:
         if not context.is_finite:
             raise ValueError("FiniteVector requires a finite context")
         arr = checked_array(values, "FiniteVector", np.complex128)
-        if arr.shape != tuple(context.moduli):
-            arr = arr.reshape(tuple(context.moduli))  # a view, so read-only too
+        shape, flat = tuple(context.moduli), (context.size,)
+        if arr.shape == flat:
+            arr = arr.reshape(shape)  # a view, so read-only too
+        elif arr.shape != shape:
+            raise ValueError(f"FiniteVector shape {arr.shape} is neither {shape} nor flat {flat}")
         self.context = context
         self.values = arr
 

@@ -7,6 +7,7 @@ runs at its pinned tolerance and returns a result record; the command-line
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -569,8 +570,6 @@ def check_automorphy() -> CriterionResult:
 
 
 def _s3_on_points() -> GammaAction:
-    import itertools
-
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     mul = np.zeros((6, 6), dtype=np.int64)

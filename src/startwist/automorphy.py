@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import check_modulus, checked_array, solve_mod_system
+from .modarith import check_modulus, checked_array, read_numbers, solve_mod_system
 
 __all__ = [
     "GammaAction",
@@ -72,7 +72,7 @@ class GammaAction:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "identity", self._find_identity())
-        object.__setattr__(self, "inv", checked_array(self._find_inverses(), "inverses", np.int64))
+        object.__setattr__(self, "inv", self._find_inverses())
         self._validate()
 
     def _find_identity(self) -> int:
@@ -88,6 +88,7 @@ class GammaAction:
         bad = (hits.sum(axis=1) != 1) | ~hits[inv, np.arange(self.order)]
         if bad.any():
             raise ValueError(f"element {np.flatnonzero(bad)[0]} has no two-sided inverse")
+        inv.flags.writeable = False
         return inv
 
     def _validate(self) -> None:
@@ -125,12 +126,11 @@ class GammaAction:
 
 
 def _unit_table(values, what: str) -> np.ndarray:
-    # a numeric table is checked before checked_array, so NaN and inf read as off the circle
-    raw = np.asarray(values)
-    table = raw if raw.dtype.kind in "biufc" else checked_array(raw, what, np.complex128)
+    # read without the finiteness check, so NaN and inf read as off the circle
+    table = read_numbers(values, what, np.complex128)
     if not np.all(np.abs(np.abs(table) - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} values must have modulus 1")
-    return checked_array(table, what, np.complex128)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +234,7 @@ def solve_automorphy(
     rejected first, and a solution is checked on every row exactly.  No solution
     over Z/M gives None (the class may be solvable at a multiple of M).
     """
-    check_modulus(modulus)
+    modulus = check_modulus(modulus)
     order, n_points = action.order, action.n_points
     gens, reached = [], np.arange(order) == action.identity
     while not reached.all():  # each generator the least element the earlier ones miss

@@ -42,7 +42,7 @@ from .abelian import GroupContext
 from .automorphy import GammaAction, TauCocycle, solve_automorphy
 from .cocycles import Bicharacter, SkewForm, is_nondegenerate
 from .deform import FourierElement
-from .modarith import check_modulus, integer_table
+from .modarith import check_modulus, read_numbers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -348,7 +348,7 @@ def cmd_automorphy_solve(cfg: Any, args) -> str:
     exponents = _require(cfg, "tau_exponents")
     exponents = _array(exponents, "input.tau_exponents", [None] * 3, _table_entry)
     with _field("input.tau_exponents"):
-        table = integer_table(exponents, "tau exponents")
+        table = read_numbers(exponents, "tau exponents", np.int64)
         tau = TauCocycle(np.exp(2j * np.pi * (table % modulus) / modulus))
         factor = solve_automorphy(action, tau, modulus)
     if factor is None:

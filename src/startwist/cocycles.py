@@ -6,7 +6,7 @@ finite mode.  Arbitrary phase tables appear only as counterexamples in tests.
 Cohomology equivalence is decided on exponent matrices (symmetric difference),
 not by searching for a trivializing phase.  The slot-one map, and with it
 nondegeneracy and T, exists in finite mode only: a ``LinearMap`` is a square
-matrix mod N.  Every stored matrix is read by ``modarith.checked_array``.
+matrix mod N.  Every stored matrix, and hbar, is read by ``modarith.read_numbers``.
 
 The antisymmetric representative is produced by taking the matrix skew part.
 On groups where halving is available the same class representative can be
@@ -17,12 +17,13 @@ here is the finite-support analogue and needs 2 invertible in finite mode.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .abelian import GroupContext, GroupPoint
-from .modarith import checked_array, det_int, integer_table, matmul_mod
+from .modarith import checked_array, det_int, matmul_mod, read_numbers
 
 __all__ = [
     "SkewForm",
@@ -99,13 +100,15 @@ class Bicharacter:
         if context.is_finite:
             if hbar is not None:
                 raise ValueError("hbar applies to lattice mode only")
-            table = integer_table(matrix, "exponent matrix") % context.uniform_modulus
-            m = checked_array(table, "exponent matrix", np.int64)
+            m = read_numbers(matrix, "exponent matrix", np.int64) % context.uniform_modulus
             self.hbar = None
         else:
             if hbar is None:
                 raise ValueError("lattice-mode bicharacter needs hbar")
             m = checked_array(matrix, "exponent matrix", np.float64)
+            hbar = read_numbers(hbar, "hbar", np.float64)
+            if hbar.ndim:
+                raise ValueError(f"hbar must be one number, got shape {hbar.shape}")
             self.hbar = float(hbar)
             if not math.isfinite(self.hbar):
                 raise ValueError(f"hbar must be finite, got {self.hbar}")
@@ -113,6 +116,7 @@ class Bicharacter:
             raise ValueError(
                 f"exponent matrix shape {m.shape} does not match rank {context.rank}"
             )
+        m.flags.writeable = False
         self.matrix = m
 
     @classmethod
@@ -179,12 +183,14 @@ class LinearMap:
 
     def __post_init__(self) -> None:
         # no upper cap: T_map passes the moduli of Z/10**12 cocycles
-        if not self.modulus >= 1:
-            raise ValueError(f"linear map modulus must be at least 1, got {self.modulus}")
-        table = integer_table(self.matrix, "linear map matrix") % self.modulus
-        m = checked_array(table, "linear map matrix", np.int64)
+        modulus = operator.index(self.modulus)
+        if not modulus >= 1:
+            raise ValueError(f"linear map modulus must be at least 1, got {modulus}")
+        m = read_numbers(self.matrix, "linear map matrix", np.int64) % modulus
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("linear map matrix must be square")
+        m.flags.writeable = False
+        object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "matrix", m)
 
     @property

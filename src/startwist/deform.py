@@ -32,9 +32,9 @@ batch.  Callers that check an identity keep its two sides in separate
 batches: batching never merges two routes into one accumulation.  Every
 element built from caller data takes one route, ``FourierElement._from_rows``,
 of which the mapping constructor and ``from_arrays`` are batches of one: it
-reads coordinates by ``modarith.checked_array`` into a fresh copy, exactly
-(1.5 is refused, never truncated), and a coordinate out of range, however
-large, raises the range error.
+reads coordinates exactly (1.5 is refused, never truncated) and values as
+numbers by ``modarith.read_numbers``, a coordinate out of range raises the
+range error, and rows the library computed go straight to ``_collect``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
 from .cocycles import Bicharacter, LinearMap, SkewForm, is_nondegenerate
-from .modarith import checked_array
+from .modarith import read_numbers
 
 __all__ = [
     "SEMICLASSICAL_SCALE",
@@ -83,7 +83,7 @@ class FourierElement:
     coefficients.  ``coeffs`` is the same data as a read-only mapping from
     :class:`GroupPoint`, in the same order, built anew on each access.  Built
     from caller data (a mapping, ``from_arrays`` or a batch), it takes
-    ``_from_rows``: exact coordinates, a fresh copy, a named range error.
+    ``_from_rows``: exact coordinates, numeric values, a named range error.
     """
 
     __slots__ = ("context", "coords", "values")
@@ -94,7 +94,7 @@ class FourierElement:
         if any(point.context != context for point in coeffs):
             raise ValueError("support point from a different context")
         rows = [point.coords for point in coeffs]
-        (built,) = self._from_rows(context, rows, [complex(v) for v in coeffs.values()])
+        (built,) = self._from_rows(context, rows, list(coeffs.values()))
         self._assign(context, built.coords, built.values)
 
     def _assign(
@@ -136,14 +136,14 @@ class FourierElement:
         The first counts[0] rows make member 0, the next counts[1] member 1,
         and so on (without ``counts``, all rows make one member).  Members
         never merge, and each is bit for bit ``from_arrays`` of its own rows.
-        Coordinates are read exactly into a fresh copy (see the module docstring).
+        Coordinates and values are read into fresh copies (see the module docstring).
         """
         try:
-            coords = checked_array(coords, "coordinates", np.int64)
+            coords = read_numbers(coords, "coordinates", np.int64)
         except OverflowError:
             limit = "coordinates must fit in int64" if context.is_finite else _RANGE_MESSAGE
             raise ValueError(limit) from None
-        values = np.array(values, dtype=np.complex128)
+        values = read_numbers(values, "coefficient values", np.complex128)
         if not coords.size:  # no rows, as from an empty mapping
             coords = coords.reshape(0, context.rank)
         if values.ndim != 1 or coords.shape != (len(values), context.rank):
@@ -364,8 +364,7 @@ def involution(a: FourierElement, sigma: Bicharacter) -> FourierElement:
     if sigma.context != a.context:
         raise ValueError("cocycle from a different context")
     q = -a.coords
-    values = sigma.eval_many(q, q) * np.conj(a.values)
-    return FourierElement.from_arrays(a.context, q, values)
+    return _collect(a.context, q, sigma.eval_many(q, q) * np.conj(a.values))[0]
 
 
 def poisson_bracket(

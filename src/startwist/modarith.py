@@ -1,8 +1,8 @@
 """Exact integer and modular linear algebra helpers, and the array reader.
 
-``checked_array`` is how every value type turns what a caller passes into
-its stored array: a fresh read-only copy, checked to hold integers for an
-integer dtype and finite numbers otherwise, never truncated; text is refused.
+``read_numbers`` is the one place a caller's numbers are cast, into a fresh
+read-only copy, integers exactly and text never; ``checked_array`` adds that
+every float or complex entry is finite.  Computed arrays are not read again.
 
 ``det_int`` works on Python integers, so determinants are exact at any size.
 Linear systems mod M go through one elimination over Z/q in int64 numpy for
@@ -13,56 +13,56 @@ submatrix.  ``matmul_mod`` is exact at every modulus.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["check_modulus", "det_int", "matmul_mod", "solve_mod_system"]
 
 
-def integer_table(values, what: str) -> np.ndarray:
-    """The values as an int64 array, the input itself if it is one; raises
-    ``ValueError`` on a non-integer (1.5, 1+0j, a string, None) and
-    ``OverflowError`` on an integer beyond int64, each naming ``what``."""
-    raw = np.asarray(values)
-    if raw.dtype == np.int64:
-        return raw
-    if raw.dtype.kind not in "biufO":  # complex or not numbers: no cast is exact
-        raise ValueError(f"{what} must hold integers")
-    try:
-        with np.errstate(invalid="ignore"):
-            table = raw.astype(np.int64)
-    except OverflowError:  # a Python int (or float, in an object array) beyond int64
-        raise OverflowError(f"{what} must fit in int64") from None
-    except (TypeError, ValueError):  # an object array holding None, a string, ...
-        raise ValueError(f"{what} must hold integers") from None
-    if not np.array_equal(table, raw):
-        # numpy holds an integer >= 2**63 as uint64 or float64, each an integer that large
-        if raw.dtype.kind in "uf" and (abs(raw[np.isfinite(raw)]) >= 2.0**63).any():
-            raise OverflowError(f"{what} must fit in int64")
-        raise ValueError(f"{what} must hold integers")
-    return table
-
-
-def checked_array(values, what: str, dtype: type) -> np.ndarray:
+def read_numbers(values, what: str, dtype: type) -> np.ndarray:
     """The values as a fresh read-only array of ``dtype``, named ``what`` in errors.
 
-    ``dtype`` is a numpy scalar type.  An integer one takes only integers, by
-    ``integer_table``'s exact check (so the array is int64); a float or complex
-    one takes only finite numbers, real ones for a float dtype, and never text.
+    ``dtype`` is a numpy scalar type.  An integer one takes only integers,
+    exactly (so the array is int64); a float one real numbers and a complex
+    one numbers, cast as numpy casts them, NaN and inf too; text and None never.
     """
+    raw = np.asarray(values)
     if issubclass(dtype, np.integer):  # np.dtype(dtype).kind would cost as much as the copy
-        table = np.array(integer_table(values, what))
+        if raw.dtype == np.int64:  # the common case, spared the exact check
+            table = np.array(raw)
+        elif raw.dtype.kind not in "biufO":  # complex or not numbers: no cast is exact
+            raise ValueError(f"{what} must hold integers")
+        else:
+            try:
+                with np.errstate(invalid="ignore"):
+                    table = raw.astype(np.int64)
+            except OverflowError:  # a Python int (or float, in an object array) beyond int64
+                raise OverflowError(f"{what} must fit in int64") from None
+            except (TypeError, ValueError):  # an object array holding None, a string, ...
+                raise ValueError(f"{what} must hold integers") from None
+            if not np.array_equal(table, raw):
+                # numpy holds an integer >= 2**63 as uint64 or float64, each an integer that large
+                if raw.dtype.kind in "uf" and (abs(raw[np.isfinite(raw)]) >= 2.0**63).any():
+                    raise OverflowError(f"{what} must fit in int64")
+                raise ValueError(f"{what} must hold integers")
     else:
-        raw = np.asarray(values)
         kinds = {raw.dtype.kind}
-        if raw.dtype == object:  # None, an int beyond uint64, a Fraction: read entry by entry
-            kinds = {np.asarray(v).dtype.kind for v in raw.flat}
+        if raw.dtype == object:  # entry by entry: a Fraction is a number, None (cast to NaN) not
+            kinds = {"N" if v is None else np.asarray(v).dtype.kind for v in raw.flat}
         real = issubclass(dtype, np.floating)
         if not kinds <= set("biufO" if real else "biufcO"):
             raise ValueError(f"{what} must hold {'real numbers' if real else 'numbers'}")
         table = np.array(raw, dtype=dtype)
-        if not np.isfinite(table).all():
-            raise ValueError(f"{what} entries must be finite")
     table.flags.writeable = False
+    return table
+
+
+def checked_array(values, what: str, dtype: type) -> np.ndarray:
+    """``read_numbers``, with every entry of a float or complex table finite."""
+    table = read_numbers(values, what, dtype)
+    if table.dtype.kind in "fc" and not np.isfinite(table).all():
+        raise ValueError(f"{what} entries must be finite")
     return table
 
 
@@ -159,10 +159,13 @@ def _solve_prime_power(a: np.ndarray, b: np.ndarray, q: int) -> list[int] | None
     return x
 
 
-def check_modulus(modulus: int) -> None:
-    """Raise unless 1 <= modulus < 2**31, the range the int64 elimination handles."""
+def check_modulus(modulus: int) -> int:
+    """The modulus as an int, read by ``operator.index``; raises unless
+    1 <= modulus < 2**31, the range the int64 elimination handles."""
+    modulus = operator.index(modulus)
     if not 1 <= modulus < 2**31:
         raise ValueError(f"modulus {modulus} is outside [1, 2**31)")
+    return modulus
 
 
 def solve_mod_system(a_rows, rhs, modulus: int):
@@ -173,8 +176,8 @@ def solve_mod_system(a_rows, rhs, modulus: int):
     fits in int64.  Each prime-power factor q of the modulus gets one elimination
     over Z/q; their solutions are combined by the Chinese remainder theorem.
     """
-    check_modulus(modulus)
-    a, b = integer_table(a_rows, "A"), integer_table(rhs, "rhs")
+    modulus = check_modulus(modulus)
+    a, b = read_numbers(a_rows, "A", np.int64), read_numbers(rhs, "rhs", np.int64)
     if a.shape == (0,):  # a bare [] reads as 1-d: no equations in no unknowns
         a = a.reshape(0, 0)
     if a.ndim != 2 or b.shape != a.shape[:1]:

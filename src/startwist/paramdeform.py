@@ -24,7 +24,7 @@ from .abelian import GroupContext
 from .cocycles import Bicharacter, SkewForm
 from . import deform
 from .deform import FourierElement, translate
-from .modarith import checked_array
+from .modarith import checked_array, read_numbers
 
 __all__ = [
     "BaseGrid",
@@ -55,7 +55,7 @@ class BaseGrid:
     def __post_init__(self) -> None:
         if self.topology not in ("interval", "circle"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        samples = tuple(float(s) for s in self.samples)
+        samples = tuple(read_numbers(self.samples, "samples", np.float64).tolist())
         object.__setattr__(self, "samples", samples)
         if not samples:
             raise ValueError("grid needs at least one sample")
@@ -153,10 +153,10 @@ class ScalarField:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(self.grid):
+        values = read_numbers(self.values, "scalar field values", np.complex128)
+        if values.shape != (len(self.grid),):
             raise ValueError("need exactly one value per grid sample")
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +269,7 @@ def monodromy_transport(a: FourierElement, rho: MonodromyData) -> FourierElement
     if not monodromy_check(rho):
         raise ValueError("matrix is not symplectic")
     # row form of p -> rho^T p
-    return FourierElement.from_arrays(a.context, a.coords @ rho.matrix, a.values)
+    return deform._collect(a.context, a.coords @ rho.matrix, a.values)[0]
 
 
 def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
@@ -286,7 +286,7 @@ def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
     if rho.rank != a.context.rank:
         raise ValueError("monodromy rank does not match the context")
     last = a.fibers[-1]  # pulled back, its coefficient at p sits at rho^{-T} p
-    pulled = FourierElement.from_arrays(a.context, last.coords @ _dual_matrix(rho).T, last.values)
+    (pulled,) = deform._collect(a.context, last.coords @ _dual_matrix(rho).T, last.values)
     return pulled.linf_distance(a.fibers[0])
 
 

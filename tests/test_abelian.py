@@ -60,6 +60,11 @@ class TestContext:
         assert p.coords == (2, 3) and type(p.coords[0]) is int
         assert GroupContext.lattice(2).point(np.arange(2)).coords == (0, 1)
 
+    def test_numpy_integer_modulus(self):
+        # one modulus is any value operator.index reads
+        ctx = GroupContext.finite(np.int64(5))
+        assert ctx == GroupContext.finite(5) and type(ctx.moduli[0]) is int
+
     def test_point_reduction(self):
         ctx = GroupContext.finite(5)
         assert ctx.point(7).coords == (2,)
@@ -177,10 +182,29 @@ class TestPairing:
                 pairing_many(ctx5, [[1]], xi)
 
 
+class TestFiniteVector:
+    def test_flat_values_in_points_order(self):
+        ctx = GroupContext.finite([5, 5])
+        f = FiniteVector(ctx, np.arange(25))
+        assert f.values.shape == (5, 5)
+        assert [f.values[p.coords] for p in ctx.points()] == list(range(25))
+
+    @pytest.mark.parametrize(
+        "moduli, shape",
+        [(25, (5, 5)), (25, (1, 25)), ([5, 5], (1, 25)), ([5, 5], (24,)), ([5, 5], (5, 5, 1))],
+    )
+    def test_other_shapes_refused(self, moduli, shape):
+        # a table of |V| entries in another shape is not reshaped
+        ctx = GroupContext.finite(moduli)
+        message = r"^FiniteVector shape \(.*\) is neither \(.*\) nor flat \(\d+,\)$"
+        with pytest.raises(ValueError, match=message):
+            FiniteVector(ctx, np.zeros(shape))
+
+
 class TestFourier:
     def test_delta_at_identity_becomes_constant(self):
         for ctx in CONTEXTS:
-            f = FiniteVector(ctx, np.eye(1, ctx.size))  # delta at the zero point
+            f = FiniteVector(ctx, np.eye(1, ctx.size)[0])  # delta at the zero point
             f_hat = fourier(f)
             assert np.allclose(f_hat.values, ctx.norm_const)
 
@@ -216,7 +240,7 @@ class TestFourier:
         ctx = GroupContext.finite(5)
         c = 0.3 - 0.4j
         out = fourier(FiniteVector(ctx, np.full(ctx.moduli, c)))
-        expected = FiniteVector(ctx, np.eye(1, ctx.size) * (c * np.sqrt(ctx.size)))
+        expected = FiniteVector(ctx, np.eye(1, ctx.size)[0] * (c * np.sqrt(ctx.size)))
         assert out.linf_distance(expected) <= 1e-12
 
     def test_linearity(self):

@@ -9,6 +9,7 @@ import pytest
 from test_modarith import check_solution, coboundary_rows, solvable_by_enumeration
 
 from startwist import automorphy
+from startwist.acceptance import _s3_on_points
 from startwist.automorphy import (
     AutomorphyFactor,
     GammaAction,
@@ -21,17 +22,6 @@ from startwist.automorphy import (
     u_transform,
 )
 from startwist.modarith import solve_mod_system
-
-
-def s3_action():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = np.zeros((6, 6), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(3))]
-    act = np.array([[p[x] for x in range(3)] for p in perms])
-    return GammaAction(mul, act)
 
 
 def trivial_tau(action):
@@ -53,7 +43,7 @@ BATTERY = [
     GammaAction.cyclic(3, 4),
     GammaAction.cyclic(6, 8),
     GammaAction.cyclic_translation(4),
-    s3_action(),
+    _s3_on_points(),
 ]
 
 
@@ -79,7 +69,7 @@ class TestGammaAction:
             GammaAction(mul, bad_act)
 
     def test_nonabelian_group_accepted(self):
-        act = s3_action()
+        act = _s3_on_points()
         assert act.order == 6 and act.n_points == 3
 
     def test_out_of_range_tables_rejected(self):
@@ -121,7 +111,7 @@ class TestGammaAction:
 
     def test_action_axioms_match_reference_loops(self):
         # every single-entry change of a non-identity row of the S3 action
-        base = s3_action()
+        base = _s3_on_points()
         for g in range(1, base.order):
             for x in range(base.n_points):
                 for y in range(base.n_points):
@@ -224,6 +214,14 @@ class TestSolver:
         solved = solve_automorphy(action, trivial_tau(action), 3)
         assert solved is not None
         assert automorphy_check(action, trivial_tau(action), solved) <= 1e-9
+
+    def test_numpy_integer_modulus(self):
+        action = GammaAction.cyclic(2)
+        values = np.ones((2, 2, 1), dtype=np.complex128)
+        values[1, 1, 0] = -1.0
+        tau = TauCocycle(values)
+        solved = solve_automorphy(action, tau, np.int64(4))
+        assert np.array_equal(solved.values, solve_automorphy(action, tau, 4).values)
 
     def test_obstructed_class_needs_bigger_root_order(self):
         action = GammaAction.cyclic(2)
@@ -379,7 +377,7 @@ class TestModularSolver:
 
 
 def s3_on_itself():
-    mul = s3_action().mul
+    mul = _s3_on_points().mul
     return GammaAction(mul, mul)
 
 
@@ -398,7 +396,7 @@ def carry(action):
 # (action, exponent table added to a seeded coboundary); the first three
 # need two generators, the trivial group none
 GENERATOR_BATTERY = {
-    "S3 on 3 points": (s3_action, None),
+    "S3 on 3 points": (_s3_on_points, None),
     "S3 on itself": (s3_on_itself, None),
     "Klein on itself": (klein_on_itself, None),
     "trivial on 3 points, omega^x": (
@@ -527,7 +525,7 @@ REFERENCE_ACTIONS = {
     "cyclic6x8": lambda: GammaAction.cyclic(6, 8),
     "translation10": lambda: GammaAction.cyclic_translation(10),
     "cyclic24x4": lambda: GammaAction.cyclic(24, 4),
-    "S3": s3_action,
+    "S3": _s3_on_points,
 }
 
 

@@ -59,6 +59,13 @@ class TestLinearMap:
             with pytest.raises(ValueError, match=f"modulus must be at least 1, got {modulus}"):
                 LinearMap([[1]], modulus)
 
+    def test_numpy_integer_modulus(self):
+        # the modulus is read by operator.index, so a float is refused
+        m = LinearMap([[7]], np.int64(5))
+        assert m == LinearMap([[7]], 5) and type(m.modulus) is int
+        with pytest.raises(TypeError):
+            LinearMap([[1]], 5.0)
+
     def test_modulus_beyond_2_31_accepted(self):
         # T_map passes the moduli of Z/10**12 cocycles, past check_modulus's cap
         m = LinearMap([[10**12 + 3]], 10**12)
@@ -125,6 +132,11 @@ class TestEval:
     @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
     def test_lattice_non_finite_hbar_rejected(self, hbar):
         with pytest.raises(ValueError, match="hbar must be finite"):
+            Bicharacter(LATTICE2, np.eye(2), hbar=hbar)
+
+    @pytest.mark.parametrize("hbar", [[0.5], np.ones((1, 1))])
+    def test_lattice_hbar_is_one_number(self, hbar):
+        with pytest.raises(ValueError, match=r"^hbar must be one number, got shape \("):
             Bicharacter(LATTICE2, np.eye(2), hbar=hbar)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

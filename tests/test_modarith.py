@@ -19,7 +19,9 @@ from startwist.abelian import FiniteVector, GroupContext, pairing_many
 from startwist.automorphy import AutomorphyFactor, GammaAction, TauCocycle
 from startwist.cocycles import Bicharacter, SkewForm
 from startwist.crossed import CrossedElement
-from startwist.modarith import _solve_prime_power, checked_array, solve_mod_system
+from startwist.deform import FourierElement
+from startwist.modarith import _solve_prime_power, check_modulus, checked_array, solve_mod_system
+from startwist.paramdeform import BaseGrid, CocycleField, ScalarField
 
 
 class TestCheckedArray:
@@ -84,6 +86,68 @@ class TestCheckedArray:
         with pytest.raises(ValueError) as err:
             read(self.TABLES[table])
         assert str(err.value) == f"{what} must hold {'real numbers' if real else 'numbers'}"
+
+    # the scalars and coefficient lists of the paper's objects, hbar, the base
+    # samples, a scalar field and an element's values, are read by the same
+    # reader; it names text and None, which numpy would parse or cast to NaN
+    NOT_NUMBERS = {
+        "Bicharacter hbar": (
+            lambda: Bicharacter(GroupContext.lattice(1), [[1.0]], "0.5"),
+            "hbar must hold real numbers",
+        ),
+        "CocycleField hbar": (
+            lambda: CocycleField.constant(BaseGrid.circle(2), SkewForm([[0, 1], [-1, 0]]), "0.25"),
+            "hbar must hold real numbers",
+        ),
+        "BaseGrid": (lambda: BaseGrid("interval", ("0", "1")), "samples must hold real numbers"),
+        "ScalarField": (
+            lambda: ScalarField(BaseGrid.interval(2), ("1+2j", "3")),
+            "scalar field values must hold numbers",
+        ),
+        "from_arrays": (
+            lambda: FourierElement.from_arrays(GroupContext.lattice(2), [[0, 0]], ["1.5"]),
+            "coefficient values must hold numbers",
+        ),
+        "mapping": (
+            lambda p=GroupContext.lattice(1).point(0): FourierElement(p.context, {p: "1.5"}),
+            "coefficient values must hold numbers",
+        ),
+        "delta": (
+            lambda: FourierElement.delta(GroupContext.lattice(1).point(0), "1.5"),
+            "coefficient values must hold numbers",
+        ),
+        "from_arrays None": (
+            lambda: FourierElement.from_arrays(GroupContext.lattice(1), [[0], [1]], [1, None]),
+            "coefficient values must hold numbers",
+        ),
+        "ScalarField None": (
+            lambda: ScalarField(BaseGrid.interval(2), (None, 1)),
+            "scalar field values must hold numbers",
+        ),
+        "SkewForm None": (
+            lambda: SkewForm([[0, None], [0, 0]]), "skew form matrix must hold real numbers"
+        ),
+        "AutomorphyFactor None": (lambda: AutomorphyFactor([[None]]), "factor must hold numbers"),
+    }
+
+    @pytest.mark.parametrize("reader", NOT_NUMBERS)
+    def test_non_number_named(self, reader):
+        build, message = self.NOT_NUMBERS[reader]
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_nan_kept_in_element_and_scalar_field_values(self):
+        # only the tables that must be finite check it; NaN mutation controls build elements
+        point = GroupContext.lattice(1).point(1)
+        for element in (
+            FourierElement.from_arrays(point.context, [[1]], [np.nan]),
+            FourierElement(point.context, {point: complex(np.nan, 1.0)}),
+            FourierElement.delta(point, np.nan),
+        ):
+            assert element.coords.tolist() == [[1]] and np.isnan(element.values).all()
+        field = ScalarField(BaseGrid.interval(2), (np.nan, 1))
+        assert np.isnan(field.values[0]) and field.values[1] == 1 + 0j
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +356,13 @@ class TestSolverInput:
         with pytest.raises(error) as err:
             read([[entry]])
         assert str(err.value) == f"{what} {message}"
+
+    def test_numpy_integer_modulus(self):
+        # a modulus is read by operator.index, as windows are
+        assert check_modulus(np.int64(4)) == 4 and type(check_modulus(np.int64(4))) is int
+        assert solve_mod_system([[2]], [2], np.int64(4)) == solve_mod_system([[2]], [2], 4) == [1]
+        with pytest.raises(TypeError):
+            check_modulus(4.0)
 
     def test_no_equations(self):
         # no equations leave every unknown free, as one zero row does
