@@ -33,9 +33,12 @@ _COCYCLE_TOL = 1e-9
 # Validating a group reads tables of order**2 * max(order, points) entries;
 # 2**21 of them (Z/128) take about 45 ms and 35 MB on one Xeon core.
 _TABLE_LIMIT = 2**21
-# Solving reads a dense system of rows times unknowns; 2**20 entries (Z/2 on
-# 418 points, 1254 x 836) take about 1 s and 32 MB on one Xeon core.  Time also
-# grows with the rank: Z/32 on itself, 1 081 344 entries, takes 2.7 s.
+# Solving checks the cocycle identity on order**3 * points entries; 2**24 of
+# them (Z/64 on itself) take about 1.5 s and 10 MB on one Xeon core.
+_COCYCLE_LIMIT = 2**24
+# Solving then writes a table of forms and a reduced system, both
+# (generators * points + 1) entries wide; 2**20 entries in all (Z/2 x Z/2 on
+# 218 points, 1526 x 436 at M = 6) take about 0.5 s and 30 MB on one Xeon core.
 _SYSTEM_LIMIT = 2**20
 
 
@@ -225,46 +228,109 @@ def solve_automorphy(
     """Solve for a factor with values among the M-th roots of unity, or report none.
 
     Passing to exponents turns the coboundary identity into the linear system
-    j(k1, k2 x) + j(k2, x) - j(k1 k2, x) = t(k1, k2, x) over Z/M, solved by
-    ``solve_mod_system`` (needs M < 2**31) on the rows (s, k2, x), s in a
-    generating set, and (e, e, x).  If tau is a cocycle, so is the defect d of
-    this system.  Its identity at k1 = s turns d(s, .) = 0 into d(s k2, .) =
-    d(k2, .), and at k1 = k2 = e reads d(e, k3)(x) = d(e, e)(k3 x); so d = 0 on
-    every row.  A tau whose ``tau_cocycle_check`` deviation exceeds 1e-9 is
-    rejected first, and a solution is checked on every row exactly.  No solution
-    over Z/M gives None (the class may be solvable at a multiple of M).
+    j(k1, k2 x) + j(k2, x) - j(k1 k2, x) = t(k1, k2, x) over Z/M.  It suffices
+    to solve the rows (s, k2, x), s in a generating set, and (e, e, x).  If
+    tau is a cocycle, so is the defect d of this system.  Its identity at
+    k1 = s turns d(s, .) = 0 into d(s k2, .) = d(k2, .), and at k1 = k2 = e
+    reads d(e, k3)(x) = d(e, e)(k3 x); so d = 0 on every row.
+
+    Only the generators' values j(s, .) stay unknown.  The row (e, e, x) sets
+    j(e, x) = t(e, e, x).  A walk over the edges k -> s k from e and the
+    generators (``_schreier_tree``) carries every other j(k, .) as an affine
+    form over the unknowns: the first edge to reach k is the row (s, k', .)
+    read as j(k, x) = j(s, k' x) + j(k', x) - t(s, k', x).  Each row (s, k, .)
+    is one edge, so the edges off the tree are the rows this does not use up,
+    and each gives one equation per point.  A solution of these equations
+    rebuilds a j that satisfies every generator row, and a solution of the
+    rows restricts to one of them, so both systems have the same verdict.
+    It is solved by ``solve_mod_system`` (needs M < 2**31).
+
+    A tau whose ``tau_cocycle_check`` deviation exceeds 1e-9 is rejected
+    first, and a solution is checked on every (k1, k2, x) row exactly.  No
+    solution over Z/M gives None (the class may be solvable at a multiple of M).
     """
     modulus = check_modulus(modulus)
-    order, n_points = action.order, action.n_points
-    gens, reached = [], np.arange(order) == action.identity
-    while not reached.all():  # each generator the least element the earlier ones miss
-        gens.append(int(reached.argmin()))
-        while not reached[action.mul[gens][:, reached]].all():
-            reached[action.mul[gens][:, reached]] = True
-    entries = (len(gens) * order + 1) * n_points * order * n_points
+    order, n_points, e = action.order, action.n_points, action.identity
+    reads = order**3 * n_points
+    if reads > _COCYCLE_LIMIT:
+        raise ValueError(
+            f"cocycle check of order**3 * points = {reads} entries, "
+            f"above the limit of {_COCYCLE_LIMIT}"
+        )
+    gens, tree, spare = _schreier_tree(action)
+    n_rows = len(spare) * n_points
+    width = len(gens) * n_points + 1  # one column per unknown j(s, x), then the constant
+    entries = (order * n_points + n_rows) * width
     if entries > _SYSTEM_LIMIT:
         raise ValueError(
-            f"coboundary system of {entries} entries, above the limit of {_SYSTEM_LIMIT}"
+            f"coboundary forms and system of {entries} entries, above the limit of {_SYSTEM_LIMIT}"
         )
     dev = tau_cocycle_check(action, tau)
     if not dev <= _COCYCLE_TOL:
         raise ValueError(f"tau is not a cocycle (deviation {dev:.3e})")
     t = _roots_to_exponents(tau.values, modulus)
-    k1 = np.append(np.repeat(np.array(gens, dtype=np.int64), order), action.identity)
-    k2 = np.append(np.tile(np.arange(order), len(gens)), action.identity)
-    unknown = np.arange(order * n_points).reshape(order, n_points)  # column of j(k, x)
-    rows = np.arange(k1.size * n_points).reshape(k1.size, n_points)
-    a = np.zeros((rows.size, unknown.size), dtype=np.int64)
-    np.add.at(a, (rows, unknown[k1[:, None], action.act[k2]]), 1)  # j(k1, k2 x)
-    np.add.at(a, (rows, unknown[k2]), 1)  # j(k2, x)
-    np.add.at(a, (rows, unknown[action.mul[k1, k2]]), -1)  # j(k1 k2, x)
-    solution = solve_mod_system(a, t[k1, k2].ravel(), modulus)
+    # forms[k, x] is j(k, x): its coefficients over the unknowns, then a constant.
+    # Both are sums of at most order <= 128 terms below M < 2**31, unreduced,
+    # so no entry, nor its product with a solution, leaves int64.
+    forms = np.zeros((order, n_points, width), dtype=np.int64)
+    unit = np.eye(width - 1, dtype=np.int64)  # j(s, x) is the unknown (s, x)
+    forms[gens, :, :-1] = unit.reshape(len(gens), n_points, width - 1)
+    forms[e, :, -1] = t[e, e]
+    for s, k, sk in tree:
+        forms[sk] = forms[s, action.act[k]] + forms[k]
+        forms[sk, :, -1] -= t[s, k]
+    s, k = np.array(spare, dtype=np.int64).reshape(-1, 2).T
+    # j(s k, x) - j(s, k x) - j(k, x) + t(s, k, x) = 0 on each spare edge
+    rows = forms[action.mul[s, k]] - forms[s[:, None], action.act[k]] - forms[k]
+    rows = rows.reshape(n_rows, width)
+    rhs = -(rows[:, -1] + t[s, k].ravel()) % modulus
+    solution = solve_mod_system(rows[:, :-1], rhs, modulus)
     if solution is None:
         return None
-    j = np.array(solution, dtype=np.int64).reshape(order, n_points)
+    j = forms @ np.array([*solution, 1], dtype=np.int64) % modulus
     if ((j[:, action.act] + j - j[action.mul] - t) % modulus).any():
         raise ValueError("the solution fails a coboundary equation; tau is not a cocycle mod M")
     return AutomorphyFactor(np.exp(2j * np.pi * j / modulus))
+
+
+def _schreier_tree(action: GammaAction):
+    """Generators, tree edges (s, k, s k) and spare edges (s, k) of a walk over the group.
+
+    The walk starts at e and follows the edges k -> s k breadth first.  When
+    it runs dry, the least element not reached becomes the next generator: it
+    joins e as a root and is followed from every element walked so far.  So
+    each generator is the least element the earlier ones do not generate, and
+    each edge (s, k) is walked once, as the tree edge that first reaches s k
+    or as a spare edge.  There are order - 1 - len(gens) tree edges.
+    """
+    order, e = action.order, action.identity
+    gens, products, tree, spare = [], [], [], []
+    known = [False] * order
+    known[e] = True
+    queue, head = [e], 0
+
+    def follow(i: int, k: int) -> None:
+        sk = products[i][k]
+        if known[sk]:
+            spare.append((gens[i], k))
+        else:
+            known[sk] = True
+            queue.append(sk)
+            tree.append((gens[i], k, sk))
+
+    while True:
+        while head < len(queue):
+            for i in range(len(gens)):
+                follow(i, queue[head])
+            head += 1
+        if head == order:
+            return gens, tree, spare
+        gens.append(known.index(False))
+        products.append(action.mul[gens[-1]].tolist())
+        known[gens[-1]] = True
+        queue.append(gens[-1])
+        for k in queue[:head]:
+            follow(len(gens) - 1, k)
 
 
 def u_transform(action: GammaAction, jhat: AutomorphyFactor) -> np.ndarray:

@@ -13,6 +13,7 @@ submatrix.  ``matmul_mod`` is exact at every modulus.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -25,9 +26,13 @@ def read_numbers(values, what: str, dtype: type) -> np.ndarray:
 
     ``dtype`` is a numpy scalar type.  An integer one takes only integers,
     exactly (so the array is int64); a float one real numbers and a complex
-    one numbers, cast as numpy casts them, NaN and inf too; text and None never.
+    one numbers, cast as numpy casts them, NaN and inf too; text, None or any
+    other object never.  Rows of different lengths are refused by name.
     """
-    raw = np.asarray(values)
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # rows of different lengths: numpy names no table
+        raise ValueError(f"{what} must be a rectangular table, not ragged") from None
     if issubclass(dtype, np.integer):  # np.dtype(dtype).kind would cost as much as the copy
         if raw.dtype == np.int64:  # the common case, spared the exact check
             table = np.array(raw)
@@ -48,8 +53,11 @@ def read_numbers(values, what: str, dtype: type) -> np.ndarray:
                 raise ValueError(f"{what} must hold integers")
     else:
         kinds = {raw.dtype.kind}
-        if raw.dtype == object:  # entry by entry: a Fraction is a number, None (cast to NaN) not
-            kinds = {"N" if v is None else np.asarray(v).dtype.kind for v in raw.flat}
+        if raw.dtype == object:  # entry by entry: a Fraction is a number; None, a dict, ... not
+            kinds = {
+                np.asarray(v).dtype.kind if isinstance(v, (numbers.Number, np.generic)) else "N"
+                for v in raw.flat
+            }
         real = issubclass(dtype, np.floating)
         if not kinds <= set("biufO" if real else "biufcO"):
             raise ValueError(f"{what} must hold {'real numbers' if real else 'numbers'}")

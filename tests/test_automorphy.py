@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -457,16 +458,98 @@ class TestSizeLimits:
         assert GammaAction.cyclic(128).order == 128
 
     def test_system_above_limit_rejected_before_the_cocycle_check(self, monkeypatch):
-        # Z/2 on 419 points: (2 + 1) * 419 rows and 2 * 419 unknowns
-        action = GammaAction.cyclic(2, 419)
+        # Z/2 on 512 points: 2 * 512 forms and 2 * 512 spare-edge rows, each 512 + 1 wide
+        action = GammaAction.cyclic(2, 512)
 
         def unreachable(action, tau):
             raise AssertionError("the size is checked first")
 
         monkeypatch.setattr(automorphy, "tau_cocycle_check", unreachable)
-        message = f"coboundary system of {3 * 419 * 2 * 419} entries, above the limit of {2**20}"
+        message = f"forms and system of {4 * 512 * 513} entries, above the limit of {2**20}"
         with pytest.raises(ValueError, match=message):
             solve_automorphy(action, trivial_tau(action), 2)
+
+    def test_cocycle_check_above_limit_rejected_before_the_walk(self, monkeypatch):
+        action = GammaAction.cyclic(128, 9)
+
+        def unreachable(action):
+            raise AssertionError("the size is checked first")
+
+        monkeypatch.setattr(automorphy, "_schreier_tree", unreachable)
+        message = f"order**3 * points = {128**3 * 9} entries, above the limit of {2**24}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_automorphy(action, trivial_tau(action), 2)
+
+
+def greedy_generators(action):
+    """Greedy generators by closure in numpy, the reference for the walk's choice."""
+    gens, reached = [], np.arange(action.order) == action.identity
+    while not reached.all():  # each generator the least element the earlier ones miss
+        gens.append(int(reached.argmin()))
+        while not reached[action.mul[gens][:, reached]].all():
+            reached[action.mul[gens][:, reached]] = True
+    return gens
+
+
+class TestSchreierTree:
+    @pytest.mark.parametrize("name", list(GENERATOR_BATTERY))
+    def test_walk_covers_every_edge_once(self, name):
+        action = GENERATOR_BATTERY[name][0]()
+        gens, tree, spare = automorphy._schreier_tree(action)
+        assert gens == greedy_generators(action)
+        assert len(tree) == action.order - 1 - len(gens)
+        edges = [(s, k) for s, k, _ in tree] + spare
+        assert sorted(edges) == sorted(itertools.product(gens, range(action.order)))
+        reached = {action.identity, *gens}
+        for s, k, sk in tree:  # each tree edge leaves a reached element for a new one
+            assert k in reached and sk == action.mul[s, k] and sk not in reached
+            reached.add(sk)
+        assert len(reached) == action.order
+
+    @pytest.mark.parametrize(
+        "action, shape",
+        [
+            # one generator, so 2 spare edges: (1, 0) back to 1 and (1, 7) back to e
+            (GammaAction.cyclic_translation(8), (2 * 8, 8)),
+            # two generators and 3 tree edges: 12 - 3 = 9 spare edges, on 3 points
+            (_s3_on_points(), (9 * 3, 2 * 3)),
+        ],
+        ids=["translation8", "S3 on 3 points"],
+    )
+    def test_reduced_system_shape(self, monkeypatch, action, shape):
+        seen = []
+
+        def recording(a, b, modulus):
+            seen.append(np.shape(a))
+            return solve_mod_system(a, b, modulus)
+
+        monkeypatch.setattr(automorphy, "solve_mod_system", recording)
+        solved = solve_automorphy(action, trivial_tau(action), 4)
+        assert automorphy_check(action, trivial_tau(action), solved) <= 1e-9
+        assert seen == [shape]
+
+    def test_translation_32_solves(self):
+        # a 64 x 32 system; the dense one, 1 081 344 entries, is above the size limit
+        action = GammaAction.cyclic_translation(32)
+        exponents = np.random.default_rng(32).integers(0, 16, size=(32, 32))
+        tau = coboundary(action, AutomorphyFactor(np.exp(2j * np.pi * exponents / 16)))
+        solved = solve_automorphy(action, tau, 16)
+        assert solved is not None
+        assert automorphy_check(action, tau, solved) <= 1e-9
+
+    def test_dropped_spare_edge_caught_by_exact_check(self, monkeypatch):
+        # the carry class of Z/6 survives over Z/2; its last spare edge, (1, 5)
+        # back to e, is the only equation that sees it
+        action = GammaAction.cyclic(6)
+        tau = TauCocycle(np.exp(1j * np.pi * carry(action)))
+        assert solve_automorphy(action, tau, 2) is None
+
+        def last_row_dropped(a, b, modulus):
+            return solve_mod_system(a[:-1], b[:-1], modulus)
+
+        monkeypatch.setattr(automorphy, "solve_mod_system", last_row_dropped)
+        with pytest.raises(ValueError, match="the solution fails a coboundary equation"):
+            solve_automorphy(action, tau, 2)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ The Smith-over-Z solver is kept here as an oracle: it shares no code with
 none either: each solution is substituted back in Python integers, a system
 consistent by construction must be solved, and a small system's verdict must
 match the enumeration of every candidate.  The dense coboundary system, one
-row per (k1, k2, x), is the reference for ``solve_automorphy``'s generator rows.
+row per (k1, k2, x), is the reference for ``solve_automorphy``'s verdicts.
 """
 
 import itertools
@@ -71,7 +71,9 @@ class TestCheckedArray:
         "AutomorphyFactor": (AutomorphyFactor, "factor", False),
     }
 
-    TABLES = {"'1'": ["1"], "b'1'": [b"1"], "'0.5',2**70": ["0.5", 2**70], "1j": [1j]}
+    TABLES = {
+        "'1'": ["1"], "b'1'": [b"1"], "'0.5',2**70": ["0.5", 2**70], "1j": [1j], "{}": [{}]
+    }
 
     @pytest.mark.parametrize(
         "reader, table",
@@ -87,9 +89,17 @@ class TestCheckedArray:
             read(self.TABLES[table])
         assert str(err.value) == f"{what} must hold {'real numbers' if real else 'numbers'}"
 
+    @pytest.mark.parametrize("reader", READERS)
+    def test_ragged_table_named(self, reader):
+        read, what, _ = self.READERS[reader]
+        with pytest.raises(ValueError) as err:
+            read([[1.0], [1.0, 2.0]])
+        assert str(err.value) == f"{what} must be a rectangular table, not ragged"
+
     # the scalars and coefficient lists of the paper's objects, hbar, the base
     # samples, a scalar field and an element's values, are read by the same
-    # reader; it names text and None, which numpy would parse or cast to NaN
+    # reader; it names text, None and ragged rows, which numpy would parse, cast
+    # to NaN or refuse unnamed
     NOT_NUMBERS = {
         "Bicharacter hbar": (
             lambda: Bicharacter(GroupContext.lattice(1), [[1.0]], "0.5"),
@@ -115,6 +125,14 @@ class TestCheckedArray:
         "delta": (
             lambda: FourierElement.delta(GroupContext.lattice(1).point(0), "1.5"),
             "coefficient values must hold numbers",
+        ),
+        "from_arrays dict": (
+            lambda: FourierElement.from_arrays(GroupContext.lattice(1), [[0]], [{}]),
+            "coefficient values must hold numbers",
+        ),
+        "from_arrays ragged": (
+            lambda: FourierElement.from_arrays(GroupContext.lattice(1), [[0], [1, 2]], [1, 2]),
+            "coordinates must be a rectangular table, not ragged",
         ),
         "from_arrays None": (
             lambda: FourierElement.from_arrays(GroupContext.lattice(1), [[0], [1]], [1, None]),
