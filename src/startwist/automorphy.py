@@ -29,16 +29,12 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_COCYCLE_TOL = 1e-9
 # Validating a group reads tables of order**2 * max(order, points) entries;
 # 2**21 of them (Z/128) take about 45 ms and 35 MB on one Xeon core.
 _TABLE_LIMIT = 2**21
-# Solving checks the cocycle identity on order**3 * points entries; 2**24 of
-# them (Z/64 on itself) take about 1.5 s and 10 MB on one Xeon core.
-_COCYCLE_LIMIT = 2**24
-# Solving then writes a table of forms and a reduced system, both
-# (generators * points + 1) entries wide; 2**20 entries in all (Z/2 x Z/2 on
-# 218 points, 1526 x 436 at M = 6) take about 0.5 s and 30 MB on one Xeon core.
+# Solving writes a table of forms and a reduced system, both
+# (generators * points + 1) entries wide; 2**20 entries in all (S3 on 200
+# points, 1400 x 400 at M = 6) take about 0.5 s and 26 MB on one Xeon core.
 _SYSTEM_LIMIT = 2**20
 
 
@@ -60,8 +56,8 @@ class GammaAction:
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         order = mul.shape[0]
-        if act.ndim != 2 or act.shape[0] != order:
-            raise ValueError("action table must have one row per group element")
+        if act.ndim != 2 or act.shape[0] != order or act.shape[1] == 0:
+            raise ValueError("action table needs one row per group element and at least one point")
         entries = order**2 * max(order, act.shape[1])
         if entries > _TABLE_LIMIT:
             raise ValueError(
@@ -162,15 +158,11 @@ class AutomorphyFactor:
         object.__setattr__(self, "values", values)
 
 
-def _check_shapes(action: GammaAction, tau: TauCocycle | None, jhat=None) -> None:
-    if tau is not None and tau.values.shape != (
-        action.order,
-        action.order,
-        action.n_points,
-    ):
+def _check_shapes(action: GammaAction, tau: TauCocycle | None, j=None, what="factor") -> None:
+    if tau is not None and tau.values.shape != (action.order, action.order, action.n_points):
         raise ValueError("tau table does not match the action")
-    if jhat is not None and jhat.values.shape != (action.order, action.n_points):
-        raise ValueError("factor table does not match the action")
+    if j is not None and j.shape != (action.order, action.n_points):
+        raise ValueError(f"{what} table does not match the action")
 
 
 def tau_cocycle_check(action: GammaAction, tau: TauCocycle) -> float:
@@ -197,8 +189,8 @@ def automorphy_check(
     jhat: AutomorphyFactor,
 ) -> float:
     """Worst deviation from j(k1, k2 x) j(k2, x) = tau(k1, k2, x) j(k1 k2, x), exhaustively."""
-    _check_shapes(action, tau, jhat)
     j = jhat.values
+    _check_shapes(action, tau, j)
     # indexed [k1, k2, x]
     residual = j[:, action.act] * j - tau.values * j[action.mul]
     return float(np.max(np.abs(residual)))
@@ -206,8 +198,8 @@ def automorphy_check(
 
 def coboundary(action: GammaAction, jhat: AutomorphyFactor) -> TauCocycle:
     """The cocycle trivialized by j-hat: tau(k1,k2,x) = j(k1,k2 x) j(k2,x) / j(k1 k2,x)."""
-    _check_shapes(action, None, jhat)
     j = jhat.values
+    _check_shapes(action, None, j)
     return TauCocycle(j[:, action.act] * j / j[action.mul])
 
 
@@ -232,31 +224,30 @@ def solve_automorphy(
     to solve the rows (s, k2, x), s in a generating set, and (e, e, x).  If
     tau is a cocycle, so is the defect d of this system.  Its identity at
     k1 = s turns d(s, .) = 0 into d(s k2, .) = d(k2, .), and at k1 = k2 = e
-    reads d(e, k3)(x) = d(e, e)(k3 x); so d = 0 on every row.
+    reads d(e, k3)(x) = d(e, e)(k3 x); so d = 0 on every row.  One degree up,
+    t's own defect c(k1, k2, k3)(x) = t(k1 k2, k3, x) + t(k1, k2, k3 x) -
+    t(k1, k2 k3, x) - t(k2, k3, x) has c(s k1, .) = c(k1, .) where c(s, .) = 0,
+    so tau is a cocycle once c = 0 on the rows (s, k2, k3, x), checked exactly
+    (``_check_cocycle``); on the trivial group c = 0 for any t.
 
     Only the generators' values j(s, .) stay unknown.  The row (e, e, x) sets
-    j(e, x) = t(e, e, x).  A walk over the edges k -> s k from e and the
+    j(e, x) = t(e, e, x); then the row (s, e, x), j(e, x) = t(s, e, x), is
+    c(s, e, e)(x) = 0.  A walk over the edges k -> s k, k != e, from e and the
     generators (``_schreier_tree``) carries every other j(k, .) as an affine
     form over the unknowns: the first edge to reach k is the row (s, k', .)
-    read as j(k, x) = j(s, k' x) + j(k', x) - t(s, k', x).  Each row (s, k, .)
-    is one edge, so the edges off the tree are the rows this does not use up,
-    and each gives one equation per point.  A solution of these equations
-    rebuilds a j that satisfies every generator row, and a solution of the
-    rows restricts to one of them, so both systems have the same verdict.
-    It is solved by ``solve_mod_system`` (needs M < 2**31).
+    read as j(k, x) = j(s, k' x) + j(k', x) - t(s, k', x).  The edges off the
+    tree are the rows this does not use up, each one equation per point.  A
+    solution of these equations rebuilds a j that satisfies every generator
+    row, and a solution of the rows restricts to one of them, so both systems
+    have the same verdict.  It is solved by ``solve_mod_system`` (M < 2**31).
 
-    A tau whose ``tau_cocycle_check`` deviation exceeds 1e-9 is rejected
-    first, and a solution is checked on every (k1, k2, x) row exactly.  No
+    A non-cocycle raises, naming the first (s, k2, k3, x) where c is not 0 mod
+    M, and a solution is checked on every (k1, k2, x) row exactly.  No
     solution over Z/M gives None (the class may be solvable at a multiple of M).
     """
+    _check_shapes(action, tau)
     modulus = check_modulus(modulus)
     order, n_points, e = action.order, action.n_points, action.identity
-    reads = order**3 * n_points
-    if reads > _COCYCLE_LIMIT:
-        raise ValueError(
-            f"cocycle check of order**3 * points = {reads} entries, "
-            f"above the limit of {_COCYCLE_LIMIT}"
-        )
     gens, tree, spare = _schreier_tree(action)
     n_rows = len(spare) * n_points
     width = len(gens) * n_points + 1  # one column per unknown j(s, x), then the constant
@@ -265,10 +256,8 @@ def solve_automorphy(
         raise ValueError(
             f"coboundary forms and system of {entries} entries, above the limit of {_SYSTEM_LIMIT}"
         )
-    dev = tau_cocycle_check(action, tau)
-    if not dev <= _COCYCLE_TOL:
-        raise ValueError(f"tau is not a cocycle (deviation {dev:.3e})")
     t = _roots_to_exponents(tau.values, modulus)
+    _check_cocycle(action, gens, t, modulus)
     # forms[k, x] is j(k, x): its coefficients over the unknowns, then a constant.
     # Both are sums of at most order <= 128 terms below M < 2**31, unreduced,
     # so no entry, nor its product with a solution, leaves int64.
@@ -293,15 +282,24 @@ def solve_automorphy(
     return AutomorphyFactor(np.exp(2j * np.pi * j / modulus))
 
 
+def _check_cocycle(action: GammaAction, gens: list, t: np.ndarray, modulus: int) -> None:
+    for s in gens:  # the defect c(s, k2, k3)(x) of t, indexed [k2, k3, x]
+        c = (t[action.mul[s]] + t[s][:, action.act] - t[s][action.mul] - t) % modulus
+        if c.any():
+            where = (s, *np.argwhere(c)[0].tolist())
+            raise ValueError(f"tau is not a cocycle at (s, k2, k3, x) = {where}")
+
+
 def _schreier_tree(action: GammaAction):
     """Generators, tree edges (s, k, s k) and spare edges (s, k) of a walk over the group.
 
     The walk starts at e and follows the edges k -> s k breadth first.  When
     it runs dry, the least element not reached becomes the next generator: it
-    joins e as a root and is followed from every element walked so far.  So
-    each generator is the least element the earlier ones do not generate, and
-    each edge (s, k) is walked once, as the tree edge that first reaches s k
-    or as a spare edge.  There are order - 1 - len(gens) tree edges.
+    joins e as a root and is followed from every element walked so far but e
+    (s e = s is the root).  So each generator is the least element the earlier
+    ones do not generate, and each edge (s, k), k != e, is walked once, as the
+    tree edge that first reaches s k or as a spare edge: order - 1 - len(gens)
+    tree edges and (len(gens) - 1) * (order - 1) + len(gens) spare edges.
     """
     order, e = action.order, action.identity
     gens, products, tree, spare = [], [], [], []
@@ -329,13 +327,13 @@ def _schreier_tree(action: GammaAction):
         products.append(action.mul[gens[-1]].tolist())
         known[gens[-1]] = True
         queue.append(gens[-1])
-        for k in queue[:head]:
+        for k in queue[1:head]:  # queue[0] is e
             follow(len(gens) - 1, k)
 
 
 def u_transform(action: GammaAction, jhat: AutomorphyFactor) -> np.ndarray:
     """The family U(k): x -> j-hat(k, k^{-1} x), one row per group element."""
-    _check_shapes(action, None, jhat)
+    _check_shapes(action, None, jhat.values)
     return np.take_along_axis(jhat.values, action.act[action.inv], axis=1)
 
 
@@ -349,7 +347,8 @@ def u_cocycle_check(
     The tau argument is left-translated by k1 k2, matching the multiplier
     convention in which the group also moves the base argument of tau.
     """
-    _check_shapes(action, tau)
+    u = _unit_table(u, "u")
+    _check_shapes(action, tau, u, "u")
     k1, k2 = np.ogrid[: action.order, : action.order]
     act_inv = action.act[action.inv]
     # indexed [k1, k2, x]

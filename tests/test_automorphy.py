@@ -69,6 +69,10 @@ class TestGammaAction:
         with pytest.raises(ValueError):
             GammaAction(mul, bad_act)
 
+    def test_action_on_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            GammaAction.cyclic(2, 0)
+
     def test_nonabelian_group_accepted(self):
         act = _s3_on_points()
         assert act.order == 6 and act.n_points == 3
@@ -186,6 +190,32 @@ class TestTauCocycleCheck:
         assert np.array_equal(factor.values, np.array(values, dtype=np.complex128))
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tau_cocycle_check",
+        "automorphy_check",
+        "coboundary",
+        "solve_automorphy",
+        "u_transform",
+        "u_cocycle_check",
+    ],
+)
+def test_mismatched_table_named(name):
+    action, other = GammaAction.cyclic(3, 2), GammaAction.cyclic(3, 1)
+    tau, jhat = trivial_tau(other), trivial_factor(other)
+    args = {
+        "tau_cocycle_check": (tau,),
+        "automorphy_check": (trivial_tau(action), jhat),
+        "coboundary": (jhat,),
+        "solve_automorphy": (tau, 2),
+        "u_transform": (jhat,),
+        "u_cocycle_check": (trivial_tau(action), jhat.values),
+    }[name]
+    with pytest.raises(ValueError, match="table does not match the action"):
+        getattr(automorphy, name)(action, *args)
+
+
 class TestAutomorphyCheck:
     def test_trivial_pair_passes(self):
         for action in BATTERY[:3]:
@@ -260,7 +290,7 @@ class TestSolver:
         values = np.ones((2, 2, 1), dtype=np.complex128)
         values[0, 1, 0] = 1j
         assert tau_cocycle_check(action, TauCocycle(values)) > 0.1
-        with pytest.raises(ValueError, match="tau is not a cocycle"):
+        with pytest.raises(ValueError, match="^tau is not a cocycle at"):
             solve_automorphy(action, TauCocycle(values), 4)
 
     def test_wrong_root_order_rejected(self):
@@ -324,6 +354,20 @@ class TestUTransform:
         tau = TauCocycle(values)
         solved = solve_automorphy(action, tau, 4)
         assert u_cocycle_check(action, tau, u_transform(action, solved)) <= 1e-12
+
+    def test_u_read_as_a_unit_table(self):
+        action = GammaAction.cyclic(3, 1)
+        tau = trivial_tau(action)
+        assert u_cocycle_check(action, tau, [[1], [1], [1]]) == 0.0
+        cases = [
+            (np.ones((3, 2)), "u table does not match the action"),
+            (np.ones(3), "u table does not match the action"),
+            ("abc", "u must hold numbers"),
+            (np.full((3, 1), 2.0), "u values must have modulus 1"),
+        ]
+        for u, message in cases:
+            with pytest.raises(ValueError, match=message):
+                u_cocycle_check(action, tau, u)
 
     def test_perturbed_u_fails(self):
         rng = np.random.default_rng(8)
@@ -438,11 +482,67 @@ class TestGeneratorRows:
         t = (j[:, action.act] + j - j[action.mul]) % 6
         t[2, 1, 0] = (t[2, 1, 0] + 1) % 6
         tau = TauCocycle(np.exp(2j * np.pi * t / 6))
-        with pytest.raises(ValueError, match="tau is not a cocycle"):
+        with pytest.raises(ValueError, match="^tau is not a cocycle at"):
             solve_automorphy(action, tau, 6)
-        monkeypatch.setattr(automorphy, "tau_cocycle_check", lambda action, tau: 0.0)
+        monkeypatch.setattr(automorphy, "_check_cocycle", lambda action, gens, t, modulus: None)
         with pytest.raises(ValueError, match="the solution fails a coboundary equation"):
             solve_automorphy(action, tau, 6)
+
+
+def defect(action, t, s, k2, k3, x):
+    """c(s, k2, k3)(x) of an exponent table, read entry by entry."""
+    mul, act = action.mul, action.act
+    return t[mul[s, k2], k3, x] + t[s, k2, act[k3, x]] - t[s, mul[k2, k3], x] - t[k2, k3, x]
+
+
+class TestExactCocycleCheck:
+    @pytest.mark.parametrize("name", list(GENERATOR_BATTERY))
+    def test_verdict_matches_the_float_check(self, name):
+        build, extra = GENERATOR_BATTERY[name]
+        action = build()
+        gens = automorphy._schreier_tree(action)[0]
+        rng = np.random.default_rng(31)
+        refused = 0
+        for modulus in MODULI:
+            for _ in range(20):
+                j = rng.integers(0, modulus, size=(action.order, action.n_points))
+                t = j[:, action.act] + j - j[action.mul] + (0 if extra is None else extra(action))
+                for _ in range(rng.integers(3)):  # 0 to 2 entries perturbed
+                    t[tuple(rng.integers(n) for n in t.shape)] += rng.integers(1, modulus)
+                t %= modulus
+                tau = TauCocycle(np.exp(2j * np.pi * t / modulus))
+                cocycle = tau_cocycle_check(action, tau) <= 1e-9
+                try:
+                    solve_automorphy(action, tau, modulus)
+                except ValueError as exc:
+                    head, named = str(exc).split(" = ")
+                    assert head == "tau is not a cocycle at (s, k2, k3, x)"
+                    s, k2, k3, x = map(int, re.findall(r"\d+", named))
+                    assert s in gens and defect(action, t, s, k2, k3, x) % modulus != 0
+                    assert not cocycle
+                    refused += 1
+                else:
+                    assert cocycle
+        # every table of the trivial group is a cocycle; elsewhere both verdicts occur
+        assert (refused == 0) == (action.order == 1)
+
+    # f is 1 on one coset of the subgroup one generator makes, 0 on the other;
+    # the table t(k1, k2, x) = f(k1) has defect c(s, k2, k3) = f(s k2) - f(k2),
+    # which vanishes on that generator's rows and on no row of the other
+    @pytest.mark.parametrize(
+        "f, witness", [([1, 1, 0, 0], (2, 0, 0, 0)), ([1, 0, 1, 0], (1, 0, 0, 0))]
+    )
+    def test_each_generator_checked(self, f, witness):
+        action = klein_on_itself()
+        assert automorphy._schreier_tree(action)[0] == [1, 2]
+        j = np.random.default_rng(4).integers(0, 4, size=(4, 4))
+        t = (j[:, action.act] + j - j[action.mul] + np.array(f)[:, None, None]) % 4
+        tau = TauCocycle(np.exp(2j * np.pi * t / 4))
+        assert tau_cocycle_check(action, tau) > 0.1
+        message = f"tau is not a cocycle at (s, k2, k3, x) = {witness}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_automorphy(action, tau, 4)
+        assert defect(action, t, *witness) % 4 != 0
 
 
 class TestSizeLimits:
@@ -458,27 +558,26 @@ class TestSizeLimits:
         assert GammaAction.cyclic(128).order == 128
 
     def test_system_above_limit_rejected_before_the_cocycle_check(self, monkeypatch):
-        # Z/2 on 512 points: 2 * 512 forms and 2 * 512 spare-edge rows, each 512 + 1 wide
-        action = GammaAction.cyclic(2, 512)
+        # Z/2 on 600 points: 2 * 600 forms and 600 spare-edge rows, each 600 + 1 wide
+        action = GammaAction.cyclic(2, 600)
 
-        def unreachable(action, tau):
+        def unreachable(action, gens, t, modulus):
             raise AssertionError("the size is checked first")
 
-        monkeypatch.setattr(automorphy, "tau_cocycle_check", unreachable)
-        message = f"forms and system of {4 * 512 * 513} entries, above the limit of {2**20}"
+        monkeypatch.setattr(automorphy, "_check_cocycle", unreachable)
+        message = f"forms and system of {3 * 600 * 601} entries, above the limit of {2**20}"
         with pytest.raises(ValueError, match=message):
             solve_automorphy(action, trivial_tau(action), 2)
 
-    def test_cocycle_check_above_limit_rejected_before_the_walk(self, monkeypatch):
+    def test_cyclic_128_on_9_points_solves(self):
+        # order**3 * points = 18 874 368 entries: the all-triples check alone
+        # would read them; the generator rows read 128**2 * 9
         action = GammaAction.cyclic(128, 9)
-
-        def unreachable(action):
-            raise AssertionError("the size is checked first")
-
-        monkeypatch.setattr(automorphy, "_schreier_tree", unreachable)
-        message = f"order**3 * points = {128**3 * 9} entries, above the limit of {2**24}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            solve_automorphy(action, trivial_tau(action), 2)
+        exponents = np.random.default_rng(128).integers(0, 64, size=(128, 9))
+        tau = coboundary(action, AutomorphyFactor(np.exp(2j * np.pi * exponents / 64)))
+        solved = solve_automorphy(action, tau, 64)
+        assert solved is not None
+        assert automorphy_check(action, tau, solved) <= 1e-9
 
 
 def greedy_generators(action):
@@ -499,7 +598,8 @@ class TestSchreierTree:
         assert gens == greedy_generators(action)
         assert len(tree) == action.order - 1 - len(gens)
         edges = [(s, k) for s, k, _ in tree] + spare
-        assert sorted(edges) == sorted(itertools.product(gens, range(action.order)))
+        others = [k for k in range(action.order) if k != action.identity]
+        assert sorted(edges) == sorted(itertools.product(gens, others))
         reached = {action.identity, *gens}
         for s, k, sk in tree:  # each tree edge leaves a reached element for a new one
             assert k in reached and sk == action.mul[s, k] and sk not in reached
@@ -509,10 +609,10 @@ class TestSchreierTree:
     @pytest.mark.parametrize(
         "action, shape",
         [
-            # one generator, so 2 spare edges: (1, 0) back to 1 and (1, 7) back to e
-            (GammaAction.cyclic_translation(8), (2 * 8, 8)),
-            # two generators and 3 tree edges: 12 - 3 = 9 spare edges, on 3 points
-            (_s3_on_points(), (9 * 3, 2 * 3)),
+            # one generator and 6 tree edges: the one spare edge is (1, 7) back to e
+            (GammaAction.cyclic_translation(8), (8, 8)),
+            # two generators and 3 tree edges: 2 * 5 - 3 = 7 spare edges, on 3 points
+            (_s3_on_points(), (7 * 3, 2 * 3)),
         ],
         ids=["translation8", "S3 on 3 points"],
     )
@@ -529,7 +629,7 @@ class TestSchreierTree:
         assert seen == [shape]
 
     def test_translation_32_solves(self):
-        # a 64 x 32 system; the dense one, 1 081 344 entries, is above the size limit
+        # a 32 x 32 system; the dense one, 1 081 344 entries, is above the size limit
         action = GammaAction.cyclic_translation(32)
         exponents = np.random.default_rng(32).integers(0, 16, size=(32, 32))
         tau = coboundary(action, AutomorphyFactor(np.exp(2j * np.pi * exponents / 16)))

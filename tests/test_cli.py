@@ -522,8 +522,8 @@ class TestAutomorphySolveCommand:
         [
             (129, 1, "input.group_table: group tables of order**2 * max(order, points) = "
              f"{129**3} entries, above the limit of {2**21}"),
-            (2, 512, "input.tau_exponents: coboundary forms and system of "
-             f"{4 * 512 * 513} entries, above the limit of {2**20}"),
+            (2, 600, "input.tau_exponents: coboundary forms and system of "
+             f"{3 * 600 * 601} entries, above the limit of {2**20}"),
         ],
         ids=["group_table", "system"],
     )
