@@ -204,11 +204,15 @@ def coboundary(action: GammaAction, jhat: AutomorphyFactor) -> TauCocycle:
 
 
 def _roots_to_exponents(values: np.ndarray, m: int) -> np.ndarray:
-    """Exponent table t with values = exp(2 pi i t / M), or raise."""
-    angles = np.angle(values) * m / (2.0 * np.pi)
-    exponents = np.round(angles).astype(np.int64) % m
-    recon = np.exp(2j * np.pi * exponents / m)
-    err = float(np.abs(recon - values).max())
+    """Exponent table t with values = exp(2 pi i t / M), or raise (peak: twice their bytes)."""
+    angles = np.angle(values) * m
+    angles /= 2.0 * np.pi
+    exponents = np.round(angles, out=angles).astype(np.int64) % m
+    recon = 2j * np.pi * exponents
+    recon /= m
+    np.exp(recon, out=recon)
+    recon -= values
+    err = float(np.abs(recon, out=angles).max())
     if not err <= 1e-9:
         raise ValueError(f"values are not {m}-th roots of unity (error {err:.3e})")
     return exponents

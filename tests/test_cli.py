@@ -117,6 +117,18 @@ AUTOMORPHY_CONFIG = {
     "modulus": 4,
 }
 KASPRZAK_CONFIG = {"moduli": [5], "cocycle_matrix": [[1]], "trials": 2}
+# The translate kernels gather several u at once on (Z/5)^2 and one at a time
+# on (Z/5)^3, where a single translate is 5**6 entries; both lines are pinned.
+KASPRZAK_GOLDENS = {
+    "Z5xZ5": (
+        {"moduli": [5, 5], "cocycle_matrix": [[0, 1], [-1, 0]], "trials": 3, "seed": 0},
+        "trials=3 max_deviation=4.965068306494546e-16 tolerance=1e-10\n",
+    ),
+    "Z5^3": (
+        {"moduli": [5, 5, 5], "cocycle_matrix": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], "trials": 3, "seed": 0},
+        "trials=3 max_deviation=4.344434768182728e-16 tolerance=1e-10\n",
+    ),
+}
 HEISENBERG_CONFIG = {"grid_size": 3, "hbar": 0.5}
 
 
@@ -295,6 +307,13 @@ class TestKasprzakCommand:
         code, text = run(["kasprzak-verify"], cfg, tmp_path)
         assert code == EXIT_OK
         assert text == "trials=20 max_deviation=7.021666937153402e-16 tolerance=1e-10\n"
+
+    @pytest.mark.parametrize("name", list(KASPRZAK_GOLDENS))
+    def test_golden_line_per_block_regime(self, tmp_path, name):
+        cfg, golden = KASPRZAK_GOLDENS[name]
+        code, text = run(["kasprzak-verify"], cfg, tmp_path)
+        assert code == EXIT_OK
+        assert text == golden
 
     def test_boolean_trials_rejected(self, tmp_path, capsys):
         cfg = {"moduli": [5], "cocycle_matrix": [[1]], "trials": True}

@@ -487,6 +487,19 @@ def reference_dimension(data):
     return total
 
 
+def reference_fixed_point_test(a, data):
+    """max over u, v of |alpha_{Tu}[a(v)] - e(u, v) a(v)|, one (u, v) pair at a time."""
+    ctx = a.context
+    dev = 0.0
+    for u in ctx.points():
+        tu = data.t.apply_vec(u.vector())
+        for v in ctx.points():
+            fiber = a.table[v.coords]
+            residual = _alpha(fiber, tu, ctx.rank) - data.e(u, v) * fiber
+            dev = max(dev, float(np.max(np.abs(residual))))
+    return dev
+
+
 def reference_twisted(a, b, sigma_hat):
     """sum_u sigma_hat(u - v, u) a(u) alpha_u[b(v - u)], one (u, v) pair at a time."""
     ctx = a.context
@@ -538,6 +551,12 @@ REFERENCE_CASES = {
 }
 
 
+def with_zero_fiber(a):
+    table = a.table.copy()
+    table[(1,) * a.context.rank] = 0.0
+    return CrossedElement(a.context, table)
+
+
 class TestKernelsAgainstReference:
     @pytest.fixture(params=list(REFERENCE_CASES), ids=list(REFERENCE_CASES))
     def data(self, request):
@@ -563,12 +582,71 @@ class TestKernelsAgainstReference:
     def test_convolutions_bitwise(self, data):
         rng = np.random.default_rng(32)
         ctx = data.context
-        a, b = random_crossed(ctx, rng), random_crossed(ctx, rng)
         # a zero fiber exercises the skipped terms
-        table = a.table.copy()
-        table[(1,) * ctx.rank] = 0.0
-        a = CrossedElement(ctx, table)
+        a, b = with_zero_fiber(random_crossed(ctx, rng)), random_crossed(ctx, rng)
         for sigma_hat in (data.sigma, data.e, Bicharacter.trivial(ctx)):
             got = twisted_crossed_dual(a, b, sigma_hat).table
             assert np.array_equal(got, reference_twisted(a, b, sigma_hat))
         assert np.array_equal(crossed_conv(a, b).table, reference_conv(a, b))
+
+    def test_fixed_point_test_bitwise(self, data):
+        rng = np.random.default_rng(33)
+        a = random_crossed(data.context, rng)
+        for elem in (a, with_zero_fiber(a), spectral_project(a, data)):
+            got = fixed_point_test(elem, data)
+            assert got.hex() == reference_fixed_point_test(elem, data).hex()
+
+
+GATHER_CASES = {
+    **REFERENCE_CASES,
+    # one translate, 5**6 entries, is above the default gather limit
+    "Z5^3": lambda: finite_data([5, 5, 5], 3 * np.eye(3, dtype=int), np.eye(3, dtype=int)),
+}
+
+
+class TestGatherLimit:
+    """The translate kernels gather blocks of u; the bits must not depend on
+    where the blocks fall."""
+
+    @pytest.mark.parametrize("name", list(GATHER_CASES))
+    def test_outputs_independent_of_limit(self, monkeypatch, name):
+        import startwist.crossed as crossed_mod
+
+        data = GATHER_CASES[name]()
+        ctx = data.context
+        rng = np.random.default_rng(34)
+        a, b = with_zero_fiber(random_crossed(ctx, rng)), random_crossed(ctx, rng)
+        projected = spectral_project(a, data)
+        results = []
+        for limit in (1, crossed_mod._GATHER_LIMIT, 2**62):
+            monkeypatch.setattr(crossed_mod, "_GATHER_LIMIT", limit)
+            tables = [twisted_crossed_dual(a, b, s).table for s in (data.sigma, data.e)]
+            tables.append(crossed_conv(a, b).table)
+            tests = [fixed_point_test(x, data).hex() for x in (a, projected)]
+            results.append((b"".join(t.tobytes() for t in tables), tests))
+        assert results[0] == results[1] == results[2]
+
+    def test_traced_peak_bounded_by_the_limit(self, monkeypatch):
+        import tracemalloc
+
+        import startwist.crossed as crossed_mod
+
+        # Z/128: one translate holds 2**14 entries, above the default limit,
+        # so one u is gathered at a time; all 128 at once would hold 2**21
+        data = finite_data(128, [[3]], [[1]])
+        a = random_crossed(data.context, np.random.default_rng(35))
+
+        def traced_peak(kernel):
+            tracemalloc.start()
+            try:
+                kernel()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kernels = (lambda: fixed_point_test(a, data), lambda: crossed_conv(a, a))
+        for kernel in kernels:
+            assert traced_peak(kernel) <= 8 * a.table.nbytes
+        monkeypatch.setattr(crossed_mod, "_GATHER_LIMIT", 2**62)
+        for kernel in kernels:
+            assert traced_peak(kernel) > 8 * a.table.nbytes
