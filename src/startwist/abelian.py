@@ -206,9 +206,3 @@ def _points(ctx: GroupContext) -> np.ndarray:
     """All points of a finite context as int64 rows of shape (|V|, rank), in
     lexicographic order; ``GroupContext.points`` and the finite kernels read them."""
     return np.indices(ctx.moduli, dtype=np.int64).reshape(ctx.rank, -1).T
-
-
-def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (u, v) of rows of ``points``, u-major: two (|V|^2, rank) arrays."""
-    count = len(points)
-    return np.repeat(points, count, axis=0), np.tile(points, (count, 1))

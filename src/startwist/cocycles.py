@@ -211,6 +211,13 @@ class LinearMap:
         )
 
 
+def _exponent_table(sigma: Bicharacter, points: np.ndarray) -> np.ndarray:
+    """Exponent u.B.v mod N of sigma(u, v) at row u, column v, exact and int64 (rank (N - 1)**2
+    < 2**63, as N <= |V|); ``eval_many``'s expression makes these that call's phases, bitwise."""
+    n = sigma.context.uniform_modulus
+    return matmul_mod(matmul_mod(points, sigma.matrix, n), points.T, n)
+
+
 def antisymmetrize(sigma: Bicharacter) -> Bicharacter:
     """Replace the exponent by its skew part; the canonical class representative."""
     ctx = sigma.context

@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
-from .cocycles import Bicharacter, LinearMap, T_map, sigma_one
+from .abelian import FiniteVector, GroupContext, GroupPoint, _points, pairing_many
+from .cocycles import Bicharacter, LinearMap, T_map, _exponent_table, sigma_one
 from .deform import rieffel_product_finite
 from .modarith import checked_array, matmul_mod
 
@@ -160,11 +160,11 @@ def fixed_point_test(a: CrossedElement, data: DeformedActionData) -> float:
     """Worst deviation from the spectral condition alpha_{Tu}[a(v)] = e(u, v) a(v) over
     all u, v (translates gathered by blocks of u); fixed points read below ``FIXED_POINT_TOL``."""
     _check_context(a, data)
-    ctx = a.context
+    ctx, n = a.context, data.t.modulus
     points, size, table = _points(ctx), ctx.size, a.table.reshape(ctx.size, -1)
     # row u holds e(u, v) for every v, and k -> k + T u
-    phases = data.e.eval_many(*_point_pairs(points)).reshape(size, size)
-    shifted = _translate_index(ctx, points, matmul_mod(points, data.t.matrix.T, data.t.modulus))
+    phases = np.exp(2j * np.pi * _exponent_table(data.e, points).astype(np.float64) / n)
+    shifted = _translate_index(ctx, points, matmul_mod(points, data.t.matrix.T, n))
     dev, step = 0.0, max(1, _GATHER_LIMIT // size**2)
     for block in np.split(np.arange(size), range(step, size, step)):
         # [v, i, k] holds alpha_{T u_i}[a(v)](k) = a(v)(k + T u_i), less e(u_i, v) a(v)(k)
@@ -259,11 +259,11 @@ def twisted_crossed_dual(
     ctx = a.context
     if sigma_hat.context != ctx:
         raise ValueError("cocycle from a different context")
-    points, size = _points(ctx), ctx.size
-    us, vs = _point_pairs(points)
-    # row u holds sigma_hat(u - v, u) for every v
-    phases = sigma_hat.eval_many((us - vs) % np.array(ctx.moduli), us).reshape(size, size)
-    del us, vs  # |V|^2 x rank entries each
+    points, size, n = _points(ctx), ctx.size, ctx.uniform_modulus
+    # row u holds sigma_hat(u - v, u) for every v; each rebinding frees the table before it
+    phases = _exponent_table(sigma_hat, points)
+    phases = (phases.diagonal()[:, None] - phases.T) % n  # Q[u, u] - Q[v, u]
+    phases = np.exp(2j * np.pi * phases.astype(np.float64) / n)
     fibers_a, fibers_b = a.table.reshape(size, size), b.table.reshape(size, size)
     shifted = _translate_index(ctx, points, points)  # row u holds k -> k + u
     live, step = np.flatnonzero(fibers_a.any(axis=1)), min(size, max(1, _GATHER_LIMIT // size**2))

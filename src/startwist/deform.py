@@ -46,8 +46,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .abelian import FiniteVector, GroupContext, GroupPoint, _point_pairs, _points, pairing_many
-from .cocycles import Bicharacter, LinearMap, SkewForm, is_nondegenerate
+from .abelian import FiniteVector, GroupContext, GroupPoint, _points, pairing_many
+from .cocycles import Bicharacter, LinearMap, SkewForm, _exponent_table, is_nondegenerate
 from .modarith import read_numbers
 
 __all__ = [
@@ -478,16 +478,15 @@ def rieffel_product_finite(
         raise ValueError("translation map does not match the context")
     if not is_nondegenerate(e):
         raise ValueError("e is degenerate")
-    coords = _points(ctx)
-    size, moduli = len(coords), np.array(ctx.moduli)
+    coords, moduli = _points(ctx), np.array(ctx.moduli)
 
     def gather(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Row i, column v holds values(v + offsets[i])."""
         index = (coords[None, :, :] + offsets[:, None, :]) % moduli
         return values[tuple(np.moveaxis(index, -1, 0))]
 
-    phases = e.eval_many(*_point_pairs(coords))
+    phases = np.exp(2j * np.pi * _exponent_table(e, coords).astype(np.float64) / t.modulus)
     b_shift = gather(b.values, coords)  # (w, v): b(v + w)
     a_shift = gather(a.values, -(coords @ t.matrix.T))  # (u, v): a(v - T u)
-    out = (a_shift * (phases.reshape(size, size) @ b_shift)).sum(axis=0)
+    out = (a_shift * (phases @ b_shift)).sum(axis=0)
     return FiniteVector(ctx, out.reshape(tuple(ctx.moduli)) * ctx.norm_const)
