@@ -187,8 +187,8 @@ class LinearMap:
         if not modulus >= 1:
             raise ValueError(f"linear map modulus must be at least 1, got {modulus}")
         m = read_numbers(self.matrix, "linear map matrix", np.int64) % modulus
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("linear map matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("linear map matrix must be square, with at least one row")
         m.flags.writeable = False
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "matrix", m)

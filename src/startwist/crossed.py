@@ -12,6 +12,8 @@ exp(2 pi i k.x / N), so the spectral projection is a 0/1 character mask
 between FFTs along the fiber axes and the fixed-point dimension counts the
 mask.  ``fixed_point_test`` evaluates the defining condition instead, on
 translates gathered by blocks of u, so it checks the mask rather than restating it.
+Its e(u, v) and the convolution's sigma_hat(u - v, u) are read from one (|V|, |V|)
+table of exact exponents, ``cocycles._exponent_table``, as are the double-sum product's.
 
 ``DeformedActionData(sigma, e)`` derives T = sigma^1 o e^1 from its cocycles
 and rejects a context with |V|^2 > 2**20, the entry count of every table here.

@@ -237,6 +237,7 @@ def _collect(
         -_COORD_LIMIT < coords.min() and coords.max() < _COORD_LIMIT
     ):
         raise ValueError(_RANGE_MESSAGE)
+    coords = coords.astype(np.int64, copy=False)  # an exact relabel brings Python integers
     if counts is None:
         counts = [len(values)]
     bounds = [0, *accumulate(counts)]

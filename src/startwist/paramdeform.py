@@ -11,7 +11,9 @@ the symplectic matrix rho on coefficient indices, fiber(1)(p) =
 fiber(0)(rho^{-T} p).  The transpose-inverse is forced by dualizing the rho
 action on the torus; products of equivariant elements stay equivariant when
 every form in the field is a scalar multiple of the standard symplectic form
-(those are exactly the Sp-invariant skew forms).
+(those are exactly the Sp-invariant skew forms).  Monodromy matrices act in
+Python integers, so rho^T J rho and each relabelled coefficient are exact at
+any entry size, and a coefficient moved beyond 2**31 raises the range error.
 """
 
 from __future__ import annotations
@@ -250,30 +252,27 @@ def heisenberg_phases(hbar: float, grid: BaseGrid) -> list[complex]:
 
 
 def monodromy_check(rho: MonodromyData) -> bool:
-    """True iff rho^T J rho = J exactly over the integers."""
-    n = rho.rank // 2
-    j = SkewForm.standard_symplectic(n).matrix.astype(np.int64)
-    return bool(np.array_equal(rho.matrix.T @ j @ rho.matrix, j))
-
-
-def _dual_matrix(rho: MonodromyData) -> np.ndarray:
-    """Integer matrix rho^{-T} acting on dual coefficients."""
-    n = rho.rank // 2
-    j = SkewForm.standard_symplectic(n).matrix.astype(np.int64)
-    # For symplectic rho: rho^T J rho = J gives rho^{-T} = J rho J^{-1} = -J rho J.
-    return -j @ rho.matrix @ j
+    """True iff rho^T J rho = J exactly, in Python integers."""
+    m = rho.matrix.astype(object)
+    j = SkewForm.standard_symplectic(rho.rank // 2).matrix.astype(np.int64)
+    return bool(np.array_equal(m.T @ j @ m, j))
 
 
 def monodromy_transport(a: FourierElement, rho: MonodromyData) -> FourierElement:
-    """Relabel coefficients through the dual action: out(p) = a(rho^{-T} p)."""
+    """Relabel coefficients through the dual action: out(p) = a(rho^{-T} p).
+
+    rho must be symplectic and of the context's rank; ``_collect`` refuses a
+    coefficient moved beyond 2**31 by name."""
     if not monodromy_check(rho):
         raise ValueError("matrix is not symplectic")
-    # row form of p -> rho^T p
-    return deform._collect(a.context, a.coords @ rho.matrix, a.values)[0]
+    if rho.rank != a.context.rank:
+        raise ValueError("monodromy rank does not match the context")
+    # row form of p -> rho^T p, in Python integers
+    return deform._collect(a.context, a.coords @ rho.matrix.astype(object), a.values)[0]
 
 
 def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
-    """Deviation of fiber(1)(p) from fiber(0)(rho^{-T} p) over the supports.
+    """Deviation of fiber(1) from ``monodromy_transport`` of fiber(0) over the supports.
 
     The grid must sample one fundamental domain [0, 1] with both endpoints
     present; rho must be symplectic.
@@ -281,13 +280,7 @@ def equivariant_test(a: ParamElement, rho: MonodromyData) -> float:
     grid = a.grid
     if grid.topology != "interval" or grid.samples[0] != 0.0 or grid.samples[-1] != 1.0:
         raise ValueError("grid must sample [0, 1] with both endpoints")
-    if not monodromy_check(rho):
-        raise ValueError("matrix is not symplectic")
-    if rho.rank != a.context.rank:
-        raise ValueError("monodromy rank does not match the context")
-    last = a.fibers[-1]  # pulled back, its coefficient at p sits at rho^{-T} p
-    (pulled,) = deform._collect(a.context, last.coords @ _dual_matrix(rho).T, last.values)
-    return pulled.linf_distance(a.fibers[0])
+    return monodromy_transport(a.fibers[0], rho).linf_distance(a.fibers[-1])
 
 
 def _is_symplectic_multiple(form: SkewForm) -> bool:

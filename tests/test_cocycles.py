@@ -66,6 +66,11 @@ class TestLinearMap:
         with pytest.raises(TypeError):
             LinearMap([[1]], 5.0)
 
+    def test_empty_matrix_refused_by_name(self):
+        # accepted before, and then is_invertible raised a bare IndexError from det_int
+        with pytest.raises(ValueError, match="must be square, with at least one row"):
+            LinearMap(np.zeros((0, 0), int), 5)
+
     def test_modulus_beyond_2_31_accepted(self):
         # T_map passes the moduli of Z/10**12 cocycles, past check_modulus's cap
         m = LinearMap([[10**12 + 3]], 10**12)

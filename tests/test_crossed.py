@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from startwist.abelian import FiniteVector, GroupContext
-from startwist.cocycles import Bicharacter, LinearMap, T_map
+from startwist.cocycles import Bicharacter, LinearMap, T_map, _exponent_table
 from startwist.crossed import (
     CrossedElement,
     DeformedActionData,
@@ -18,6 +18,7 @@ from startwist.crossed import (
     twisted_crossed_dual,
     verify_I_homomorphism,
 )
+from startwist.deform import rieffel_product_finite
 
 Z5 = GroupContext.finite(5)
 Z7 = GroupContext.finite(7)
@@ -604,6 +605,52 @@ GATHER_CASES = {
 }
 
 
+def traced_peak(step):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pair_tables(points):
+    """Every pair (u, v) of rows, u-major: the (|V|^2, rank) route the kernels left."""
+    count = len(points)
+    return np.repeat(points, count, axis=0), np.tile(points, (count, 1))
+
+
+class TestExponentTable:
+    """Every finite phase table is read from one (|V|, |V|) exponent table; its
+    phases must be ``eval_many``'s, bit for bit."""
+
+    @pytest.mark.parametrize("name", [*GATHER_CASES, "Z128"])
+    def test_phases_match_eval_many_bitwise(self, name):
+        data = GATHER_CASES.get(name, lambda: finite_data(128, [[3]], [[1]]))()
+        ctx = data.context
+        points, n = np.array([p.coords for p in ctx.points()]), ctx.uniform_modulus
+        for sigma in (data.sigma, data.e):  # the (Z/5)^2 cases hold non-symmetric matrices
+            table = _exponent_table(sigma, points)
+            assert table.dtype == np.int64 and table.shape == (ctx.size, ctx.size)
+            phases = np.exp(2j * np.pi * table.astype(np.float64) / n)
+            assert phases.tobytes() == sigma.eval_many(*pair_tables(points)).tobytes()
+
+    def test_phase_step_traced_peak(self):
+        # Z/256: the e(u, v) table of fixed_point_test and rieffel_product_finite, in
+        # complex-table sizes of 1 MiB (2.0 measured); the pair route through eval_many, 4.0
+        ctx = GroupContext.finite(256)
+        e, points = Bicharacter(ctx, [[3]]), np.arange(256, dtype=np.int64)[:, None]
+        table = 256**2 * np.dtype(np.complex128).itemsize
+
+        def exponent_route():
+            return np.exp(2j * np.pi * _exponent_table(e, points).astype(np.float64) / 256)
+
+        assert traced_peak(exponent_route) <= 3 * table
+        assert traced_peak(lambda: e.eval_many(*pair_tables(points))) > 3 * table
+
+
 class TestGatherLimit:
     """The translate kernels gather blocks of u; the bits must not depend on
     where the blocks fall."""
@@ -627,25 +674,20 @@ class TestGatherLimit:
         assert results[0] == results[1] == results[2]
 
     def test_traced_peak_bounded_by_the_limit(self, monkeypatch):
-        import tracemalloc
-
         import startwist.crossed as crossed_mod
 
         # Z/128: one translate holds 2**14 entries, above the default limit,
         # so one u is gathered at a time; all 128 at once would hold 2**21
         data = finite_data(128, [[3]], [[1]])
         a = random_crossed(data.context, np.random.default_rng(35))
-
-        def traced_peak(kernel):
-            tracemalloc.start()
-            try:
-                kernel()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        kernels = (lambda: fixed_point_test(a, data), lambda: crossed_conv(a, a))
-        for kernel in kernels:
+        f = I_map(a)
+        kernels = (
+            lambda: fixed_point_test(a, data),
+            lambda: crossed_conv(a, a),
+            lambda: twisted_crossed_dual(a, a, data.sigma),
+        )
+        # the double-sum product gathers no blocks, so only the bound applies to it
+        for kernel in (*kernels, lambda: rieffel_product_finite(f, f, data.e, data.t)):
             assert traced_peak(kernel) <= 8 * a.table.nbytes
         monkeypatch.setattr(crossed_mod, "_GATHER_LIMIT", 2**62)
         for kernel in kernels:

@@ -277,6 +277,27 @@ class TestMonodromy:
     def test_diag_2_1_rejected(self):
         assert not monodromy_check(MonodromyData([[2, 0], [0, 1]]))
 
+    def test_large_entries_checked_without_wrapping(self):
+        # rho^T J rho = det(rho) J = (2**64 + 1) J, which int64 would wrap to J
+        rho = MonodromyData([[2**32, 1], [-1, 2**32]])
+        assert not monodromy_check(rho)
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            monodromy_transport(FourierElement.delta(LATTICE2.point(0, 0)), rho)
+
+    def test_transport_out_of_range_refused(self):
+        # symplectic, and it sends (4, 0) to (4, 2**64), which int64 would wrap to (4, 0)
+        rho = MonodromyData([[1, 2**62], [0, 1]])
+        assert monodromy_check(rho)
+        with pytest.raises(ValueError, match="must stay below 2\\*\\*31"):
+            monodromy_transport(FourierElement.delta(LATTICE2.point(4, 0)), rho)
+        moved = monodromy_transport(FourierElement.delta(LATTICE2.point(0, 1)), rho)
+        assert moved.coords.tolist() == [[0, 1]] and moved.coords.dtype == np.int64
+
+    def test_transport_rank_mismatch_named(self):
+        a = FourierElement.delta(GroupContext.lattice(4).point(1, 0, 0, 0))
+        with pytest.raises(ValueError, match="monodromy rank does not match the context"):
+            monodromy_transport(a, SHEAR)
+
     def test_non_integer_matrix_rejected(self):
         # truncating 1.7 would store the shear, which passes monodromy_check
         with pytest.raises(ValueError, match="monodromy matrix must hold integers"):
