@@ -617,7 +617,7 @@ def traced_peak(step):
 
 
 def pair_tables(points):
-    """Every pair (u, v) of rows, u-major: the (|V|^2, rank) route the kernels left."""
+    """Every pair (u, v) of rows, u-major: two (|V|^2, rank) arrays, as ``eval_many`` takes them."""
     count = len(points)
     return np.repeat(points, count, axis=0), np.tile(points, (count, 1))
 
